@@ -82,6 +82,18 @@ def _primitive_checks() -> list[CheckResult]:
         ("reshape", lambda x: diff.reduce_sum(diff.sin(diff.reshape(x, (6, 2)))), [n(3, 4)]),
         ("transpose", lambda x: diff.reduce_sum(diff.sin(diff.transpose(x, (1, 0, 2)))),
          [n(3, 4, 2)]),
+        ("transpose.cycle", lambda x: diff.reduce_sum(diff.mul(
+            diff.transpose(x, (2, 0, 1)), diff.constant(np.arange(24.0).reshape(2, 3, 4)))),
+         [n(3, 4, 2)]),
+        ("einsum.cyclic",
+         lambda u, w: diff.reduce_sum(diff.sin(diff.einsum("qai,abmi->qbm", u, w))),
+         [n(3, 2, 4), n(2, 2, 3, 4)]),
+        ("einsum.batch",
+         lambda f, p: diff.reduce_sum(diff.sin(diff.einsum("qtck,qtk->qc", f, p))),
+         [n(3, 2, 2, 4), n(3, 2, 4)]),
+        ("einsum.three",
+         lambda a, b, c: diff.reduce_sum(diff.sin(diff.einsum("ij,jk,k->i", a, b, c))),
+         [n(2, 3), n(3, 4), n(4,)]),
         ("abs", lambda x: diff.reduce_sum(diff.absolute(x)), [n(9,)]),
     ]
     return [_check(name, fn, inputs) for name, fn, inputs in cases]

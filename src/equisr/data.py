@@ -238,6 +238,20 @@ def read_image(path: str) -> Image:
     return Image(arr / 255.0)
 
 
+def atomic_write(path: str, payload: bytes) -> None:
+    """Write `payload` to a temporary file beside `path`, then rename it over."""
+    dirname = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_image(path: str, img: Image) -> None:
     """Write a 1- or 3-channel image as binary PGM/PPM (atomic replace)."""
     if img.c == 3:
@@ -248,17 +262,7 @@ def write_image(path: str, img: Image) -> None:
         raise ShapeError(f"can only write 1- or 3-channel images, got c={img.c}")
     q = np.clip(np.floor(img.data * 255.0 + 0.5), 0, 255).astype(np.uint8)
     header = magic + b"\n%d %d\n255\n" % (img.w, img.h)
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(q.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, header + q.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Minimal reverse-mode differentiation over dense tensors.
 
-A fixed catalogue of primitives (add, sub, mul, matmul, conv2d, relu, sin,
-cos, concat, sum, scale, gather, reshape) is enough to express every layer
-in this package.  Forward values are plain numpy arrays wrapped in `Tensor`;
-when a `Tape` is active and an input requires grad, the primitive records a
-backward closure on the tape.  `backward` replays the tape once in reverse
-and accumulates gradients in that fixed order, so gradients are bit
-reproducible.
+A fixed catalogue of primitives (add, sub, mul, matmul, einsum, conv2d, relu,
+sin, cos, concat, sum, scale, gather, reshape, transpose) is enough to
+express every layer in this package.  Forward values are plain numpy arrays
+wrapped in `Tensor`; when a `Tape` is active and an input requires grad, the
+primitive records a backward closure on the tape.  `backward` replays the
+tape once in reverse and accumulates gradients in that fixed order, so
+gradients are bit reproducible.  Backward closures return None for inputs
+that do not require grad, so constants cost no gradient work.
 
 Evaluation without an active tape records nothing and costs nothing beyond
 the numpy work itself.
@@ -14,6 +15,7 @@ the numpy work itself.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -26,14 +28,14 @@ from .errors import (
 )
 
 _DEFAULT_DTYPE = np.float64
-_RELU_TRACE: list[np.ndarray] | None = None
 
 
 class _TapeStacks(threading.local):
-    """Per-thread tape stack: distinct tapes may run on distinct threads."""
+    """Per-thread autodiff state: distinct tapes may run on distinct threads."""
 
     def __init__(self):
         self.stack: list[Tape] = []
+        self.relu_trace: list[np.ndarray] | None = None  # see _relu_trace
 
 
 _STACKS = _TapeStacks()
@@ -100,8 +102,9 @@ class Tape:
         return self
 
     def __exit__(self, *exc):
-        popped = _STACKS.stack.pop()
-        assert popped is self
+        if _STACKS.stack[-1:] != [self]:
+            raise ContractError("tape exited out of nesting order")
+        _STACKS.stack.pop()
         return False
 
 
@@ -149,7 +152,8 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _finish(out, (a, b), bwd)
 
@@ -160,7 +164,8 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _finish(out, (a, b), bwd)
 
@@ -171,7 +176,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _finish(out, (a, b), bwd)
 
@@ -185,24 +191,59 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:  # scalar output
-            return g * bd, g * ad
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:  # (n,k)@(k,) -> (n,)
-            return np.outer(g, bd), ad.T @ g
-        # (k,)@(k,m) -> (m,)
-        return bd @ g, np.outer(ad, g)
+        a2 = a.data.reshape(-1, a.shape[-1])  # a 1-D a acts as one row
+        b2 = b.data.reshape(b.shape[0], -1)  # a 1-D b acts as one column
+        g2 = g.reshape(a2.shape[0], b2.shape[1])
+        return ((g2 @ b2.T).reshape(a.shape) if a.requires_grad else None,
+                (a2.T @ g2).reshape(b.shape) if b.requires_grad else None)
 
     return _finish(out, (a, b), bwd)
+
+
+def einsum(subscripts: str, *operands) -> Tensor:
+    """Tensor contraction in np.einsum notation with an explicit output.
+
+    Each term is distinct letters and every index of an operand appears in
+    the output or in another operand, so each operand's gradient is again
+    one einsum: the output gradient contracted with the other operands.
+    """
+    operands = tuple(_as_tensor(t) for t in operands)
+    lhs, arrow, out_sub = subscripts.partition("->")
+    ins = lhs.split(",")
+    sizes: dict[str, int] = {}
+    ok = bool(arrow) and len(ins) == len(operands) and len(set(out_sub)) == len(out_sub)
+    for i, (sub, t) in enumerate(zip(ins, operands)):
+        elsewhere = out_sub + "".join(ins[:i] + ins[i + 1:])
+        ok = ok and sub.isascii() and sub.isalpha() and len(set(sub)) == len(sub) == t.ndim
+        ok = ok and all(c in elsewhere and sizes.setdefault(c, n) == n
+                        for c, n in zip(sub, t.shape))
+    if not ok or not set(out_sub) <= sizes.keys():
+        raise ShapeError(f"einsum: unsupported subscripts {subscripts!r} for operand "
+                         f"shapes {[t.shape for t in operands]}")
+    # numpy's BLAS path pays off unless an index runs through every term
+    # (a batch index, kept by the gradients too); then its plain loop avoids
+    # transposed copies of the large operands
+    blas = not any(all(c in s for s in ins) for c in out_sub)
+    out = Tensor(np.einsum(subscripts, *(t.data for t in operands), optimize=blas))
+
+    def bwd(g):
+        grads = []
+        for i, t in enumerate(operands):
+            rest = ins[:i] + ins[i + 1:]
+            spec = ",".join([out_sub] + rest) + "->" + ins[i]
+            others = (u.data for u in operands[:i] + operands[i + 1:])
+            grads.append(np.einsum(spec, g, *others, optimize=blas) if t.requires_grad else None)
+        return tuple(grads)
+
+    return _finish(out, operands, bwd)
 
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     mask = x.data > 0  # subgradient at 0 is 0
-    if _RELU_TRACE is not None:
-        _RELU_TRACE.append(mask.copy())
+    trace = _STACKS.relu_trace
+    if trace is not None:
+        trace.append(mask.copy())
     out = Tensor(np.where(mask, x.data, 0.0))
 
     def bwd(g):
@@ -251,7 +292,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(gi if t.requires_grad else None
+                     for t, gi in zip(tensors, np.split(g, splits, axis=axis)))
 
     return _finish(out, tuple(tensors), bwd)
 
@@ -263,12 +305,9 @@ def reduce_sum(x, axes=None, keepdims: bool = False) -> Tensor:
     out = Tensor(x.data.sum(axis=axes, keepdims=keepdims))
 
     def bwd(g):
-        if axes is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, x.shape).copy(),)
+        if axes is not None and not keepdims:
+            g = np.expand_dims(g, axes)
+        return (np.broadcast_to(g, x.shape).copy(),)
 
     return _finish(out, (x,), bwd)
 
@@ -284,6 +323,21 @@ def reshape(x, shape) -> Tensor:
     return _finish(out, (x,), bwd)
 
 
+def transpose(x, axes) -> Tensor:
+    """Axis permutation; the gradient is the inverse permutation."""
+    x = _as_tensor(x)
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"transpose axes {axes} are not a permutation of {x.ndim} axes")
+    out = Tensor(np.transpose(x.data, axes))
+    inverse = tuple(int(a) for a in np.argsort(axes))
+
+    def bwd(g):
+        return (np.transpose(g, inverse),)
+
+    return _finish(out, (x,), bwd)
+
+
 def gather(x, index, axis: int = 0) -> Tensor:
     """Take rows along `axis` with a 1-D integer index map."""
     x = _as_tensor(x)
@@ -295,18 +349,33 @@ def gather(x, index, axis: int = 0) -> Tensor:
     out = Tensor(np.take(x.data, index, axis=axis))
 
     def bwd(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        np.add.at(np.moveaxis(gx, axis, 0), index, np.moveaxis(g, axis, 0))
-        return (gx,)
+        # bincount adds the rows of g in index order, as np.add.at does (bit
+        # for bit), without np.add.at's per-element dispatch
+        gm = np.moveaxis(g, axis, 0)
+        inner = int(np.prod(gm.shape[1:]))
+        flat = (index[:, None] * inner + np.arange(inner)).ravel()
+        gx = np.bincount(flat, weights=gm.ravel(), minlength=x.shape[axis] * inner)
+        gx = gx.astype(g.dtype, copy=False).reshape((x.shape[axis],) + gm.shape[1:])
+        return (np.moveaxis(gx, 0, axis),)
 
     return _finish(out, (x,), bwd)
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Valid kh x kw windows of xp (b, H, W, c) as rows flattened (kh, kw, c)."""
+    nb, hp, wp, c = xp.shape
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(nb * (hp - kh + 1) * (wp - kw + 1),
+                                                    kh * kw * c)
 
 
 def conv2d(x, k, pad: str = "valid") -> Tensor:
     """2-D correlation of x (h, w, c_in) with kernels k (c_out, c_in, kh, kw).
 
     Stride 1; `pad` is "valid" or "same" (zero padding, odd kernels only).
-    An optional leading batch axis on x is carried through.
+    An optional leading batch axis on x is carried through.  The input
+    gradient is the same im2col product applied to the output gradient,
+    padded to full correlation, with the flipped, channel-swapped kernel.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if x.ndim not in (3, 4) or k.ndim != 4:
@@ -331,28 +400,23 @@ def conv2d(x, k, pad: str = "valid") -> Tensor:
     xd = x.data if batched else x.data[None]
     xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if ph or pw else xd
     ho, wo = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = win.reshape(nb * ho * wo, ci * kh * kw)
-    # window flattening order is (ci, kh, kw); match it on the kernel side
-    k2 = np.moveaxis(k.data, 0, -1).reshape(ci * kh * kw, co)
-    y = (cols @ k2).reshape(nb, ho, wo, co)
+    cols = _im2col(xp, kh, kw)
+    y = (cols @ k.data.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)).reshape(nb, ho, wo, co)
     out = Tensor(y if batched else y[0])
 
     def bwd(g):
-        g2 = g.reshape(nb * ho * wo, co)
-        gk = None
-        if k.requires_grad:
-            gk = np.moveaxis((cols.T @ g2).reshape(ci, kh, kw, co), -1, 0)
-        gx = None
+        g4 = g.reshape(nb, ho, wo, co)
+        gx = gk = None
         if x.requires_grad:
-            dcols = (g2 @ k2.T).reshape(nb, ho, wo, ci, kh, kw)
-            gxp = np.zeros_like(xp)
-            for r in range(kh):
-                for c in range(kw):
-                    gxp[:, r:r + ho, c:c + wo, :] += dcols[:, :, :, :, r, c]
-            gx = gxp[:, ph:ph + h, pw:pw + w, :] if (ph or pw) else gxp
+            qh, qw = kh - 1 - ph, kw - 1 - pw
+            gp = np.pad(g4, ((0, 0), (qh, qh), (qw, qw), (0, 0)))
+            kf = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
+            gx = (_im2col(gp, kh, kw) @ kf).reshape(nb, h, w, ci)
             if not batched:
                 gx = gx[0]
+        if k.requires_grad:
+            gk = (g4.reshape(nb * ho * wo, co).T @ cols).reshape(co, kh, kw, ci)
+            gk = gk.transpose(0, 3, 1, 2)
         return gx, gk
 
     return _finish(out, (x, k), bwd)
@@ -363,6 +427,7 @@ _PRIMITIVES = {
     "sub": sub,
     "mul": mul,
     "matmul": matmul,
+    "einsum": einsum,
     "conv2d": conv2d,
     "relu": relu,
     "sin": sin,
@@ -372,11 +437,12 @@ _PRIMITIVES = {
     "scale": scale,
     "gather": gather,
     "reshape": reshape,
+    "transpose": transpose,
 }
 
 
 def apply_primitive(name: str, inputs, **attrs) -> Tensor:
-    """Dispatch a primitive by catalogue name."""
+    """Dispatch a primitive by catalogue name (einsum takes its subscripts first)."""
     if name not in _PRIMITIVES:
         raise CatalogueError(f"unknown primitive {name!r}")
     fn = _PRIMITIVES[name]
@@ -390,22 +456,6 @@ def apply_primitive(name: str, inputs, **attrs) -> Tensor:
 # ---------------------------------------------------------------------------
 # composites built from catalogue primitives
 # ---------------------------------------------------------------------------
-
-_TRANSPOSE_MAPS: dict[tuple, np.ndarray] = {}
-
-
-def transpose(x, axes) -> Tensor:
-    """Axis permutation as a gather with a cached flat index map."""
-    x = _as_tensor(x)
-    axes = tuple(axes)
-    key = (x.shape, axes)
-    idx = _TRANSPOSE_MAPS.get(key)
-    if idx is None:
-        idx = np.arange(x.size, dtype=np.int64).reshape(x.shape).transpose(axes).ravel()
-        _TRANSPOSE_MAPS[key] = idx
-    new_shape = tuple(x.shape[a] for a in axes)
-    return reshape(gather(reshape(x, (x.size,)), idx), new_shape)
-
 
 def absolute(x) -> Tensor:
     """|x| as relu(x) + relu(-x)."""
@@ -445,19 +495,14 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     }
 
 
-class _relu_trace:
-    """Context collecting relu sign patterns, used by the kink guard."""
-
-    def __enter__(self):
-        global _RELU_TRACE
-        self._saved = _RELU_TRACE
-        _RELU_TRACE = []
-        return _RELU_TRACE
-
-    def __exit__(self, *exc):
-        global _RELU_TRACE
-        _RELU_TRACE = self._saved
-        return False
+@contextlib.contextmanager
+def _relu_trace():
+    """Collect the relu sign patterns of this thread (the kink guard)."""
+    saved, _STACKS.relu_trace = _STACKS.relu_trace, []
+    try:
+        yield _STACKS.relu_trace
+    finally:
+        _STACKS.relu_trace = saved
 
 
 def _eval_scalar(fn, tensors) -> float:
@@ -507,11 +552,9 @@ def check_gradients(fn, inputs, step: float = 1e-5, max_coords: int = 10_000,
         base[flat] = orig + step
         with _relu_trace() as pat_plus:
             f_plus = _eval_scalar(fn, leaves)
-            pat_plus = list(pat_plus)
         base[flat] = orig - step
         with _relu_trace() as pat_minus:
             f_minus = _eval_scalar(fn, leaves)
-            pat_minus = list(pat_minus)
         base[flat] = orig
         if any((p != q).any() for p, q in zip(pat_plus, pat_minus)):
             continue  # perturbation crosses a relu kink

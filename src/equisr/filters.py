@@ -218,17 +218,16 @@ def group_kernel(f: ParamFilter, group: RotationGroup) -> Tensor:
 
 
 def lifting_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
-                   pad: str = "same", kernel: Tensor | None = None) -> Tensor:
+                   pad: str = "same") -> Tensor:
     """Image tensor ([b,] h, w, c_in) -> group feature tensor ([b,] h', w', t, n)."""
     if x.ndim not in (3, 4) or x.shape[-1] != f.c_in:
         raise ShapeError(f"lifting_conv: image shape {x.shape} vs filter c_in {f.c_in}")
-    big = lifting_kernel(f, group) if kernel is None else kernel
-    y = diff.conv2d(x, big, pad=pad)
+    y = diff.conv2d(x, lifting_kernel(f, group), pad=pad)
     return diff.reshape(y, y.shape[:-1] + (group.t, f.c_out))
 
 
 def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
-                 pad: str = "same", kernel: Tensor | None = None) -> Tensor:
+                 pad: str = "same") -> Tensor:
     """Group feature tensor ([b,] h, w, t, n_in) -> ([b,] h', w', t, n_out).
 
     Output slot a sums, over input slots b, the convolution of slot b with
@@ -240,8 +239,7 @@ def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
         raise ShapeError(f"group_conv: feature channels {x.shape[-1]} vs filter c_in {f.c_in}")
     t = group.t
     x_flat = diff.reshape(x, x.shape[:-2] + (t * f.c_in,))
-    big = group_kernel(f, group) if kernel is None else kernel
-    y = diff.conv2d(x_flat, big, pad=pad)
+    y = diff.conv2d(x_flat, group_kernel(f, group), pad=pad)
     return diff.reshape(y, y.shape[:-1] + (t, f.c_out))
 
 

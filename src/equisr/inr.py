@@ -42,16 +42,21 @@ from .encoder import EncoderConfig, EncoderParams, build_encoder, encode_t
 from .errors import ConfigError, DomainError, ShapeError
 from .filters import ParamFilter, group_conv_t, make_param_filter, _feat_to_internal
 from .groups import GroupFeatureMap, RotationGroup, make_group
-from .image import Image
+from .image import Image, pixel_coords
 
 _CHUNK = 1 << 16
 
 
 def lift_coordinate(x: np.ndarray, group: RotationGroup) -> np.ndarray:
-    """Rotate a 2-vector by every inverse group element: entry k = A_k^{-1} x."""
+    """Rotate 2-vectors x (..., 2) by every inverse group element.
+
+    Returns (..., t, 2) with entry [..., k, :] = A_k^{-1} x.
+    """
     x = np.asarray(x, dtype=np.float64)
-    # A^{-1} = A^T for rotation matrices, so (A^{-1} x)^T = x^T A
-    return x @ group.matrices
+    # A^{-1} = A^T for rotation matrices, so (A^{-1} x)^T = x^T A: one
+    # product with the side-by-side matrices [A_0 | A_1 | ...]
+    side_by_side = np.concatenate(group.matrices, axis=1)
+    return (x @ side_by_side).reshape(x.shape[:-1] + (group.t, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -294,45 +299,23 @@ def _gather_latents(model: INRModel, lats: Latents, flat_idx: np.ndarray) -> Lat
 # batched layer cores (queries stacked along the leading axis)
 # ---------------------------------------------------------------------------
 
-def _slot(x: Tensor, a: int) -> Tensor:
-    """(Q, t, c) -> (Q, c) slice of group slot a."""
-    q, _, c = x.shape
-    return diff.reshape(diff.gather(x, np.array([a]), axis=1), (q, c))
+def _cyclic_layer(u: Tensor, blocks: Tensor) -> Tensor:
+    """out[:, b] = sum_a blocks[(a - b) % t] . u[:, a]: (Q, t, in) -> (Q, t, out).
 
-
-def _cyclic_block_matrix(blocks: Tensor, index) -> Tensor:
-    """Assemble [[blocks[index(a, b)]^T]]_{a,b} into one (t*in, t*out) matrix.
-
-    `blocks` is (t, out, in); row-block a, column-block b of the result is
-    blocks[index(a, b)] transposed, ready to right-multiply (Q, t*in) stacks.
+    The cyclic weight tying is one gather of the (t, out, in) blocks by the
+    (a - b) % t table, followed by one contraction over slots and channels.
     """
     t, n_out, n_in = blocks.shape
-    bt = [diff.transpose(diff.reshape(diff.gather(blocks, np.array([k]), axis=0),
-                                      (n_out, n_in)), (1, 0)) for k in range(t)]
-    cols = [diff.concat([bt[index(a, b)] for a in range(t)], axis=0) for b in range(t)]
-    return diff.concat(cols, axis=1)
+    slots = np.arange(t)
+    table = (slots[:, None] - slots[None, :]) % t  # [a, b]
+    tied = diff.reshape(diff.gather(blocks, table.ravel(), axis=0), (t, t, n_out, n_in))
+    return diff.einsum("qai,abmi->qbm", u, tied)
 
 
 def _input_layer_liif(params: INRParams, F_q: Tensor, X: np.ndarray) -> Tensor:
     """H(x, B) = sum_A W_in^{B^{-1}A} . [F^A; A^{-1}x]  ->  (Q, t, m)."""
-    group, cfg = params.group, params.cfg
-    t, m = cfg.t, cfg.width
-    q, _, n = F_q.shape
-    pieces = []
-    for a in range(t):
-        xrot = X @ group.matrix(a)  # rows are A_a^{-1} x
-        pieces.append(diff.concat([_slot(F_q, a), diff.constant(xrot)], axis=1))
-    u = diff.concat(pieces, axis=1)  # (Q, t*(n+2))
-    wmat = _cyclic_block_matrix(params.W_in, lambda a, b: (a - b) % t)
-    return diff.reshape(diff.matmul(u, wmat), (q, t, m))
-
-
-def _intermediate_core(H: Tensor, W: Tensor) -> Tensor:
-    """H'(x, A) = sum_B W^{A^{-1}B} . H(x, B) on a (Q, t, m) stack."""
-    q, t, m_in = H.shape
-    m_out = W.shape[1]
-    wmat = _cyclic_block_matrix(W, lambda a, b: (a - b) % t)  # row-block B, col-block A
-    return diff.reshape(diff.matmul(diff.reshape(H, (q, t * m_in)), wmat), (q, t, m_out))
+    xrot = diff.constant(lift_coordinate(X, params.group))  # (Q, t, 2)
+    return _cyclic_layer(diff.concat([F_q, xrot], axis=2), params.W_in)
 
 
 def _apply_psi(psi: list[tuple[Tensor, Tensor]], z: Tensor) -> Tensor:
@@ -345,35 +328,21 @@ def _apply_psi(psi: list[tuple[Tensor, Tensor]], z: Tensor) -> Tensor:
 
 def _input_sum_ope(params: INRParams, lat: Latents, X: np.ndarray) -> Tensor:
     """sum_A (F^A)^T P(A^{-1} x); H(x, B) is this value for every B."""
-    cfg, group = params.cfg, params.group
-    n0, kb = cfg.out_channels, (2 * cfg.k_max + 1) ** 2
-    q = X.shape[0]
-    acc = None
-    for a in range(group.t):
-        p_a = ope_basis(X @ group.matrix(a), cfg.k_max)
-        f_a = diff.reshape(_slot(lat.main, a), (q, n0, kb))
-        term = diff.reduce_sum(diff.mul(f_a, diff.reshape(diff.constant(p_a), (q, 1, kb))), axes=2)
-        acc = term if acc is None else diff.add(acc, term)
-    return acc  # (Q, n0)
+    cfg = params.cfg
+    q, t, kb = X.shape[0], cfg.t, (2 * cfg.k_max + 1) ** 2
+    basis = ope_basis(lift_coordinate(X, params.group).reshape(q * t, 2), cfg.k_max)
+    coeffs = diff.reshape(lat.main, (q, t, cfg.out_channels, kb))
+    return diff.einsum("qtck,qtk->qc", coeffs, diff.constant(basis.reshape(q, t, kb)))
 
 
 def _input_sum_lte(params: INRParams, lat: Latents, X: np.ndarray) -> Tensor:
     """sum_A Fa^A (*) [cos(pi Ff^A A^{-1}x); sin(pi Ff^A A^{-1}x)] -> (Q, 2K)."""
-    cfg, group = params.cfg, params.group
-    K = cfg.K
-    q = X.shape[0]
-    acc = None
-    for a in range(group.t):
-        xrot = X @ group.matrix(a)
-        fr = diff.reshape(_slot(lat.freq, a), (q, K, 2))
-        ang = diff.scale(
-            diff.reduce_sum(diff.mul(fr, diff.reshape(diff.constant(xrot), (q, 1, 2))), axes=2),
-            np.pi,
-        )
-        cs = diff.concat([diff.cos(ang), diff.sin(ang)], axis=1)
-        term = diff.mul(_slot(lat.amp, a), cs)
-        acc = term if acc is None else diff.add(acc, term)
-    return acc
+    cfg = params.cfg
+    q, t = X.shape[0], cfg.t
+    xrot = diff.constant(np.pi * lift_coordinate(X, params.group))  # (Q, t, 2)
+    ang = diff.einsum("qtkd,qtd->qtk", diff.reshape(lat.freq, (q, t, cfg.K, 2)), xrot)
+    waves = diff.concat([diff.cos(ang), diff.sin(ang)], axis=2)
+    return diff.einsum("qtk,qtk->qk", lat.amp, waves)
 
 
 def _eval_local_batch(params: INRParams, lat_q: Latents, X: np.ndarray) -> Tensor:
@@ -392,8 +361,7 @@ def _eval_local_batch(params: INRParams, lat_q: Latents, X: np.ndarray) -> Tenso
     if cfg.relu_in():
         h = diff.relu(h)
     for w_mid in params.W_mid:
-        h = diff.relu(_intermediate_core(h, w_mid))
-    q = X.shape[0]
+        h = diff.relu(_cyclic_layer(h, w_mid))
     z = diff.reduce_sum(h, axes=1)  # sum over group slots
     z = diff.matmul(z, diff.transpose(params.W_out1, (1, 0)))
     return _apply_psi(params.psi, z)
@@ -475,11 +443,8 @@ def super_resolve(model: INRModel, img: Image, scale: float,
     w_out = int(np.floor(scale * img.w + 0.5))
     feat = encode_t(model.encoder, diff.constant(img.data))
     lats = compute_latents(model, feat)
-    x1 = -1.0 + (np.arange(w_out) + 0.5) * (2.0 / w_out)
-    x2 = 1.0 - (np.arange(h_out) + 0.5) * (2.0 / h_out)
-    xx = np.stack([np.broadcast_to(x1, (h_out, w_out)),
-                   np.broadcast_to(x2[:, None], (h_out, w_out))], axis=-1)
-    out = eval_global_batch(model, lats, xx.reshape(-1, 2), mode=mode, eps=eps)
+    xx = pixel_coords(h_out, w_out).reshape(-1, 2)
+    out = eval_global_batch(model, lats, xx, mode=mode, eps=eps)
     return Image(out.data.reshape(h_out, w_out, model.cfg.out_channels))
 
 
@@ -522,7 +487,7 @@ def input_layer(latent, x, params: INRParams) -> np.ndarray:
 def intermediate_layer(H: np.ndarray, W) -> np.ndarray:
     """Apply the cyclic-sharing linear layer to H (t, m_in) -> (t, m_out)."""
     Wt = W if isinstance(W, Tensor) else diff.constant(np.asarray(W, dtype=np.float64))
-    out = _intermediate_core(diff.constant(np.asarray(H)[None]), Wt)
+    out = _cyclic_layer(diff.constant(np.asarray(H)[None]), Wt)
     return out.data[0]
 
 

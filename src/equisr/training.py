@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, diff
-from .data import DatasetSpec, sample_patch_pairs
+from .data import DatasetSpec, atomic_write, sample_patch_pairs
 from .diff import Tape, Tensor, backward
 from .encoder import encode_t
 from .errors import CheckpointError, ContractError, EvaluationError
@@ -139,19 +138,6 @@ def loss_log_csv(rows) -> str:
 CKPT_VERSION = "equisr-ckpt-1"
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(prefix: str, model: INRModel) -> tuple[str, str]:
     """Write `<prefix>.json` (manifest) and `<prefix>.bin` (raw blob)."""
     json_path, bin_path = prefix + ".json", prefix + ".bin"
@@ -176,8 +162,8 @@ def save_checkpoint(prefix: str, model: INRModel) -> tuple[str, str]:
         "model": cfg,
         "params": records,
     }
-    _atomic_write(bin_path, b"".join(chunks))
-    _atomic_write(json_path, json.dumps(manifest, indent=1).encode())
+    atomic_write(bin_path, b"".join(chunks))
+    atomic_write(json_path, json.dumps(manifest, indent=1).encode())
     return json_path, bin_path
 
 
@@ -211,13 +197,17 @@ def load_checkpoint(json_path: str) -> INRModel:
         if name not in params:
             raise CheckpointError("unknown parameter in manifest", field=str(name))
         p = params[name]
-        shape = tuple(rec.get("shape", ()))
+        shape, offset = rec.get("shape"), rec.get("offset")
+        if not isinstance(shape, list) or any(type(s) is not int for s in shape):
+            raise CheckpointError(f"shape {shape!r} is not a list of integers", field=name)
+        if type(offset) is not int:
+            raise CheckpointError(f"offset {offset!r} is not an integer", field=name)
+        shape = tuple(shape)
         if shape != p.shape:
             raise CheckpointError(
                 f"shape {shape} does not match model shape {p.shape}", field=name)
         if rec.get("dtype") != "<f8":
             raise CheckpointError(f"unsupported dtype {rec.get('dtype')!r}", field=name)
-        offset = int(rec.get("offset", -1))
         nbytes = int(np.prod(shape)) * 8 if shape else 8
         if offset < 0 or offset + nbytes > len(blob):
             raise CheckpointError("blob offset out of range", field=name)

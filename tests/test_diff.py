@@ -1,5 +1,7 @@
 """Reverse-mode differentiation: primitives, backward pass, gradient checks."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,96 @@ class TestPrimitives:
         assert np.array_equal(out.data, x.data[[2, 0]])
         tr = diff.transpose(x, (1, 0))
         assert np.array_equal(tr.data, x.data.T)
+
+    def test_einsum_matches_numpy(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((5, 3, 4)), rng.standard_normal((3, 3, 2, 4))
+        out = diff.einsum("qai,abmi->qbm", Tensor(a), Tensor(b))
+        assert np.allclose(out.data, np.einsum("qai,abmi->qbm", a, b), rtol=1e-13, atol=0)
+        out = apply_primitive("einsum", ("ij,ij->i", Tensor(a[:, 0]), Tensor(a[:, 1])))
+        assert np.allclose(out.data, (a[:, 0] * a[:, 1]).sum(axis=1), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("subscripts, shapes", [
+        ("ij,jk", [(2, 3), (3, 4)]),  # no explicit output
+        ("...j,jk->...k", [(2, 3), (3, 4)]),  # ellipsis
+        ("ii->i", [(3, 3)]),  # repeated index within one operand
+        ("ij,jk->ik", [(2, 3), (4, 4)]),  # index sizes disagree
+        ("ij->i", [(2, 3)]),  # j appears in no other term nor the output
+        ("ij,jk->iz", [(2, 3), (3, 4)]),  # output index from nowhere
+        ("ij,jk->ii", [(2, 3), (3, 4)]),  # repeated output index
+        ("ijk,jk->i", [(2, 3), (3, 4)]),  # term rank differs from operand rank
+        ("ij->ij", [(2, 3), (2, 3)]),  # one term for two operands
+    ])
+    def test_einsum_rejects_bad_subscripts(self, subscripts, shapes):
+        with pytest.raises(ShapeError):
+            diff.einsum(subscripts, *(Tensor(np.ones(s)) for s in shapes))
+
+    def test_transpose_rejects_non_permutation(self):
+        with pytest.raises(ShapeError):
+            diff.transpose(Tensor(np.ones((2, 3))), (0, 0))
+
+
+def _conv2d_input_grad_loop(xshape, k, g, pad):
+    """Input gradient of conv2d by the explicit kh x kw scatter of window grads."""
+    co, ci, kh, kw = k.shape
+    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if pad == "same" else (0, 0)
+    g4 = g if g.ndim == 4 else g[None]
+    nb, ho, wo, _ = g4.shape
+    h, w = xshape[-3], xshape[-2]
+    dcols = (g4.reshape(-1, co) @ k.reshape(co, ci * kh * kw)).reshape(nb, ho, wo, ci, kh, kw)
+    gxp = np.zeros((nb, h + 2 * ph, w + 2 * pw, ci))
+    for r in range(kh):
+        for c in range(kw):
+            gxp[:, r:r + ho, c:c + wo, :] += dcols[:, :, :, :, r, c]
+    gx = gxp[:, ph:ph + h, pw:pw + w, :]
+    return gx if len(xshape) == 4 else gx[0]
+
+
+@pytest.mark.parametrize("pad", ["valid", "same"])
+@pytest.mark.parametrize("xshape", [(7, 6, 3), (2, 7, 6, 3)])
+def test_conv2d_input_grad_matches_loop_reference(pad, xshape):
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal(xshape), requires_grad=True)
+    k = Tensor(rng.standard_normal((4, 3, 3, 5)), requires_grad=True)
+    with Tape() as tape:
+        y = diff.conv2d(x, k, pad=pad)
+    g = rng.standard_normal(y.shape)
+    (_, _, bwd), = tape.entries
+    gx, _ = bwd(g)
+    ref = _conv2d_input_grad_loop(xshape, k.data, g, pad)
+    assert gx.shape == ref.shape
+    assert np.max(np.abs(gx - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_gather_backward_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((5, 4, 3)), requires_grad=True)
+    index = rng.integers(0, 4, size=40)  # many repeats
+    with Tape() as tape:
+        y = diff.gather(x, index, axis=1)
+    g = rng.standard_normal(y.shape)
+    (_, _, bwd), = tape.entries
+    (gx,) = bwd(g)
+    ref = np.zeros(x.shape)
+    np.add.at(np.moveaxis(ref, 1, 0), index, np.moveaxis(g, 1, 0))
+    assert gx.dtype == ref.dtype and np.array_equal(gx, ref)
+
+
+def test_backward_skips_inputs_without_grad():
+    rng = np.random.default_rng(12)
+    w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    c = Tensor(rng.standard_normal((4, 2)))
+    x = Tensor(rng.standard_normal((5, 6, 2)))
+    k = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+    with Tape() as tape:
+        diff.matmul(w, c)
+        diff.einsum("ij,jk->ik", w, c)
+        diff.concat([w, diff.constant(np.ones((1, 4)))], axis=0)
+        diff.mul(w, diff.constant(np.ones((3, 4))))
+        diff.conv2d(x, k)
+    for out, inputs, bwd in tape.entries:
+        for t, gi in zip(inputs, bwd(np.ones(out.shape))):
+            assert (gi is None) == (not t.requires_grad)
 
 
 class TestBackward:
@@ -200,6 +292,36 @@ def test_every_primitive_passes_fd_suite():
     results = run_all("diff")
     for r in results:
         assert r.ok, f"{r.name}: {r.max_rel_err:.3e} > {r.tol}"
+
+
+def test_fd_suite_covers_every_primitive():
+    covered = {r.name.split(".")[0] for r in run_all("diff")}
+    assert set(diff._PRIMITIVES) <= covered, set(diff._PRIMITIVES) - covered
+
+
+def test_relu_trace_ignores_other_threads():
+    with diff._relu_trace() as patterns:
+        worker = threading.Thread(target=diff.relu, args=(Tensor([1.0, -1.0]),))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert patterns == []
+        diff.relu(Tensor([1.0, -1.0]))
+        assert len(patterns) == 1
+
+
+def test_misnested_tapes_raise():
+    outer, inner = Tape(), Tape()
+    outer.__enter__()
+    inner.__enter__()
+    try:
+        with pytest.raises(ContractError):
+            outer.__exit__(None, None, None)
+    finally:
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+    with pytest.raises(ContractError):
+        outer.__exit__(None, None, None)  # already closed
 
 
 def test_finite_check_flag():

@@ -279,6 +279,24 @@ class TestCheckpoint:
             load_checkpoint(json_path)
         assert exc.value.field == doc["params"][0]["name"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("offset", "abc"),
+        ("offset", None),
+        ("shape", 5),
+    ])
+    def test_malformed_record_types_name_parameter(self, tmp_path, field, value):
+        import json
+        model = build_model(ModelConfig(variant="liif", t=2, n=2, blocks=1, p=3,
+                                        width=4, psi_widths=()), seed=0)
+        json_path, _ = save_checkpoint(str(tmp_path / "c"), model)
+        from pathlib import Path
+        doc = json.loads(Path(json_path).read_text())
+        doc["params"][0][field] = value
+        Path(json_path).write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(json_path)
+        assert exc.value.field == doc["params"][0]["name"]
+
     def test_wrong_version_rejected(self, tmp_path):
         import json
         model = build_model(ModelConfig(variant="liif", t=2, n=2, blocks=1, p=3,

@@ -10,7 +10,10 @@ from equisr.groups import make_group, rotate_image
 from equisr.image import Image, coord_to_index
 from equisr.inr import (
     INRModel,
+    Latents,
     ModelConfig,
+    _eval_local_batch,
+    _latent_to_batch,
     build_inr,
     build_model,
     eval_global,
@@ -246,6 +249,30 @@ class TestEvalLocal:
         got = eval_local(latent, x, params)
         expected = _closed_form_oracle(cfg, params, g, latent, x)
         assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("t", [1, 2, 4, 8])
+    def test_closed_form_oracle_query_batch(self, variant, t):
+        # the batched core evaluates Q different latents at Q offsets at once
+        cfg = _small_cfg(variant, t)
+        g = make_group(t)
+        params = build_inr(cfg, g, np.random.default_rng(t))
+        rng = np.random.default_rng(20 + t)
+        latents = [_random_latent(rng, cfg) for _ in range(5)]
+        X = rng.uniform(-1, 1, size=(5, 2))
+        per_query = [_latent_to_batch(lat, variant) for lat in latents]
+
+        def stack(field):
+            return diff.constant(np.concatenate([getattr(b, field).data for b in per_query]))
+
+        if variant == "lte":
+            batch = Latents(variant, amp=stack("amp"), freq=stack("freq"))
+        else:
+            batch = Latents(variant, main=stack("main"))
+        got = _eval_local_batch(params, batch, X).data
+        for q in range(5):
+            expected = _closed_form_oracle(cfg, params, g, latents[q], X[q])
+            assert np.max(np.abs(got[q] - expected)) <= 1e-12
 
     def test_intermediate_layer_parameter_share(self):
         # a cyclic-sharing layer stores t blocks of m*m, a dense layer on the
