@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
 )
 from .image import Image
-from .metrics import aggregate, equivariance_error, sweep, sweep_image, SWEEP_HEADER
+from .metrics import sweep_cells, sweep_csv
 from .training import load_checkpoint, loss_log_csv, save_checkpoint, train
 
 EXIT_USAGE = 1
@@ -115,34 +115,28 @@ def _cmd_eval_equiv(args) -> int:
     model = load_checkpoint(args.ckpt) if args.ckpt else None
     if model is not None:
         cfg = model.cfg
-    csv_text = sweep(
+    cells = list(sweep_cells(
         [(cfg.variant if cfg.t > 1 else f"{cfg.variant}-plain", cfg)],
         angles, list(ev["scales"]), list(ev["resolutions"]),
         seeds=list(ev["seeds"]), data=data, mask=mask, eps=ev["eps"], model=model,
-    )
+    ))
     with open(args.out, "w") as fh:
-        fh.write(csv_text)
+        fh.write(sweep_csv(cells))
     print(f"wrote {args.out}")
 
     if args.error_maps:
         os.makedirs(args.error_maps, exist_ok=True)
         side_rows = []
-        from .inr import build_model
-        for angle_deg, angle in zip(angles_deg, angles):
-            for scale in ev["scales"]:
-                for res in ev["resolutions"]:
-                    for seed in ev["seeds"]:
-                        m = model if model is not None else build_model(cfg, seed=seed)
-                        img = sweep_image(data, res, seed)
-                        entry = equivariance_error(m, img, angle, scale,
-                                                   eps=ev["eps"], mask=mask)
-                        emap = entry.err_map.data[:, :, 0]
-                        peak = float(emap.max())
-                        scaled = emap / peak if peak > 0 else emap
-                        name = f"err_a{angle_deg:g}_s{scale:g}_r{res}_seed{seed}.pgm"
-                        write_image(os.path.join(args.error_maps, name),
-                                    Image(scaled[:, :, None]))
-                        side_rows.append((name, angle_deg, scale, res, seed, peak))
+        per_angle = len(ev["scales"]) * len(ev["resolutions"])  # cells run angle-major
+        for i, (_, _, _, scale, res, entries) in enumerate(cells):
+            angle_deg = angles_deg[i // per_angle]
+            for seed, entry in zip(ev["seeds"], entries):
+                emap = entry.err_map.data
+                peak = float(emap.max())
+                name = f"err_a{angle_deg:g}_s{scale:g}_r{res}_seed{seed}.pgm"
+                write_image(os.path.join(args.error_maps, name),
+                            Image(emap / peak if peak > 0 else emap))
+                side_rows.append((name, angle_deg, scale, res, seed, peak))
         with open(os.path.join(args.error_maps, "scales.csv"), "w") as fh:
             fh.write(f"# equisr {__version__}\n")
             fh.write("file,angle_deg,scale,resolution,seed,max_abs_error\n")

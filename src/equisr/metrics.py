@@ -8,6 +8,11 @@ compares x_r = Phi(rotate(I, a)) against x_0 = rotate(Phi(I), a):
 For angles that are not quarter turns the comparison is masked to an
 inscribed disk by default (margin of 3 LR cells), because the zero fill
 outside a rotated frame is not itself equivariant.
+
+`sweep_cells` evaluates a grid in one pass: Phi(I) is computed once per
+(model, image, scale) and shared by every angle, and each cell keeps its
+per-seed entries (error maps included) for callers that need more than the
+CSV `sweep` formats from them.
 """
 
 from __future__ import annotations
@@ -99,6 +104,22 @@ def _auto_mask(angle: float, hr_h: int, hr_w: int, lr_h: int) -> np.ndarray | No
     return disk_mask(hr_h, hr_w, margin_cells=MASK_MARGIN_LR_CELLS, delta=2.0 / lr_h)
 
 
+def _check_mask(mask) -> None:
+    if isinstance(mask, str) and mask != "auto":
+        raise ConfigError(f"unknown mask spec {mask!r}")
+
+
+def _compare(model: INRModel, img: Image, y0: Image, angle: float, scale: float,
+             mask, eps: float | None, mode: str | None) -> EquivEntry:
+    """The angle-dependent half of a measurement, given y0 = Phi(img)."""
+    y1 = super_resolve(model, rotate_image(img, angle), scale, mode=mode, eps=eps)
+    ref = rotate_image(y0, angle)
+    if isinstance(mask, str):
+        mask = _auto_mask(angle, ref.h, ref.w, img.h)
+    err_map = Image(np.max(np.abs(y1.data - ref.data), axis=2, keepdims=True))
+    return EquivEntry(angle, scale, nmse(y1, ref, mask), nmae(y1, ref, mask), err_map)
+
+
 def equivariance_error(model: INRModel, img: Image, angle: float, scale: float,
                        eps: float | None = None, mask="auto",
                        mode: str | None = None) -> EquivEntry:
@@ -107,15 +128,9 @@ def equivariance_error(model: INRModel, img: Image, angle: float, scale: float,
     `mask` is "auto" (inscribed disk for non-right angles, none otherwise),
     None, or an explicit boolean (h, w) array on the HR raster.
     """
+    _check_mask(mask)
     y0 = super_resolve(model, img, scale, mode=mode, eps=eps)
-    y1 = super_resolve(model, rotate_image(img, angle), scale, mode=mode, eps=eps)
-    ref = rotate_image(y0, angle)
-    if isinstance(mask, str):
-        if mask != "auto":
-            raise ConfigError(f"unknown mask spec {mask!r}")
-        mask = _auto_mask(angle, ref.h, ref.w, img.h)
-    err_map = Image(np.max(np.abs(y1.data - ref.data), axis=2, keepdims=True))
-    return EquivEntry(angle, scale, nmse(y1, ref, mask), nmae(y1, ref, mask), err_map)
+    return _compare(model, img, y0, angle, scale, mask, eps, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +156,19 @@ def sweep_image(data: DatasetSpec, resolution: int, seed: int) -> Image:
     return bicubic_resize(img, resolution, resolution)
 
 
-def sweep(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
-          data: DatasetSpec | None = None, mask="auto", eps: float | None = None,
-          mode: str | None = None, model: INRModel | None = None) -> str:
-    """Evaluate an equivariance-error grid, returning a deterministic CSV.
+def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
+                data: DatasetSpec | None = None, mask="auto", eps: float | None = None,
+                mode: str | None = None, model: INRModel | None = None):
+    """Evaluate an equivariance-error grid in one pass, yielding its cells.
 
     `model_cfgs` is a list of (name, ModelConfig); `t_values` optionally
     re-runs each config at several group orders with the channel budget
     held fixed.  When `model` is given (a trained checkpoint), it is used
     as-is for every grid point and seeds only vary the test image.
 
-    One row per (config, t, angle, scale, resolution) with mean +- sample
-    std over seeds; grids must be non-empty.
+    Cells are (name, run_cfg, angle, scale, resolution, entries) in that
+    row order, entries in seed order; grids must be non-empty.  Each loop
+    computes only what depends on it: y0 = Phi(I) once for all angles.
     """
     angles, scales = list(angles), list(scales)
     resolutions, seeds = list(resolutions), list(seeds)
@@ -160,26 +176,44 @@ def sweep(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
                             ("resolutions", resolutions), ("seeds", seeds)):
         if not grid:
             raise ConfigError(f"sweep grid {grid_name!r} is empty")
+    _check_mask(mask)
     if data is None:
         data = DatasetSpec(kind="shapes", count=1, size=64)
-    lines = [f"# equisr {__version__}", SWEEP_HEADER]
     for name, cfg in model_cfgs:
         for t in (t_values if t_values else [cfg.t]):
             run_cfg = _budget_config(cfg, t) if t != cfg.t else cfg
-            for angle in angles:
-                for scale_ in scales:
-                    for res in resolutions:
-                        entries = []
-                        for seed in seeds:
-                            m = model if model is not None else build_model(run_cfg, seed=seed)
-                            img = sweep_image(data, res, seed)
-                            entries.append(equivariance_error(
-                                m, img, angle, scale_, eps=eps, mask=mask, mode=mode))
-                        rep = aggregate(entries)
-                        lines.append(
-                            f"{name},{run_cfg.variant},{run_cfg.t},{angle:.12g},"
-                            f"{scale_:.12g},{res},{len(seeds)},"
-                            f"{rep.nmse_mean:.10e},{rep.nmse_std:.10e},"
-                            f"{rep.nmae_mean:.10e},{rep.nmae_std:.10e}"
-                        )
+            entries = {}  # (angle index, scale index, resolution index) -> per-seed list
+            for seed in seeds:
+                m = model if model is not None else build_model(run_cfg, seed=seed)
+                for ri, res in enumerate(resolutions):
+                    img = sweep_image(data, res, seed)
+                    for si, scale_ in enumerate(scales):
+                        y0 = super_resolve(m, img, scale_, mode=mode, eps=eps)
+                        for ai, angle in enumerate(angles):
+                            entries.setdefault((ai, si, ri), []).append(_compare(
+                                m, img, y0, angle, scale_, mask, eps, mode))
+            for ai, si, ri in sorted(entries):  # row order: angle, scale, resolution
+                yield (name, run_cfg, angles[ai], scales[si], resolutions[ri],
+                       tuple(entries[ai, si, ri]))
+
+
+def sweep_csv(cells) -> str:
+    """Deterministic CSV text of `sweep_cells` output."""
+    lines = [f"# equisr {__version__}", SWEEP_HEADER]
+    for name, run_cfg, angle, scale_, res, entries in cells:
+        rep = aggregate(entries)
+        lines.append(
+            f"{name},{run_cfg.variant},{run_cfg.t},{angle:.12g},"
+            f"{scale_:.12g},{res},{len(entries)},"
+            f"{rep.nmse_mean:.10e},{rep.nmse_std:.10e},"
+            f"{rep.nmae_mean:.10e},{rep.nmae_std:.10e}"
+        )
     return "\n".join(lines) + "\n"
+
+
+def sweep(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
+          data: DatasetSpec | None = None, mask="auto", eps: float | None = None,
+          mode: str | None = None, model: INRModel | None = None) -> str:
+    """`sweep_cells` as a CSV: one row per cell, mean +- sample std over seeds."""
+    return sweep_csv(sweep_cells(model_cfgs, angles, scales, resolutions, t_values,
+                                 seeds, data, mask, eps, mode, model))

@@ -174,27 +174,36 @@ def load_checkpoint(json_path: str) -> INRModel:
             manifest = json.load(fh)
         except json.JSONDecodeError as e:
             raise CheckpointError(f"manifest is not valid JSON: {e}", field="<root>")
+    if not isinstance(manifest, dict):
+        raise CheckpointError("manifest is not a JSON object", field="<root>")
     for key in ("version", "blob", "model", "params"):
         if key not in manifest:
             raise CheckpointError("manifest key missing", field=key)
     if manifest["version"] != CKPT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {manifest['version']!r}", field="version")
+    if not isinstance(manifest["model"], dict):
+        raise CheckpointError("model config is not a JSON object", field="model")
+    if not isinstance(manifest["blob"], str):
+        raise CheckpointError(f"blob {manifest['blob']!r} is not a file name", field="blob")
+    if not isinstance(manifest["params"], list):
+        raise CheckpointError("params is not a JSON list", field="params")
     try:
         cfg_dict = dict(manifest["model"])
         cfg_dict["psi_widths"] = tuple(cfg_dict.get("psi_widths", ()))
-        cfg = ModelConfig(**cfg_dict)
-    except TypeError as e:
+        model = build_model(ModelConfig(**cfg_dict), seed=0)
+    except (TypeError, ValueError) as e:  # ConfigError is a ValueError
         raise CheckpointError(f"bad model config: {e}", field="model")
-    model = build_model(cfg, seed=0)
     params = model.named_parameters()
     blob_path = os.path.join(os.path.dirname(os.path.abspath(json_path)), manifest["blob"])
     with open(blob_path, "rb") as fh:
         blob = fh.read()
     seen = set()
-    for rec in manifest["params"]:
+    for i, rec in enumerate(manifest["params"]):
+        if not isinstance(rec, dict):
+            raise CheckpointError("params record is not a JSON object", field=f"params[{i}]")
         name = rec.get("name")
-        if name not in params:
+        if not isinstance(name, str) or name not in params:
             raise CheckpointError("unknown parameter in manifest", field=str(name))
         p = params[name]
         shape, offset = rec.get("shape"), rec.get("offset")

@@ -6,10 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from equisr import __version__, config, metrics
 from equisr.cli import main
 from equisr.data import read_image, write_image
 from equisr.image import Image
 from equisr.inr import ModelConfig, build_model
+from equisr.metrics import equivariance_error, sweep_image
 from equisr.training import save_checkpoint
 
 
@@ -65,18 +67,44 @@ class TestEvalEquiv:
         assert main(["eval-equiv", "--config", cfg, "--out",
                      str(tmp_path / "r.csv")]) == 1
 
-    def test_error_maps_written(self, tmp_path):
+    def test_error_maps_written(self, tmp_path, monkeypatch):
+        ev = {"angles_deg": [180.0, 45], "scales": [2.0, 2.5], "resolutions": [8],
+              "seeds": [0, 1], "eps": 0.0}
         cfg = _write_config(tmp_path, {
-            "model": {"t": 2, "encoder": {"blocks": 1, "n": 2, "p": 3}},
-            "eval": {"angles_deg": [180.0], "scales": [2.0], "resolutions": [8],
-                     "seeds": [0], "eps": 0.0},
-        })
+            "model": {"t": 2, "encoder": {"blocks": 1, "n": 2, "p": 3}}, "eval": ev})
+        sr_calls = []
+        real_sr = metrics.super_resolve
+        monkeypatch.setattr(metrics, "super_resolve",
+                            lambda *a, **kw: sr_calls.append(1) or real_sr(*a, **kw))
         maps_dir = tmp_path / "maps"
         assert main(["eval-equiv", "--config", cfg, "--out",
                      str(tmp_path / "r.csv"), "--error-maps", str(maps_dir)]) == 0
-        files = sorted(os.listdir(maps_dir))
-        assert "scales.csv" in files
-        assert any(f.endswith(".pgm") for f in files)
+        # one pass: per seed and scale one y0 plus one rotated SR per angle
+        A, S, R, N = (len(ev[k]) for k in ("angles_deg", "scales", "resolutions", "seeds"))
+        assert len(sr_calls) == S * R * N * (1 + A)
+
+        doc = config.load_config(cfg)
+        model_cfg, data = config.model_config(doc), config.dataset_spec(doc)
+        expected_dir = tmp_path / "expected"
+        expected_dir.mkdir()
+        rows = [f"# equisr {__version__}", "file,angle_deg,scale,resolution,seed,max_abs_error"]
+        for angle_deg in ev["angles_deg"]:
+            for scale in ev["scales"]:
+                for res in ev["resolutions"]:
+                    for seed in ev["seeds"]:
+                        entry = equivariance_error(
+                            build_model(model_cfg, seed=seed), sweep_image(data, res, seed),
+                            np.deg2rad(angle_deg), scale, eps=0.0)
+                        emap = entry.err_map.data
+                        peak = float(emap.max())
+                        name = f"err_a{angle_deg:g}_s{scale:g}_r{res}_seed{seed}.pgm"
+                        write_image(str(expected_dir / name), Image(emap / peak if peak > 0 else emap))
+                        rows.append(f"{name},{angle_deg},{scale},{res},{seed},{peak}")
+        (expected_dir / "scales.csv").write_text("\n".join(rows) + "\n")
+        assert sorted(os.listdir(maps_dir)) == sorted(os.listdir(expected_dir))
+        assert len(os.listdir(maps_dir)) == A * S * R * N + 1
+        for name in os.listdir(expected_dir):
+            assert (maps_dir / name).read_bytes() == (expected_dir / name).read_bytes(), name
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = _write_config(tmp_path, {"modle": {}})

@@ -1,8 +1,12 @@
 """Metrics, equivariance evaluation, sweeps, Adam, training, checkpoints."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from equisr import __version__, metrics
 from equisr.data import DatasetSpec
 from equisr.diff import Tensor
 from equisr.errors import CheckpointError, ConfigError, EvaluationError, MetricError
@@ -10,12 +14,15 @@ from equisr.groups import rotate_image
 from equisr.image import Image
 from equisr.inr import ModelConfig, build_model, super_resolve
 from equisr.metrics import (
+    SWEEP_HEADER,
+    _budget_config,
     aggregate,
     equivariance_error,
     nmae,
     nmse,
     psnr,
     sweep,
+    sweep_image,
 )
 from equisr.training import (
     TrainState,
@@ -120,6 +127,18 @@ class TestEquivarianceError:
         entry = equivariance_error(model, img, np.pi, 2.0)
         assert entry.err_map.data.shape == (16, 16, 1)
 
+    def test_unknown_mask_rejected_before_any_sr(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("model work started before the mask spec was checked")
+        model = _tiny_model(seed=8)
+        monkeypatch.setattr(metrics, "super_resolve", no_work)
+        monkeypatch.setattr(metrics, "build_model", no_work)
+        img = Image(np.random.default_rng(8).random((8, 8, 3)))
+        with pytest.raises(ConfigError):
+            equivariance_error(model, img, np.pi, 2.0, mask="bogus")
+        with pytest.raises(ConfigError):
+            sweep([("eq", model.cfg)], [np.pi], [2.0], [8], mask="bogus")
+
 
 class TestSweep:
     def _cfgs(self):
@@ -156,6 +175,79 @@ class TestSweep:
         entries = [EquivEntry(0, 2, 1.0, 2.0, dummy), EquivEntry(0, 2, 3.0, 4.0, dummy)]
         rep = aggregate(entries)
         assert rep.nmse_mean == 2.0 and abs(rep.nmse_std - np.sqrt(2.0)) <= 1e-12
+
+
+def _reference_sweep(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
+                     data=None, mask="auto", eps=None, mode=None, model=None):
+    """The nested per-angle sweep loop: a model, image and y0 per grid point."""
+    lines = [f"# equisr {__version__}", SWEEP_HEADER]
+    for name, cfg in model_cfgs:
+        for t in (t_values if t_values else [cfg.t]):
+            run_cfg = _budget_config(cfg, t) if t != cfg.t else cfg
+            for angle in angles:
+                for scale_ in scales:
+                    for res in resolutions:
+                        entries = []
+                        for seed in seeds:
+                            m = model if model is not None else build_model(run_cfg, seed=seed)
+                            img = sweep_image(data, res, seed)
+                            entries.append(equivariance_error(
+                                m, img, angle, scale_, eps=eps, mask=mask, mode=mode))
+                        rep = aggregate(entries)
+                        lines.append(
+                            f"{name},{run_cfg.variant},{run_cfg.t},{angle:.12g},"
+                            f"{scale_:.12g},{res},{len(seeds)},"
+                            f"{rep.nmse_mean:.10e},{rep.nmse_std:.10e},"
+                            f"{rep.nmae_mean:.10e},{rep.nmae_std:.10e}"
+                        )
+    return "\n".join(lines) + "\n"
+
+
+class TestSweepOnePass:
+    ANGLES = [np.pi / 2, np.pi, 3 * np.pi / 2, np.pi / 4, np.pi / 8]
+    DATA = DatasetSpec(kind="shapes", count=1, size=48)
+
+    def _cfgs(self):
+        return [("eq", ModelConfig(variant="liif", t=4, n=2, blocks=1, p=3,
+                                   width=8, psi_widths=(8,), eps=0.0)),
+                ("plain", ModelConfig(variant="ope", t=1, n=4, blocks=1, p=3,
+                                      width=8, psi_widths=(8,)))]
+
+    @pytest.mark.parametrize("mask", ["auto", None])
+    def test_matches_nested_reference_byte_for_byte(self, mask):
+        kw = dict(t_values=[2, 4], seeds=[0, 1], data=self.DATA, mask=mask)
+        grid = (self._cfgs(), self.ANGLES, [2.0, 2.7], [12, 16])
+        assert sweep(*grid, **kw) == _reference_sweep(*grid, **kw)
+
+    def test_given_model_matches_nested_reference(self):
+        model = build_model(self._cfgs()[0][1], seed=3)
+        kw = dict(seeds=[0, 1], data=self.DATA, model=model)
+        grid = (self._cfgs()[:1], self.ANGLES, [2.0, 2.7], [12, 16])
+        assert sweep(*grid, **kw) == _reference_sweep(*grid, **kw)
+
+    @pytest.mark.parametrize("given_model", [False, True])
+    def test_call_counts(self, monkeypatch, given_model):
+        calls = {"super_resolve": 0, "build_model": 0, "sweep_image": 0}
+
+        def counted(name):
+            real = getattr(metrics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+        model = build_model(self._cfgs()[0][1], seed=3) if given_model else None
+        for name in calls:
+            monkeypatch.setattr(metrics, name, counted(name))
+        t_values, scales, resolutions, seeds = [2, 4], [2.0, 2.7], [8, 12], [0, 1]
+        angles = self.ANGLES[:3]
+        csv = sweep(self._cfgs()[:1], angles, scales, resolutions, t_values=t_values,
+                    seeds=seeds, data=self.DATA, model=model)
+        T, S, R, N, A = len(t_values), len(scales), len(resolutions), len(seeds), len(angles)
+        assert len(csv.strip().split("\n")) == 2 + T * A * S * R
+        assert calls["super_resolve"] == T * S * R * N * (1 + A)
+        assert calls["build_model"] == (0 if given_model else T * N)
+        assert calls["sweep_image"] == T * R * N
 
 
 class TestAdam:
@@ -296,6 +388,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(json_path)
         assert exc.value.field == doc["params"][0]["name"]
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda doc: 5, "<root>"),
+        (lambda doc: {**doc, "params": 5}, "params"),
+        (lambda doc: {**doc, "params": [5] + doc["params"][1:]}, "params[0]"),
+        (lambda doc: {**doc, "params": [{**doc["params"][0], "name": [1]}]}, "[1]"),
+        (lambda doc: {**doc, "blob": None}, "blob"),
+        (lambda doc: {**doc, "blob": 5}, "blob"),
+        (lambda doc: {**doc, "model": {**doc["model"], "t": 0}}, "model"),
+        (lambda doc: {**doc, "model": "liif"}, "model"),
+    ], ids=["root-5", "params-5", "record-5", "name-list", "blob-null", "blob-5",
+            "model-t-0", "model-str"])
+    def test_malformed_manifest_structure_names_field(self, tmp_path, mutate, field):
+        model = build_model(ModelConfig(variant="liif", t=2, n=2, blocks=1, p=3,
+                                        width=4, psi_widths=()), seed=0)
+        json_path, _ = save_checkpoint(str(tmp_path / "c"), model)
+        doc = json.loads(Path(json_path).read_text())
+        Path(json_path).write_text(json.dumps(mutate(doc)))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(json_path)
+        assert exc.value.field == field
 
     def test_wrong_version_rejected(self, tmp_path):
         import json
