@@ -20,6 +20,7 @@ from .data import dataset_count, gen_synthetic, read_image, write_image
 from .errors import (
     CheckpointError,
     ConfigError,
+    DomainError,
     EquisrError,
     EvaluationError,
     ParseError,
@@ -164,12 +165,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sr(args) -> int:
-    if args.scale < 1.0:
-        raise ConfigError(f"--scale must be >= 1, got {args.scale}")
     model = load_checkpoint(args.ckpt)
     img = read_image(args.infile)
     from .inr import super_resolve
-    out = super_resolve(model, img, args.scale)
+    try:
+        out = super_resolve(model, img, args.scale)
+    except DomainError as e:  # a scale or output size super_resolve refuses
+        raise ConfigError(f"--scale: {e}") from e
     write_image(args.out, Image(np.clip(out.data, 0.0, 1.0)))
     print(f"wrote {out.w}x{out.h} image to {args.out}")
     return 0

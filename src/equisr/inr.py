@@ -32,6 +32,7 @@ added to the absolute offsets that form the areas).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,17 @@ from .filters import ParamFilter, group_conv_t, make_param_filter, _feat_to_inte
 from .groups import GroupFeatureMap, RotationGroup, make_group
 from .image import Image, pixel_coords
 
-_CHUNK = 1 << 16
+# Byte budget for the temporaries of one chunk of queries in
+# eval_global_batch.  Each array of a chunk then stays below glibc's largest
+# mmap threshold (32 MiB), so it is reused from the heap instead of being
+# page-faulted in afresh, and a default-config training item (576 queries,
+# ensemble mode, t = 4) of every variant is still one chunk.
+_CHUNK_BYTES = 32 << 20
+
+# Largest output super_resolve accepts, in pixels (4096 x 4096).  Past the
+# chunk budget, SR memory grows with the output: its coordinates and pixel
+# values, about 64 bytes per output pixel (1.1 GB at the limit).
+MAX_OUTPUT_PIXELS = 1 << 24
 
 
 def lift_coordinate(x: np.ndarray, group: RotationGroup) -> np.ndarray:
@@ -417,30 +428,68 @@ def _eval_global_chunk(model: INRModel, lats: Latents, X: np.ndarray,
     return diff.reduce_sum(preds, axes=0)
 
 
+def _query_bytes(cfg: ModelConfig, mode: str) -> int:
+    """Upper estimate of the bytes one query's assembly temporaries hold at once."""
+    if cfg.variant == "liif":
+        slot = 2 * (cfg.n + 2) + 4 * cfg.width  # codes, [F; x], cyclic layer outputs
+    elif cfg.variant == "ope":
+        kb = (2 * cfg.k_max + 1) ** 2
+        slot = cfg.out_channels * kb + 3 * kb  # coefficients, basis and its factors
+    else:  # lte: amplitudes, frequencies, angles, cos, sin, waves
+        slot = 12 * cfg.K
+    # per local evaluation: the group slots, then the t-free output head
+    # (W_out1 and psi layers, two arrays each), outputs, offsets and weights
+    floats = cfg.t * slot + 2 * (cfg.width + sum(cfg.psi_widths)) + 2 * cfg.out_channels + 8
+    return (4 if mode == "ensemble" else 1) * 8 * floats
+
+
 def eval_global_batch(model: INRModel, lats: Latents, X: np.ndarray,
                       mode: str | None = None, eps: float | None = None) -> Tensor:
-    """Evaluate the global continuous function at queries X (Q, 2)."""
+    """Evaluate the global continuous function at queries X (Q, 2).
+
+    Queries run in equal chunks (sizes differ by at most one) whose
+    temporaries fit the _CHUNK_BYTES budget, so memory past the (Q, n0)
+    output does not grow with Q.  Under a tape every chunk's intermediates
+    are kept, so training items are sized to stay one chunk.
+    """
     mode = model.cfg.mode if mode is None else mode
     eps = model.cfg.eps if eps is None else eps
     if mode not in ("ensemble", "nearest"):
         raise ConfigError(f"unknown evaluation mode {mode!r}")
     q = X.shape[0]
-    if q <= _CHUNK:
+    rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg, mode))
+    chunks = max(1, -(-q // rows))
+    if chunks == 1:
         return _eval_global_chunk(model, lats, X, mode, eps)
-    parts = [
-        _eval_global_chunk(model, lats, X[s:s + _CHUNK], mode, eps)
-        for s in range(0, q, _CHUNK)
-    ]
-    return diff.concat(parts, axis=0)
+    cuts = [q * i // chunks for i in range(chunks + 1)]
+    return diff.concat([_eval_global_chunk(model, lats, X[a:b], mode, eps)
+                        for a, b in zip(cuts[:-1], cuts[1:])], axis=0)
+
+
+def output_size(h: int, w: int, scale: float) -> tuple[int, int]:
+    """HR size (h_out, w_out) of an h x w input super-resolved at `scale`.
+
+    Raises DomainError unless the scale is finite and >= 1 and the output
+    has at most MAX_OUTPUT_PIXELS pixels.
+    """
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale >= 1.0):
+        raise DomainError(f"scale must be finite and >= 1, got {scale}")
+    # a side past the limit is clamped just above it, so huge scales stay ints
+    h_out, w_out = (math.floor(min(scale * s, MAX_OUTPUT_PIXELS + 1) + 0.5) for s in (h, w))
+    if h_out * w_out > MAX_OUTPUT_PIXELS:
+        raise DomainError(f"a {w}x{h} input at scale {scale:g} gives more output pixels than "
+                          f"the limit of {MAX_OUTPUT_PIXELS} (4096x4096)")
+    return h_out, w_out
 
 
 def super_resolve(model: INRModel, img: Image, scale: float,
                   mode: str | None = None, eps: float | None = None) -> Image:
-    """Arbitrary-scale super-resolution: encode, then query every HR cell center."""
-    if scale < 1.0:
-        raise DomainError(f"scale must be >= 1, got {scale}")
-    h_out = int(np.floor(scale * img.h + 0.5))
-    w_out = int(np.floor(scale * img.w + 0.5))
+    """Arbitrary-scale super-resolution: encode, then query every HR cell center.
+
+    The scale and output size are checked by `output_size` before any work.
+    """
+    h_out, w_out = output_size(img.h, img.w, scale)
     feat = encode_t(model.encoder, diff.constant(img.data))
     lats = compute_latents(model, feat)
     xx = pixel_coords(h_out, w_out).reshape(-1, 2)

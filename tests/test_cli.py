@@ -154,6 +154,30 @@ class TestTrainAndSr:
         assert main(["sr", "--ckpt", ckpt, "--in", str(tmp_path / "nope.ppm"),
                      "--scale", "2", "--out", str(tmp_path / "o.ppm")]) == 2
 
+    def _sr_inputs(self, tmp_path, side=8):
+        model = build_model(ModelConfig(variant="liif", t=2, n=2, blocks=1, p=3,
+                                        width=8, psi_widths=(8,)), seed=0)
+        ckpt, _ = save_checkpoint(str(tmp_path / "m"), model)
+        write_image(str(tmp_path / "in.ppm"), Image(np.full((side, side, 3), 0.5)))
+        return ckpt, str(tmp_path / "in.ppm")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0.5"])
+    def test_sr_bad_scale_is_usage_error(self, tmp_path, capsys, scale):
+        ckpt, infile = self._sr_inputs(tmp_path)
+        out = tmp_path / "o.ppm"
+        assert main(["sr", "--ckpt", ckpt, "--in", infile, "--scale", scale,
+                     "--out", str(out)]) == 1
+        assert "--scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sr_oversized_output_is_usage_error(self, tmp_path, capsys):
+        ckpt, infile = self._sr_inputs(tmp_path)
+        out = tmp_path / "o.ppm"
+        assert main(["sr", "--ckpt", ckpt, "--in", infile, "--scale", "600",
+                     "--out", str(out)]) == 1
+        assert "limit of 16777216 (4096x4096)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"version": "equisr-ckpt-1"}))

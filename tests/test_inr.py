@@ -1,9 +1,11 @@
 """Rotation-equivariant INR layers: exactness identities and assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from equisr import diff
+from equisr import diff, inr
 from equisr.data import DatasetSpec
 from equisr.errors import ConfigError, DomainError
 from equisr.groups import make_group, rotate_image
@@ -16,16 +18,19 @@ from equisr.inr import (
     _latent_to_batch,
     build_inr,
     build_model,
+    compute_latents,
     eval_global,
+    eval_global_batch,
     eval_local,
     input_layer,
     intermediate_layer,
     lift_coordinate,
     ope_basis,
     output_layer,
+    output_size,
     super_resolve,
 )
-from equisr.encoder import encode
+from equisr.encoder import encode, encode_t
 from equisr.metrics import nmse
 from equisr.training import train
 
@@ -363,8 +368,30 @@ class TestSuperResolve:
 
     def test_scale_below_one_rejected(self):
         model = build_model(_small_cfg("liif", 2, n=2), seed=0)
+        for scale in (0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DomainError, match="finite"):
+                super_resolve(model, Image(np.zeros((8, 8, 3))), scale)
+
+    @pytest.mark.parametrize("scale", [513.0, 1e308])
+    def test_oversized_output_refused_before_any_work(self, monkeypatch, scale):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an oversized request reached the encoder or the INR")
+
+        monkeypatch.setattr(inr, "encode_t", no_work)
+        monkeypatch.setattr(inr, "eval_global_batch", no_work)
+        model = build_model(_small_cfg("liif", 2, n=2), seed=0)
+        with pytest.raises(DomainError, match=str(inr.MAX_OUTPUT_PIXELS)):
+            super_resolve(model, Image(np.zeros((8, 8, 3))), scale)
+
+    def test_output_size_limit_is_inclusive(self):
+        assert inr.MAX_OUTPUT_PIXELS == 4096 * 4096
+        assert output_size(1024, 1024, 4.0) == (4096, 4096)
+        assert output_size(20, 20, 2.7) == (54, 54)
+        assert output_size(1, 1 << 24, 1.0) == (1, 1 << 24)
         with pytest.raises(DomainError):
-            super_resolve(model, Image(np.zeros((8, 8, 3))), 0.5)
+            output_size(1024, 1024, 4.0005)
+        with pytest.raises(DomainError):
+            output_size(1, (1 << 24) + 1, 1.0)
 
     @pytest.mark.parametrize("t", [2, 4])
     def test_full_pipeline_exactness_and_eps_sensitivity(self, t):
@@ -392,6 +419,69 @@ class TestSuperResolve:
         img = gen_synthetic(data, 0)
         recon = super_resolve(result.model, img, 1.0)
         assert psnr(Image(np.clip(recon.data, 0, 1)), img) >= 40.0
+
+
+def _latents(cfg, side, seed=0):
+    model = build_model(cfg, seed=seed)
+    img = np.random.default_rng(seed).random((side, side, cfg.c_in))
+    return model, compute_latents(model, encode_t(model.encoder, diff.constant(img)))
+
+
+def _chunk_sizes(monkeypatch):
+    sizes = []
+    real = inr._eval_global_chunk
+
+    def counting(model, lats, X, mode, eps):
+        sizes.append(X.shape[0])
+        return real(model, lats, X, mode, eps)
+
+    monkeypatch.setattr(inr, "_eval_global_chunk", counting)
+    return sizes
+
+
+class TestStreamedAssembly:
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("t", [1, 4, 8])
+    @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
+    def test_chunks_match_single_chunk(self, monkeypatch, variant, t, mode):
+        model, lats = _latents(_small_cfg(variant, t), 10)
+        X = np.random.default_rng(1).uniform(-1.0, 1.0, (1003, 2))
+        whole = eval_global_batch(model, lats, X, mode=mode).data
+        rows = 97  # 1003 = 10 * 97 + 33 queries
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * inr._query_bytes(model.cfg, mode))
+        sizes = _chunk_sizes(monkeypatch)
+        parts = eval_global_batch(model, lats, X, mode=mode).data
+        assert sum(sizes) == 1003 and len(sizes) == 11
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= rows
+        assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    def test_default_training_item_is_one_chunk(self, monkeypatch, variant):
+        # under a tape every chunk's intermediates are kept, so chunking a
+        # training item would only add work
+        model, lats = _latents(ModelConfig(variant=variant, blocks=1), 6)
+        sizes = _chunk_sizes(monkeypatch)
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, (24 * 24, 2))
+        eval_global_batch(model, lats, X)
+        assert sizes == [24 * 24]
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    def test_memory_bounded_by_budget(self, variant):
+        model, lats = _latents(ModelConfig(variant=variant, t=4, blocks=1), 16)
+        rng = np.random.default_rng(3)
+        temporaries = {}
+        for q in (16384, 65536):
+            X = rng.uniform(-1.0, 1.0, (q, 2))
+            tracemalloc.start()
+            try:
+                out = eval_global_batch(model, lats, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out_bytes = out.data.nbytes
+            assert peak <= inr._CHUNK_BYTES + 2 * out_bytes
+            temporaries[q] = peak - 2 * out_bytes
+        assert temporaries[65536] <= 1.1 * temporaries[16384]
 
 
 class TestConfigValidation:
