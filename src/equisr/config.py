@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .data import DatasetSpec
 from .errors import ConfigError
@@ -42,7 +43,7 @@ _DEFAULTS = {
         "lr": 1e-4,
         "decay_steps": 500,
         "batch": 4,
-        "patch": 24,
+        "patch": 12,  # LR side; round(patch * scale_range[1]) must fit data.size
         "seed": 0,
     },
     "eval": {
@@ -85,7 +86,23 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge(_DEFAULTS, doc, "")
+    doc = _merge(_DEFAULTS, doc, "")
+    _check_patch_fits(doc)
+    return doc
+
+
+def _check_patch_fits(doc: dict) -> None:
+    """A generated corpus must hold the largest HR crop a training patch needs."""
+    data, patch = doc["data"], doc["train"]["patch"]
+    try:
+        side = math.floor(float(patch) * float(data["scale_range"][1]) + 0.5)
+        size = int(data["size"])
+    except (TypeError, ValueError, IndexError, KeyError):
+        return  # a malformed field is reported where it is converted
+    if data["kind"] != "file-dir" and side > size:
+        raise ConfigError(
+            f"train.patch {patch} at data.scale_range[1] {data['scale_range'][1]} needs "
+            f"data.size >= {side}, got {size}")
 
 
 def model_config(doc: dict) -> ModelConfig:

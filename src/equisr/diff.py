@@ -108,6 +108,11 @@ class Tape:
         return False
 
 
+def recording() -> bool:
+    """True when this thread has an open Tape or an active relu trace."""
+    return bool(_STACKS.stack) or _STACKS.relu_trace is not None
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -244,7 +249,7 @@ def relu(x) -> Tensor:
     trace = _STACKS.relu_trace
     if trace is not None:
         trace.append(mask.copy())
-    out = Tensor(np.where(mask, x.data, 0.0))
+    out = Tensor(np.maximum(x.data, 0.0))  # +0.0 for -0.0; NaN propagates
 
     def bwd(g):
         return (g * mask,)

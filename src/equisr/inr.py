@@ -33,6 +33,8 @@ added to the absolute offsets that form the areas).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +58,10 @@ _CHUNK_BYTES = 32 << 20
 # chunk budget, SR memory grows with the output: its coordinates and pixel
 # values, about 64 bytes per output pixel (1.1 GB at the limit).
 MAX_OUTPUT_PIXELS = 1 << 24
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def lift_coordinate(x: np.ndarray, group: RotationGroup) -> np.ndarray:
@@ -99,12 +105,20 @@ class ModelConfig:
             raise ConfigError(f"unknown INR variant {self.variant!r}")
         if self.mode not in ("ensemble", "nearest"):
             raise ConfigError(f"unknown evaluation mode {self.mode!r}")
-        if self.L < 0 or self.eps < 0:
-            raise ConfigError("L and eps must be non-negative")
+        for name, low in (("t", 1), ("blocks", 1), ("n", 1), ("p", 1), ("c_in", 1),
+                          ("L", 0), ("width", 1), ("k_max", 0), ("K", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (isinstance(self.psi_widths, tuple)
+                and all(_is_int(m) and m >= 1 for m in self.psi_widths)):
+            raise ConfigError(f"psi_widths must be integers >= 1, got {self.psi_widths!r}")
+        if not ((_is_int(self.eps) or isinstance(self.eps, float)) and 0 <= self.eps < math.inf):
+            raise ConfigError(f"eps must be finite and non-negative, got {self.eps!r}")
+        if self.relu_after_input not in (None, True, False) or self.bias not in (True, False):
+            raise ConfigError("relu_after_input must be null or a boolean, bias a boolean")
         if self.variant in ("ope", "lte") and self.L != 0:
             raise ConfigError(f"{self.variant} uses no intermediate layers (L = 0)")
-        if self.t < 1:
-            raise ConfigError("group order must be >= 1")
 
     @property
     def out_channels(self) -> int:
@@ -443,25 +457,92 @@ def _query_bytes(cfg: ModelConfig, mode: str) -> int:
     return (4 if mode == "ensemble" else 1) * 8 * floats
 
 
+def _workers() -> int:
+    """Threads for independent query chunks: the cores BLAS threads leave idle.
+
+    OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, when the value is a positive integer, and otherwise
+    uses every core; so does this count, which is 1 (serial) in that case.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cores // blas)
+    return 1
+
+
+def _eval_chunks_threaded(model: INRModel, lats: Latents, X: np.ndarray, mode: str,
+                          eps: float, cuts: list[int], workers: int) -> np.ndarray:
+    """Run the chunks X[cuts[i]:cuts[i + 1]] on this thread and workers - 1 helpers.
+
+    Each thread takes the next chunk from one shared iterator and writes its
+    rows of one preallocated (Q, n0) result.  After a failure no thread takes
+    a new chunk; the first error is raised once every helper has joined.
+    """
+    out = np.empty((X.shape[0], model.cfg.out_channels), dtype=diff.get_default_dtype())
+    spans = iter(zip(cuts[:-1], cuts[1:]))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work():
+        while not errors:
+            with lock:
+                span = next(spans, None)
+            if span is None:
+                return
+            a, b = span
+            try:
+                out[a:b] = _eval_global_chunk(model, lats, X[a:b], mode, eps).data
+            except BaseException as e:  # re-raised by the caller once all have joined
+                errors.append(e)
+
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(workers, len(cuts) - 1) - 1)]
+    for th in helpers:
+        th.start()
+    try:
+        work()
+    finally:
+        for th in helpers:
+            th.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
 def eval_global_batch(model: INRModel, lats: Latents, X: np.ndarray,
                       mode: str | None = None, eps: float | None = None) -> Tensor:
     """Evaluate the global continuous function at queries X (Q, 2).
 
     Queries run in equal chunks (sizes differ by at most one) whose
-    temporaries fit the _CHUNK_BYTES budget, so memory past the (Q, n0)
-    output does not grow with Q.  Under a tape every chunk's intermediates
-    are kept, so training items are sized to stay one chunk.
+    temporaries, over all chunks in flight, fit the _CHUNK_BYTES budget, so
+    memory past the (Q, n0) output does not grow with Q.  Chunks run on
+    `_workers()` threads into one output array unless this thread records
+    (a tape or the relu trace, both per thread); then they run serially and
+    the result keeps its tape entries.  Under a tape every chunk's
+    intermediates are kept, so training items are sized to stay one chunk.
     """
     mode = model.cfg.mode if mode is None else mode
     eps = model.cfg.eps if eps is None else eps
     if mode not in ("ensemble", "nearest"):
         raise ConfigError(f"unknown evaluation mode {mode!r}")
     q = X.shape[0]
-    rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg, mode))
+    recording = diff.recording()
+    workers = 1 if recording else _workers()
+    rows = max(1, _CHUNK_BYTES // (workers * _query_bytes(model.cfg, mode)))
     chunks = max(1, -(-q // rows))
     if chunks == 1:
         return _eval_global_chunk(model, lats, X, mode, eps)
     cuts = [q * i // chunks for i in range(chunks + 1)]
+    if not recording:
+        return diff.constant(_eval_chunks_threaded(model, lats, X, mode, eps, cuts, workers))
     return diff.concat([_eval_global_chunk(model, lats, X[a:b], mode, eps)
                         for a, b in zip(cuts[:-1], cuts[1:])], axis=0)
 

@@ -7,7 +7,8 @@ seeded with (seed, step), so identical seeds give bit-identical loss logs.
 
 Checkpoints are a JSON manifest (version "equisr-ckpt-1", model config, and
 one record per parameter with name/shape/dtype/byte offset) plus a single
-little-endian raw blob; the round trip is bit-exact.
+little-endian raw blob that the records tile in order; the round trip is
+bit-exact, and a malformed pair raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def load_checkpoint(json_path: str) -> INRModel:
     with open(json_path, "rb") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, deep nesting
             raise CheckpointError(f"manifest is not valid JSON: {e}", field="<root>")
     if not isinstance(manifest, dict):
         raise CheckpointError("manifest is not a JSON object", field="<root>")
@@ -184,8 +185,10 @@ def load_checkpoint(json_path: str) -> INRModel:
             f"unsupported checkpoint version {manifest['version']!r}", field="version")
     if not isinstance(manifest["model"], dict):
         raise CheckpointError("model config is not a JSON object", field="model")
-    if not isinstance(manifest["blob"], str):
-        raise CheckpointError(f"blob {manifest['blob']!r} is not a file name", field="blob")
+    blob_name = manifest["blob"]
+    if (not isinstance(blob_name, str) or blob_name in ("", ".", "..") or "\0" in blob_name
+            or os.path.basename(blob_name) != blob_name):
+        raise CheckpointError(f"blob {blob_name!r} is not a file name", field="blob")
     if not isinstance(manifest["params"], list):
         raise CheckpointError("params is not a JSON list", field="params")
     try:
@@ -195,16 +198,22 @@ def load_checkpoint(json_path: str) -> INRModel:
     except (TypeError, ValueError) as e:  # ConfigError is a ValueError
         raise CheckpointError(f"bad model config: {e}", field="model")
     params = model.named_parameters()
-    blob_path = os.path.join(os.path.dirname(os.path.abspath(json_path)), manifest["blob"])
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
+    blob_path = os.path.join(os.path.dirname(os.path.abspath(json_path)), blob_name)
+    try:
+        with open(blob_path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise CheckpointError(f"cannot read blob: {e}", field="blob") from e
     seen = set()
+    end = 0  # the records tile the blob in manifest order
     for i, rec in enumerate(manifest["params"]):
         if not isinstance(rec, dict):
             raise CheckpointError("params record is not a JSON object", field=f"params[{i}]")
         name = rec.get("name")
         if not isinstance(name, str) or name not in params:
             raise CheckpointError("unknown parameter in manifest", field=str(name))
+        if name in seen:
+            raise CheckpointError("parameter listed twice", field=name)
         p = params[name]
         shape, offset = rec.get("shape"), rec.get("offset")
         if not isinstance(shape, list) or any(type(s) is not int for s in shape):
@@ -217,12 +226,21 @@ def load_checkpoint(json_path: str) -> INRModel:
                 f"shape {shape} does not match model shape {p.shape}", field=name)
         if rec.get("dtype") != "<f8":
             raise CheckpointError(f"unsupported dtype {rec.get('dtype')!r}", field=name)
-        nbytes = int(np.prod(shape)) * 8 if shape else 8
-        if offset < 0 or offset + nbytes > len(blob):
+        nbytes = p.data.size * 8
+        if offset != end:
+            raise CheckpointError(f"blob offset {offset}, expected {end}", field=name)
+        if offset + nbytes > len(blob):
             raise CheckpointError("blob offset out of range", field=name)
-        p.data[...] = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(shape)
+        values = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError("non-finite parameter value", field=name)
+        p.data[...] = values
         seen.add(name)
+        end = offset + nbytes
     missing = set(params) - seen
     if missing:
         raise CheckpointError("parameters missing from manifest", field=sorted(missing)[0])
+    if end != len(blob):
+        raise CheckpointError(f"blob has {len(blob) - end} bytes past the last parameter",
+                              field="blob")
     return model

@@ -9,6 +9,7 @@ import pytest
 from equisr import __version__, config, metrics
 from equisr.cli import main
 from equisr.data import read_image, write_image
+from equisr.errors import ConfigError
 from equisr.image import Image
 from equisr.inr import ModelConfig, build_model
 from equisr.metrics import equivariance_error, sweep_image
@@ -199,6 +200,38 @@ class TestGradcheckAndDefaults:
         assert main(["defaults", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {"model", "data", "train", "eval"}
+
+    def test_every_command_runs_on_the_defaults(self, tmp_path):
+        defaults = tmp_path / "defaults.json"
+        assert main(["defaults", "--out", str(defaults)]) == 0
+        doc = json.loads(defaults.read_text())
+        doc["train"]["steps"] = 2
+        cfg = _write_config(tmp_path, doc)
+        corpus, run = tmp_path / "corpus", tmp_path / "run"
+        assert main(["gen-data", "--config", cfg, "--out", str(corpus)]) == 0
+        assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+        assert main(["sr", "--ckpt", str(run / "ckpt.json"), "--in",
+                     str(corpus / "img_00000.ppm"), "--scale", "2.5",
+                     "--out", str(tmp_path / "hr.ppm")]) == 0
+        assert (read_image(str(tmp_path / "hr.ppm")).h, doc["data"]["size"]) == (120, 48)
+        assert main(["eval-equiv", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 0
+
+    @pytest.mark.parametrize("override", [
+        {"train": {"patch": 24}},  # the former default
+        {"data": {"size": 40}},
+        {"data": {"scale_range": [2.0, 4.5], "size": 50}},
+    ])
+    def test_patch_larger_than_corpus_rejected(self, tmp_path, override):
+        cfg = _write_config(tmp_path, override)
+        with pytest.raises(ConfigError, match=r"train\.patch .* data\.scale_range\[1\] .* "
+                                              r"data\.size >= \d+"):
+            config.load_config(cfg)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+
+    def test_patch_check_skips_file_dirs(self, tmp_path):
+        cfg = _write_config(tmp_path, {"data": {"kind": "file-dir", "path": "x"},
+                                       "train": {"patch": 24}})
+        assert config.load_config(cfg)["train"]["patch"] == 24
 
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 1

@@ -13,8 +13,9 @@ from equisr.errors import CatalogueError, ContractError, EvaluationError, ShapeE
 
 class TestPrimitives:
     def test_relu_values(self):
-        out = diff.relu(Tensor([-1.0, 0.0, 2.0]))
-        assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+        out = diff.relu(Tensor([-1.0, 0.0, 2.0, -0.0, np.nan]))
+        assert np.array_equal(out.data, [0.0, 0.0, 2.0, 0.0, np.nan], equal_nan=True)
+        assert not np.signbit(out.data[3])  # -0.0 maps to +0.0
 
     def test_matmul_identity(self):
         v = np.array([3.0, -1.0, 2.5])

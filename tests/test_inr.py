@@ -1,5 +1,8 @@
 """Rotation-equivariant INR layers: exactness identities and assembly."""
 
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -439,6 +442,18 @@ def _chunk_sizes(monkeypatch):
     return sizes
 
 
+def _pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(inr, "_workers", lambda: workers)
+
+
+def _param_grads(model, img, X):
+    with diff.Tape() as tape:
+        lats = compute_latents(model, encode_t(model.encoder, diff.constant(img)))
+        loss = diff.reduce_sum(eval_global_batch(model, lats, X))
+    grads = diff.backward(tape, loss)
+    return [grads[p].data for p in model.named_parameters().values() if p in grads]
+
+
 class TestStreamedAssembly:
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
     @pytest.mark.parametrize("t", [1, 4, 8])
@@ -447,41 +462,192 @@ class TestStreamedAssembly:
         model, lats = _latents(_small_cfg(variant, t), 10)
         X = np.random.default_rng(1).uniform(-1.0, 1.0, (1003, 2))
         whole = eval_global_batch(model, lats, X, mode=mode).data
-        rows = 97  # 1003 = 10 * 97 + 33 queries
+        rows = 97  # 1003 = 10 * 97 + 33 queries; with 2 workers 48 rows each
         monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * inr._query_bytes(model.cfg, mode))
-        sizes = _chunk_sizes(monkeypatch)
-        parts = eval_global_batch(model, lats, X, mode=mode).data
-        assert sum(sizes) == 1003 and len(sizes) == 11
-        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= rows
-        assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
+        for workers, count in ((1, 11), (2, 21)):
+            _pin_workers(monkeypatch, workers)
+            sizes = _chunk_sizes(monkeypatch)
+            parts = eval_global_batch(model, lats, X, mode=mode).data
+            assert sum(sizes) == 1003 and len(sizes) == count
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= rows // workers
+            assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
     def test_default_training_item_is_one_chunk(self, monkeypatch, variant):
         # under a tape every chunk's intermediates are kept, so chunking a
-        # training item would only add work
+        # training item would only add work; a tape also runs serially, so
+        # 2 workers do not split its budget
         model, lats = _latents(ModelConfig(variant=variant, blocks=1), 6)
-        sizes = _chunk_sizes(monkeypatch)
         X = np.random.default_rng(2).uniform(-1.0, 1.0, (24 * 24, 2))
+        _pin_workers(monkeypatch, 1)
+        sizes = _chunk_sizes(monkeypatch)
         eval_global_batch(model, lats, X)
+        assert sizes == [24 * 24]
+        _pin_workers(monkeypatch, 2)
+        sizes = _chunk_sizes(monkeypatch)
+        with diff.Tape():
+            eval_global_batch(model, lats, X)
         assert sizes == [24 * 24]
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
-    def test_memory_bounded_by_budget(self, variant):
+    def test_memory_bounded_by_budget(self, monkeypatch, variant):
         model, lats = _latents(ModelConfig(variant=variant, t=4, blocks=1), 16)
         rng = np.random.default_rng(3)
-        temporaries = {}
-        for q in (16384, 65536):
-            X = rng.uniform(-1.0, 1.0, (q, 2))
-            tracemalloc.start()
-            try:
-                out = eval_global_batch(model, lats, X)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            out_bytes = out.data.nbytes
-            assert peak <= inr._CHUNK_BYTES + 2 * out_bytes
-            temporaries[q] = peak - 2 * out_bytes
-        assert temporaries[65536] <= 1.1 * temporaries[16384]
+        for workers in (1, 2):
+            _pin_workers(monkeypatch, workers)
+            temporaries = {}
+            for q in (16384, 65536):
+                X = rng.uniform(-1.0, 1.0, (q, 2))
+                tracemalloc.start()
+                try:
+                    out = eval_global_batch(model, lats, X)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                out_bytes = out.data.nbytes
+                assert peak <= inr._CHUNK_BYTES + 2 * out_bytes
+                temporaries[q] = peak - 2 * out_bytes
+            assert temporaries[65536] <= 1.1 * temporaries[16384]
+
+
+class TestParallelAssembly:
+    """Chunks on helper threads: same values, serial while recording."""
+
+    @staticmethod
+    def _budget(monkeypatch, model, mode, rows, workers):
+        monkeypatch.setattr(inr, "_CHUNK_BYTES",
+                            rows * workers * inr._query_bytes(model.cfg, mode))
+        _pin_workers(monkeypatch, workers)
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("t", [1, 4, 8])
+    @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_matches_serial_at_same_chunks(self, monkeypatch, variant, t, mode,
+                                                    workers):
+        model, lats = _latents(_small_cfg(variant, t), 10)
+        X = np.random.default_rng(4).uniform(-1.0, 1.0, (1003, 2))
+        self._budget(monkeypatch, model, mode, 50, 1)
+        serial = eval_global_batch(model, lats, X, mode=mode).data
+        self._budget(monkeypatch, model, mode, 50, workers)
+        # every worker thread must take a chunk while the others are in one
+        barrier = threading.Barrier(workers, timeout=30)
+        first = threading.local()
+        real = inr._eval_global_chunk
+
+        def meeting(*args):
+            if not getattr(first, "done", False):
+                first.done = True
+                barrier.wait()
+            return real(*args)
+
+        monkeypatch.setattr(inr, "_eval_global_chunk", meeting)
+        parallel = eval_global_batch(model, lats, X, mode=mode).data
+        if variant == "liif":
+            assert np.max(np.abs(parallel - serial)) <= 1e-12 * np.max(np.abs(serial))
+        else:
+            assert np.array_equal(parallel, serial)
+
+    def test_many_workers_take_each_chunk_once(self, monkeypatch):
+        # more threads than cores and a short switch interval: a chunk taken
+        # twice or never would change the call count or leave rows unset
+        model, lats = _latents(_small_cfg("lte", 4), 8)
+        X = np.random.default_rng(8).uniform(-1.0, 1.0, (1003, 2))
+        self._budget(monkeypatch, model, "ensemble", 4, 1)
+        serial = eval_global_batch(model, lats, X).data
+        self._budget(monkeypatch, model, "ensemble", 4, 8)
+        sizes = _chunk_sizes(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = eval_global_batch(model, lats, X).data
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(sizes) == 251 and sum(sizes) == 1003
+        assert np.array_equal(parallel, serial)
+
+    def _threads_used(self, monkeypatch):
+        idents = []
+        real = inr._eval_global_chunk
+
+        def tagged(*args):
+            idents.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(inr, "_eval_global_chunk", tagged)
+        return idents
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    def test_tape_runs_on_calling_thread(self, monkeypatch, variant):
+        model = build_model(_small_cfg(variant, 4, L=1 if variant == "liif" else 0), seed=0)
+        img = np.random.default_rng(0).random((8, 8, 3))
+        X = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 2))
+        self._budget(monkeypatch, model, "ensemble", 97, 1)
+        serial = _param_grads(model, img, X)
+        _pin_workers(monkeypatch, 2)
+        idents = self._threads_used(monkeypatch)
+        grads = _param_grads(model, img, X)
+        assert len(idents) == 4 and set(idents) == {threading.get_ident()}
+        assert len(grads) == len(serial) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(grads, serial))
+
+    def test_relu_trace_runs_on_calling_thread(self, monkeypatch):
+        model, lats = _latents(_small_cfg("liif", 4, L=1), 8)
+        X = np.random.default_rng(6).uniform(-1.0, 1.0, (300, 2))
+        self._budget(monkeypatch, model, "ensemble", 97, 1)
+        with diff._relu_trace() as serial:
+            eval_global_batch(model, lats, X)
+        _pin_workers(monkeypatch, 2)
+        idents = self._threads_used(monkeypatch)
+        with diff._relu_trace() as patterns:
+            eval_global_batch(model, lats, X)
+        assert len(idents) == 4 and set(idents) == {threading.get_ident()}
+        assert len(patterns) == len(serial) == 3 * 4  # input, mid and psi relus per chunk
+        assert all(np.array_equal(a, b) for a, b in zip(patterns, serial))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunk_error_reaches_caller_and_helpers_join(self, monkeypatch, workers):
+        model, lats = _latents(_small_cfg("ope", 4), 8)
+        X = np.random.default_rng(7).uniform(-1.0, 1.0, (1003, 2))
+        self._budget(monkeypatch, model, "ensemble", 20, workers)
+        calls = []
+        lock = threading.Lock()
+        real = inr._eval_global_chunk
+
+        def failing(*args):
+            with lock:
+                calls.append(threading.get_ident())
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("chunk failed")
+            return real(*args)
+
+        monkeypatch.setattr(inr, "_eval_global_chunk", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            eval_global_batch(model, lats, X)
+        assert set(threading.enumerate()) == before
+        # after the failure each other thread finishes at most one chunk
+        assert len(calls) <= workers
+
+    @pytest.mark.parametrize("openblas,omp,expected", [
+        ("1", None, 4), ("2", None, 2), (None, None, 1), ("0", None, 1), ("abc", None, 1),
+        ("8", None, 1), (None, "2", 2), ("abc", "1", 4),
+    ])
+    def test_worker_rule(self, monkeypatch, openblas, omp, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert inr._workers() == expected
+
+    def test_worker_rule_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert inr._workers() == 3
 
 
 class TestConfigValidation:

@@ -2,9 +2,10 @@
 
 Each measurement runs in a fresh Python process with one BLAS thread, so
 its `ru_maxrss` is the peak of that single request (imports, model build,
-encoder and INR query assembly) and nothing else.  Prints one row per
-(variant, t) with the median SR time and the median and largest peak RSS
-over the repetitions.
+encoder and INR query assembly) and nothing else.  With one BLAS thread the
+INR query chunks run on one thread per core (`inr._workers()`, printed in
+the header).  Prints one row per (variant, t) with the median SR time and
+the median and largest peak RSS over the repetitions.
 
     PYTHONPATH=src python tools/rss_probe.py                 # t in {1, 4, 16}
     PYTHONPATH=src python tools/rss_probe.py --t 1 4 --reps 3
@@ -44,9 +45,8 @@ def child(variant: str, t: int) -> None:
 
 
 def measure(variant: str, t: int) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     cmd = [sys.executable, __file__, "--child", variant, str(t)]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -60,8 +60,13 @@ def main(argv=None) -> int:
         variant, t = args.child
         child(variant, int(t))
         return 0
+    # the children inherit one BLAS thread; the chunk-thread count follows
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    from equisr.inr import _workers
+
     print(f"super_resolve of a {SIDE}x{SIDE} input at scale {SCALE:g}, "
-          f"{args.reps} fresh processes per row, OPENBLAS_NUM_THREADS=1")
+          f"{args.reps} fresh processes per row, OPENBLAS_NUM_THREADS=1, "
+          f"{_workers()} INR chunk threads")
     print("variant   t   output  sr_ms_median  peak_rss_mb_median  peak_rss_mb_max  rss_before_sr_mb")
     for variant in VARIANTS:
         for t in args.t:
