@@ -630,6 +630,66 @@ class TestParallelAssembly:
         # after the failure each other thread finishes at most one chunk
         assert len(calls) <= workers
 
+    def _affinity_calls(self, monkeypatch, cpus, refuse=False):
+        calls = []
+        lock = threading.Lock()
+
+        def set_affinity(pid, mask):
+            assert pid == 0
+            with lock:
+                calls.append((threading.get_ident(), set(mask)))
+            if refuse:
+                raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("workers,slices", [
+        (2, [{0, 1}, {2, 3}]), (3, [{0}, {1}, {2, 3}]), (4, [{0}, {1}, {2}, {3}]),
+    ])
+    def test_threads_run_on_disjoint_cpu_slices(self, monkeypatch, workers, slices):
+        model, lats = _latents(_small_cfg("lte", 4), 8)
+        X = np.random.default_rng(9).uniform(-1.0, 1.0, (1003, 2))
+        self._budget(monkeypatch, model, "ensemble", 50, 1)
+        serial = eval_global_batch(model, lats, X).data
+        self._budget(monkeypatch, model, "ensemble", 50, workers)
+        calls = self._affinity_calls(monkeypatch, {0, 1, 2, 3})
+        parallel = eval_global_batch(model, lats, X).data
+        me = threading.get_ident()
+        # the caller runs on the first slice, then gets its whole set back
+        assert [m for t, m in calls if t == me] == [slices[0], {0, 1, 2, 3}]
+        helpers = sorted((m for t, m in calls if t != me), key=min)
+        assert helpers == slices[1:]
+        assert np.array_equal(parallel, serial)
+
+    def test_no_pinning_with_fewer_cpus_than_threads(self, monkeypatch):
+        model, lats = _latents(_small_cfg("ope", 4), 8)
+        X = np.random.default_rng(10).uniform(-1.0, 1.0, (1003, 2))
+        self._budget(monkeypatch, model, "ensemble", 50, 2)
+        calls = self._affinity_calls(monkeypatch, {5})
+        eval_global_batch(model, lats, X)
+        assert calls == []
+
+    def test_refused_pinning_is_ignored(self, monkeypatch):
+        model, lats = _latents(_small_cfg("ope", 4), 8)
+        X = np.random.default_rng(11).uniform(-1.0, 1.0, (1003, 2))
+        self._budget(monkeypatch, model, "ensemble", 50, 1)
+        serial = eval_global_batch(model, lats, X).data
+        self._budget(monkeypatch, model, "ensemble", 50, 2)
+        calls = self._affinity_calls(monkeypatch, {0, 1}, refuse=True)
+        assert np.array_equal(eval_global_batch(model, lats, X).data, serial)
+        assert len(calls) == 3  # caller, helper, caller's restore
+
+    def test_no_pinning_without_platform_support(self, monkeypatch):
+        model, lats = _latents(_small_cfg("ope", 4), 8)
+        X = np.random.default_rng(12).uniform(-1.0, 1.0, (1003, 2))
+        self._budget(monkeypatch, model, "ensemble", 50, 1)
+        serial = eval_global_batch(model, lats, X).data
+        self._budget(monkeypatch, model, "ensemble", 50, 2)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert np.array_equal(eval_global_batch(model, lats, X).data, serial)
+
     @pytest.mark.parametrize("openblas,omp,expected", [
         ("1", None, 4), ("2", None, 2), (None, None, 1), ("0", None, 1), ("abc", None, 1),
         ("8", None, 1), (None, "2", 2), ("abc", "1", 4),
