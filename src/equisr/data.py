@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, ShapeError
 from .filters import phi_bic
-from .image import Image
+from .image import Image, pixel_coords
 
 
 @dataclass(frozen=True)
@@ -306,9 +306,5 @@ def sample_patch_pairs(spec: DatasetSpec, patch: int, scale_range: tuple[float, 
         lr = bicubic_resize(hr, patch, patch)
         picks = rng.choice(hs * hs, size=patch * patch, replace=False)
         ii, jj = picks // hs, picks % hs
-        coords = np.stack([
-            -1.0 + (jj + 0.5) * (2.0 / hs),
-            1.0 - (ii + 0.5) * (2.0 / hs),
-        ], axis=1)
-        pairs.append(PatchPair(lr, hr, coords, hr.data[ii, jj]))
+        pairs.append(PatchPair(lr, hr, pixel_coords(hs)[ii, jj], hr.data[ii, jj]))
     return pairs

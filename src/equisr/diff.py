@@ -27,8 +27,6 @@ from .errors import (
     ShapeError,
 )
 
-_DEFAULT_DTYPE = np.float64
-
 
 class _TapeStacks(threading.local):
     """Per-thread autodiff state: distinct tapes may run on distinct threads."""
@@ -45,26 +43,13 @@ _STACKS = _TapeStacks()
 CHECK_FINITE = False
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly created tensors (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ContractError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
-
-
 class Tensor:
     """Dense array with a requires-grad flag. Hashable by identity."""
 
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
 
     @property

@@ -72,6 +72,13 @@ def pixel_coords(h: int, w: int | None = None) -> np.ndarray:
     return out
 
 
+def cell_position(x: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) position of coordinates x (..., 2) on an h x w raster, in
+    cells: pixel (i, j)'s center is at (i, j)."""
+    x = np.asarray(x, dtype=np.float64)
+    return (1.0 - x[..., 1]) * (h / 2.0) - 0.5, (x[..., 0] + 1.0) * (w / 2.0) - 0.5
+
+
 def coord_to_index(x: np.ndarray, h: int, w: int | None = None) -> np.ndarray:
     """Nearest-pixel indices for coordinates x (..., 2).
 
@@ -112,15 +119,13 @@ def bilinear_sample(data: np.ndarray, x: np.ndarray) -> np.ndarray:
     stencil leaves the raster use 0 for the missing corners.
     """
     h, w = data.shape[:2]
-    x = np.asarray(x, dtype=np.float64)
-    fi = (1.0 - x[..., 1]) * (h / 2.0) - 0.5
-    fj = (x[..., 0] + 1.0) * (w / 2.0) - 0.5
+    fi, fj = cell_position(x, h, w)
     i0 = np.floor(fi).astype(np.int64)
     j0 = np.floor(fj).astype(np.int64)
     di = fi - i0
     dj = fj - j0
 
-    out = np.zeros(x.shape[:-1] + (data.shape[2],))
+    out = np.zeros(fi.shape + (data.shape[2],))
     for oi, wi in ((i0, 1.0 - di), (i0 + 1, di)):
         for oj, wj in ((j0, 1.0 - dj), (j0 + 1, dj)):
             valid = (oi >= 0) & (oi < h) & (oj >= 0) & (oj < w)

@@ -25,9 +25,9 @@ t = 1.
 
 Local coordinates are offsets from the chosen latent's pixel center rescaled
 so one LR cell spans [-1, 1].  The global function evaluates, per query, the
-local function of the nearest latent ("nearest" mode) or the area-weighted
-blend of the four surrounding latents ("ensemble" mode, with stabilizer eps
-added to the absolute offsets that form the areas).
+2x2 latents around it (see _corners): the area-weighted blend of all four
+("ensemble" mode, with stabilizer eps added to the absolute offsets that form
+the areas) or the nearest one, ties shared equally ("nearest" mode).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .encoder import EncoderConfig, EncoderParams, build_encoder, encode_t
 from .errors import ConfigError, DomainError, ShapeError
 from .filters import ParamFilter, group_conv_t, make_param_filter, _feat_to_internal
 from .groups import GroupFeatureMap, RotationGroup, make_group
-from .image import Image, pixel_coords
+from .image import Image, cell_position, pixel_coords
 
 # Byte budget for the temporaries of one chunk of queries in
 # eval_global_batch.  Each array of a chunk then stays below glibc's largest
@@ -58,6 +58,13 @@ _CHUNK_BYTES = 32 << 20
 # chunk budget, SR memory grows with the output: its coordinates and pixel
 # values, about 64 bytes per output pixel (1.1 GB at the limit).
 MAX_OUTPUT_PIXELS = 1 << 24
+
+# Local evaluations per query the chunk budget plans for, per mode.
+_EVALS = {"ensemble": 4, "nearest": 1}
+
+# Distance in LR cells from the midpoint of two latents within which nearest
+# mode counts them as tied.
+_TIE = 1e-9
 
 
 def _is_int(v) -> bool:
@@ -396,50 +403,56 @@ def _eval_local_batch(params: INRParams, lat_q: Latents, X: np.ndarray) -> Tenso
 # global assembly
 # ---------------------------------------------------------------------------
 
-def _snap(x: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-pixel flat indices and centers for coordinates x (Q, 2)."""
-    u = (1.0 - x[:, 1]) * (h / 2.0)
-    v = (x[:, 0] + 1.0) * (w / 2.0)
-    i = np.clip(np.ceil(u).astype(np.int64) - 1, 0, h - 1)
-    j = np.clip(np.ceil(v).astype(np.int64) - 1, 0, w - 1)
-    centers = np.stack([-1.0 + (j + 0.5) * (2.0 / w), 1.0 - (i + 0.5) * (2.0 / h)], axis=1)
-    return i * w + j, centers
+def _corners(X: np.ndarray, h: int, w: int, mode: str,
+             eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices (4Q,), offsets (4Q, 2) and weights (4, Q) of the 2x2 latents
+    around each query X (Q, 2) on an h x w grid, corner-major.
+
+    Per axis the pair is floor(p) and floor(p) + 1 of the cell position p,
+    clamped only at the border, and each gets a factor; a corner's weight is
+    the product of its two factors, normalized per query.  With d = p -
+    floor(p), ensemble factors are the LIIF areas 2(1 - d) + eps and 2d + eps,
+    so the total is never 0; nearest mode gives 1 to the nearer latent and,
+    within _TIE of the midpoint, to both, so ties are rotation symmetric.
+    """
+    fi, fj = cell_position(X, h, w)
+    i, j = np.floor(fi), np.floor(fj)
+
+    def factors(d):
+        if mode == "ensemble":
+            return np.stack([2.0 * (1.0 - d) + eps, 2.0 * d + eps])
+        return np.stack([d <= 0.5 + _TIE, d >= 0.5 - _TIE])
+
+    weights = (factors(fi - i)[:, None] * factors(fj - j)).reshape(4, -1)
+    # corner 2a + b is row i + a, column j + b, clamped after weighting: a
+    # border query's two clamped corners are one latent at one offset
+    ri = np.clip(np.stack([i, i + 1]), 0, h - 1)
+    cj = np.clip(np.stack([j, j + 1]), 0, w - 1)
+    off = np.empty((2, 2, X.shape[0], 2))
+    off[..., 0] = 2.0 * (fj - cj)
+    off[..., 1] = 2.0 * (ri - fi)[:, None]
+    flat = (ri[:, None] * w + cj).astype(np.int64).ravel()
+    return flat, off.reshape(-1, 2), weights / weights.sum(axis=0)
 
 
 def _eval_global_chunk(model: INRModel, lats: Latents, X: np.ndarray,
                        mode: str, eps: float) -> Tensor:
-    h, w = lats.h, lats.w
-    if mode == "nearest":
-        flat, centers = _snap(X, h, w)
-        off = (X - centers) * np.array([w, h])  # one LR cell spans [-1, 1]
-        return _eval_local_batch(model.inr, _gather_latents(model, lats, flat), off)
-
-    # local ensemble over the four surrounding latents
     q = X.shape[0]
-    rx, ry = 1.0 / w, 1.0 / h  # half cell
-    shifts = [(-rx, -ry), (-rx, ry), (rx, -ry), (rx, ry)]
-    flats, offs, areas = [], [], []
-    for sx, sy in shifts:
-        flat, centers = _snap(X + np.array([sx, sy]), h, w)
-        rel = (X - centers) * np.array([w, h])
-        flats.append(flat)
-        offs.append(rel)
-        areas.append((np.abs(rel[:, 0]) + eps) * (np.abs(rel[:, 1]) + eps))
-    areas = np.stack(areas)  # (4, Q)
-    # weight of corner q is the area spanned toward the diagonally opposite
-    # corner; a zero total (all four snaps clamped onto one border pixel)
-    # degenerates to identical predictions, blended uniformly
-    weights = areas[::-1]
-    total = weights.sum(axis=0)
-    safe = np.where(total > 0.0, total, 1.0)
-    weights = np.where(total > 0.0, weights / safe, 0.25)
-
-    lat_q = _gather_latents(model, lats, np.concatenate(flats))
-    preds = _eval_local_batch(model.inr, lat_q, np.concatenate(offs, axis=0))
-    n0 = preds.shape[1]
-    preds = diff.reshape(preds, (4, q, n0))
-    preds = diff.mul(preds, diff.constant(weights[:, :, None]))
-    return diff.reduce_sum(preds, axes=0)
+    flat, off, weights = _corners(X, lats.h, lats.w, mode, eps)
+    # only corners with weight are evaluated, at most _EVALS[mode] * Q rows at
+    # a time, so nearest-mode ties stay inside the chunk budget
+    rows = np.flatnonzero(weights)
+    step = _EVALS[mode] * q
+    preds = [_eval_local_batch(model.inr, _gather_latents(model, lats, flat[r]),
+                               np.take(off, r, axis=0))
+             for r in (rows[a:a + step] for a in range(0, rows.size, step))]
+    preds.append(diff.constant(np.zeros((1, model.cfg.out_channels))))
+    live_weights = np.append(weights.ravel()[rows], 0.0)[:, None]
+    preds = diff.mul(diff.concat(preds, axis=0), diff.constant(live_weights))
+    # each corner slot reads its weighted evaluation, a zero-weight slot the zero row
+    slot = np.full(4 * q, rows.size)
+    slot[rows] = np.arange(rows.size)
+    return diff.reduce_sum(diff.reshape(diff.gather(preds, slot), (4, q, -1)), axes=0)
 
 
 def _query_bytes(cfg: ModelConfig, mode: str) -> int:
@@ -454,7 +467,7 @@ def _query_bytes(cfg: ModelConfig, mode: str) -> int:
     # per local evaluation: the group slots, then the t-free output head
     # (W_out1 and psi layers, two arrays each), outputs, offsets and weights
     floats = cfg.t * slot + 2 * (cfg.width + sum(cfg.psi_widths)) + 2 * cfg.out_channels + 8
-    return (4 if mode == "ensemble" else 1) * 8 * floats
+    return _EVALS[mode] * 8 * floats
 
 
 def _workers() -> int:
@@ -518,7 +531,7 @@ def _eval_chunks_threaded(model: INRModel, lats: Latents, X: np.ndarray, mode: s
     Thread i runs on slice i of this thread's CPUs (see _cpu_slices), and
     this thread gets its own CPU set back before the call returns.
     """
-    out = np.empty((X.shape[0], model.cfg.out_channels), dtype=diff.get_default_dtype())
+    out = np.empty((X.shape[0], model.cfg.out_channels))
     spans = iter(zip(cuts[:-1], cuts[1:]))
     lock = threading.Lock()
     errors: list[BaseException] = []
@@ -569,7 +582,7 @@ def eval_global_batch(model: INRModel, lats: Latents, X: np.ndarray,
     """
     mode = model.cfg.mode if mode is None else mode
     eps = model.cfg.eps if eps is None else eps
-    if mode not in ("ensemble", "nearest"):
+    if mode not in _EVALS:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
     q = X.shape[0]
     recording = diff.recording()

@@ -15,7 +15,7 @@ from equisr.data import (
 from equisr.errors import ConfigError, ParseError
 from equisr.filters import phi_bic
 from equisr.groups import rotate_image
-from equisr.image import Image
+from equisr.image import Image, coord_to_index, pixel_coords
 
 
 def _resize_axis_oracle(values, n_out):
@@ -187,6 +187,21 @@ class TestPatchSampling:
             # queries index distinct HR cells
             ij = np.round((p.coords + 1.0) / 2.0 * p.hr.h - 0.5).astype(int)
             assert len({(a, b) for a, b in ij}) == 24 * 24
+
+    def test_queries_are_hr_cell_centers(self):
+        # pixel_coords is bit for bit the per-query formula sampling used
+        # before it shared the image module's coordinates
+        for hs in range(1, 97):
+            ii, jj = np.divmod(np.arange(hs * hs), hs)
+            inline = np.stack([-1.0 + (jj + 0.5) * (2.0 / hs),
+                               1.0 - (ii + 0.5) * (2.0 / hs)], axis=1)
+            assert np.array_equal(pixel_coords(hs)[ii, jj], inline)
+        spec = DatasetSpec(kind="stripes", count=4, size=96, seed=0,
+                           scale_lo=2.0, scale_hi=4.0)
+        for p in sample_patch_pairs(spec, 24, (2.0, 4.0), 4, seed=1):
+            ii, jj = coord_to_index(p.coords, p.hr.h).T
+            assert np.array_equal(p.coords, pixel_coords(p.hr.h)[ii, jj])
+            assert np.array_equal(p.targets, p.hr.data[ii, jj])
 
     def test_patch_too_large_rejected(self):
         spec = DatasetSpec(kind="stripes", count=1, size=24, seed=0,

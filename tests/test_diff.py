@@ -333,14 +333,3 @@ def test_finite_check_flag():
                 diff.mul(Tensor([1e300]), Tensor([1e300]))
     finally:
         diff.CHECK_FINITE = False
-
-
-def test_float32_runtime_option():
-    diff.set_default_dtype(np.float32)
-    try:
-        out = diff.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
-        assert out.data.dtype == np.float32
-    finally:
-        diff.set_default_dtype(np.float64)
-    with pytest.raises(ContractError):
-        diff.set_default_dtype(np.int32)

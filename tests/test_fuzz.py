@@ -2,8 +2,9 @@
 
 Every malformed input must end as ParseError (images) or CheckpointError
 (checkpoints), both exit 3 from the CLI; no raw TypeError, ValueError,
-KeyError, OSError or numpy error may escape.  Examples are derandomized and
-bounded, so the suite stays fast and reproducible.
+KeyError, OSError or numpy error may escape.  Examples are bounded and, under
+the test suite's hypothesis profile (tests/conftest.py), derandomized, so the
+suite stays fast and reproducible.
 """
 
 import json
@@ -19,8 +20,7 @@ from equisr.errors import CheckpointError, ParseError
 from equisr.inr import ModelConfig, build_model
 from equisr.training import load_checkpoint, save_checkpoint
 
-FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,
-                suppress_health_check=[HealthCheck.function_scoped_fixture])
+FUZZ = settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def _json_values(ints):

@@ -7,12 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisr import diff, inr
 from equisr.data import DatasetSpec
 from equisr.errors import ConfigError, DomainError
 from equisr.groups import make_group, rotate_image
-from equisr.image import Image, coord_to_index
+from equisr.image import Image, coord_to_index, pixel_coords
 from equisr.inr import (
     INRModel,
     Latents,
@@ -343,6 +345,61 @@ class TestEvalGlobal:
         idx = coord_to_index(np.array([-1.0 + 4.4 * (2.0 / h), y_boundary]), h)
         assert idx.tolist() == [4, 4]  # upper row index wins
 
+    def test_nearest_tie_on_cell_edge_shares_both_latents(self):
+        model = self._model()
+        img = Image(np.random.default_rng(4).random((8, 8, 3)))
+        feat = encode(model.encoder, img)
+        # on the edge between columns 2 and 3 of row 2
+        x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 2.5 * (2.0 / 8)])
+        got = eval_global(model, feat, x, mode="nearest")
+        expected = (eval_local(feat.data[2, 2], np.array([1.0, 0.0]), model.inr)
+                    + eval_local(feat.data[2, 3], np.array([-1.0, 0.0]), model.inr)) / 2
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_nearest_tie_on_cell_corner_shares_all_four_latents(self):
+        model = self._model()
+        img = Image(np.random.default_rng(5).random((8, 8, 3)))
+        feat = encode(model.encoder, img)
+        # the corner shared by rows 2, 3 and columns 2, 3
+        x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 3 * (2.0 / 8)])
+        got = eval_global(model, feat, x, mode="nearest")
+        expected = sum(eval_local(feat.data[i, j], np.array([1.0 - 2 * (j - 2), 2 * (i - 2) - 1.0]),
+                                  model.inr)
+                       for i in (2, 3) for j in (2, 3)) / 4
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("i,j", [(7, 3), (2, 7), (7, 7)])
+    def test_last_row_and_column_centers_with_zero_eps(self, i, j):
+        # the successor corner lies past the border; with eps = 0 its weight
+        # is 0, and the query must still get its own latent's value
+        model = self._model()
+        img = Image(np.random.default_rng(6).random((8, 8, 3)))
+        feat = encode(model.encoder, img)
+        x = np.array([-1.0 + (j + 0.5) * (2.0 / 8), 1.0 - (i + 0.5) * (2.0 / 8)])
+        got = eval_global(model, feat, x, mode="ensemble", eps=0.0)
+        expected = eval_local(feat.data[i, j], np.zeros(2), model.inr)
+        assert np.all(np.isfinite(got)) and np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_nearest_evaluates_one_latent_per_query_off_ties(self, monkeypatch):
+        model, lats = _latents(_small_cfg("lte", 4), 8)
+        X = np.random.default_rng(13).uniform(-1.0, 1.0, (500, 2))
+        rows = []
+        real = inr._eval_local_batch
+
+        def counting(params, lat_q, X):
+            rows.append(X.shape[0])
+            return real(params, lat_q, X)
+
+        monkeypatch.setattr(inr, "_eval_local_batch", counting)
+        got = eval_global_batch(model, lats, X, mode="nearest").data
+        assert rows == [500]
+        # and that latent is the nearest one, at its own offset
+        ij = coord_to_index(X, 8)
+        centers = pixel_coords(8)[ij[:, 0], ij[:, 1]]
+        lat_q = inr._gather_latents(model, lats, ij[:, 0] * 8 + ij[:, 1])
+        expected = real(model.inr, lat_q, (X - centers) * 8).data
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_value_continuous_across_cell_boundary(self):
         model = self._model()
         img = Image(np.random.default_rng(3).random((8, 8, 3)))
@@ -409,6 +466,21 @@ class TestSuperResolve:
         y0e = super_resolve(model, img, 2.0, eps=1e-7)
         y1e = super_resolve(model, rotate_image(img, angle), 2.0, eps=1e-7)
         assert nmse(y1e, rotate_image(y0e, angle)) <= 1e-4
+
+    @settings(max_examples=200)
+    @given(variant=st.sampled_from(["liif", "ope", "lte"]), t=st.sampled_from([2, 4]),
+           h=st.integers(3, 12), mode=st.sampled_from(["ensemble", "nearest"]),
+           scale=st.sampled_from([1.0, 1.5, 3.0, 5.0]) | st.floats(1.0, 6.0),
+           seed=st.integers(0, 2**16))
+    def test_exact_p2_p4_equivariance_at_every_scale(self, variant, t, h, mode, scale, seed):
+        # with eps = 0 the 2x2 corner set and its weights commute with a
+        # quarter (half) turn at any scale, cell edges and centers included
+        model = build_model(_small_cfg(variant, t, eps=0.0), seed=seed)
+        img = Image(np.random.default_rng(seed).random((h, h, 3)))
+        angle = 2 * np.pi / t
+        y0 = super_resolve(model, img, scale, mode=mode)
+        y1 = super_resolve(model, rotate_image(img, angle), scale, mode=mode)
+        assert nmse(y1, rotate_image(y0, angle)) <= 1e-6
 
     def test_overfit_one_image_reconstructs_it(self):
         data = DatasetSpec(kind="smooth-field", count=1, size=16, seed=3,
@@ -491,23 +563,33 @@ class TestStreamedAssembly:
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
     def test_memory_bounded_by_budget(self, monkeypatch, variant):
-        model, lats = _latents(ModelConfig(variant=variant, t=4, blocks=1), 16)
+        cfg = ModelConfig(variant=variant, t=4, blocks=1)
+        model, lats = _latents(cfg, 16)
+        tie_lats = _latents(cfg, 64)[1]
         rng = np.random.default_rng(3)
+
+        def temporaries(lats, X, mode="ensemble"):
+            tracemalloc.start()
+            try:
+                out = eval_global_batch(model, lats, X, mode=mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out_bytes = out.data.nbytes
+            assert peak <= inr._CHUNK_BYTES + 2 * out_bytes
+            return peak - 2 * out_bytes
+
         for workers in (1, 2):
             _pin_workers(monkeypatch, workers)
-            temporaries = {}
-            for q in (16384, 65536):
-                X = rng.uniform(-1.0, 1.0, (q, 2))
-                tracemalloc.start()
-                try:
-                    out = eval_global_batch(model, lats, X)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                out_bytes = out.data.nbytes
-                assert peak <= inr._CHUNK_BYTES + 2 * out_bytes
-                temporaries[q] = peak - 2 * out_bytes
-            assert temporaries[65536] <= 1.1 * temporaries[16384]
+            small = temporaries(lats, rng.uniform(-1.0, 1.0, (16384, 2)))
+            large = temporaries(lats, rng.uniform(-1.0, 1.0, (65536, 2)))
+            assert large <= 1.1 * small
+            # 64 -> 96: a third of the HR rows and of the columns lie on LR
+            # cell edges, so nearest mode evaluates 16/9 latents per query;
+            # it must take no more memory than as many queries off ties
+            ties = temporaries(tie_lats, pixel_coords(96).reshape(-1, 2), "nearest")
+            off_ties = temporaries(tie_lats, rng.uniform(-1.0, 1.0, (96 * 96, 2)), "nearest")
+            assert ties <= 1.1 * off_ties
 
 
 class TestParallelAssembly:
