@@ -87,11 +87,9 @@ def coord_to_index(x: np.ndarray, h: int, w: int | None = None) -> np.ndarray:
     """
     if w is None:
         w = h
-    x = np.asarray(x, dtype=np.float64)
-    u = (1.0 - x[..., 1]) * (h / 2.0)  # row position
-    v = (x[..., 0] + 1.0) * (w / 2.0)  # column position
-    i = np.clip(np.ceil(u).astype(np.int64) - 1, 0, h - 1)
-    j = np.clip(np.ceil(v).astype(np.int64) - 1, 0, w - 1)
+    fi, fj = cell_position(x, h, w)
+    i = np.clip(np.ceil(fi + 0.5).astype(np.int64) - 1, 0, h - 1)
+    j = np.clip(np.ceil(fj + 0.5).astype(np.int64) - 1, 0, w - 1)
     return np.stack([i, j], axis=-1)
 
 

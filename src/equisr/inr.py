@@ -48,11 +48,10 @@ from .groups import GroupFeatureMap, RotationGroup, make_group
 from .image import Image, cell_position, pixel_coords
 
 # Byte budget for the temporaries of one chunk of queries in
-# eval_global_batch.  Each array of a chunk then stays below glibc's largest
-# mmap threshold (32 MiB), so it is reused from the heap instead of being
-# page-faulted in afresh, and a default-config training item (576 queries,
-# ensemble mode, t = 4) of every variant is still one chunk.
-_CHUNK_BYTES = 32 << 20
+# eval_global_batch, per thread.  Each array of a chunk then stays below
+# glibc's largest mmap threshold (32 MiB), so it is reused from the heap
+# instead of being page-faulted in afresh.
+_CHUNK_BYTES = 16 << 20
 
 # Largest output super_resolve accepts, in pixels (4096 x 4096).  Past the
 # chunk budget, SR memory grows with the output: its coordinates and pixel
@@ -104,8 +103,6 @@ class ModelConfig:
     K: int = 16  # lte frequency count
     eps: float = 1e-7  # local-ensemble stabilizer
     mode: str = "ensemble"  # ensemble | nearest
-    relu_after_input: bool | None = None  # None = auto (liif with L > 0)
-    bias: bool = True
 
     def __post_init__(self):
         if self.variant not in ("liif", "ope", "lte"):
@@ -122,8 +119,6 @@ class ModelConfig:
             raise ConfigError(f"psi_widths must be integers >= 1, got {self.psi_widths!r}")
         if not ((_is_int(self.eps) or isinstance(self.eps, float)) and 0 <= self.eps < math.inf):
             raise ConfigError(f"eps must be finite and non-negative, got {self.eps!r}")
-        if self.relu_after_input not in (None, True, False) or self.bias not in (True, False):
-            raise ConfigError("relu_after_input must be null or a boolean, bias a boolean")
         if self.variant in ("ope", "lte") and self.L != 0:
             raise ConfigError(f"{self.variant} uses no intermediate layers (L = 0)")
 
@@ -135,13 +130,8 @@ class ModelConfig:
         return EncoderConfig(
             variant="plain" if self.t == 1 else "equivariant",
             t=self.t, blocks=self.blocks, n=self.n, p=self.p,
-            c_in=self.c_in, bias=self.bias,
+            c_in=self.c_in,
         )
-
-    def relu_in(self) -> bool:
-        if self.relu_after_input is not None:
-            return self.relu_after_input
-        return self.variant == "liif" and self.L > 0
 
 
 @dataclass
@@ -390,7 +380,7 @@ def _eval_local_batch(params: INRParams, lat_q: Latents, X: np.ndarray) -> Tenso
         return _apply_psi(params.psi, z)
     # liif
     h = _input_layer_liif(params, lat_q.main, X)
-    if cfg.relu_in():
+    if cfg.L > 0:
         h = diff.relu(h)
     for w_mid in params.W_mid:
         h = diff.relu(_cyclic_layer(h, w_mid))
@@ -572,30 +562,25 @@ def eval_global_batch(model: INRModel, lats: Latents, X: np.ndarray,
                       mode: str | None = None, eps: float | None = None) -> Tensor:
     """Evaluate the global continuous function at queries X (Q, 2).
 
-    Queries run in equal chunks (sizes differ by at most one) whose
-    temporaries, over all chunks in flight, fit the _CHUNK_BYTES budget, so
-    memory past the (Q, n0) output does not grow with Q.  Chunks run on
-    `_workers()` threads into one output array unless this thread records
-    (a tape or the relu trace, both per thread); then they run serially and
-    the result keeps its tape entries.  Under a tape every chunk's
-    intermediates are kept, so training items are sized to stay one chunk.
+    While this thread records (a tape or the relu trace, both per thread) the
+    queries are one chunk: a tape keeps every chunk's temporaries, so
+    splitting would save nothing.  Otherwise they run in equal chunks (sizes
+    differ by at most one) whose temporaries fit the per-thread _CHUNK_BYTES
+    budget, on `_workers()` threads into one output array.  Chunk boundaries
+    follow from the model, mode and Q alone, so the output does not depend on
+    the thread count, and memory past the (Q, n0) output does not grow with Q.
     """
     mode = model.cfg.mode if mode is None else mode
     eps = model.cfg.eps if eps is None else eps
     if mode not in _EVALS:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
-    q = X.shape[0]
-    recording = diff.recording()
-    workers = 1 if recording else _workers()
-    rows = max(1, _CHUNK_BYTES // (workers * _query_bytes(model.cfg, mode)))
-    chunks = max(1, -(-q // rows))
-    if chunks == 1:
+    if diff.recording():
         return _eval_global_chunk(model, lats, X, mode, eps)
+    q = X.shape[0]
+    rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg, mode))
+    chunks = max(1, -(-q // rows))
     cuts = [q * i // chunks for i in range(chunks + 1)]
-    if not recording:
-        return diff.constant(_eval_chunks_threaded(model, lats, X, mode, eps, cuts, workers))
-    return diff.concat([_eval_global_chunk(model, lats, X[a:b], mode, eps)
-                        for a, b in zip(cuts[:-1], cuts[1:])], axis=0)
+    return diff.constant(_eval_chunks_threaded(model, lats, X, mode, eps, cuts, _workers()))
 
 
 def output_size(h: int, w: int, scale: float) -> tuple[int, int]:

@@ -191,8 +191,14 @@ def load_checkpoint(json_path: str) -> INRModel:
         raise CheckpointError(f"blob {blob_name!r} is not a file name", field="blob")
     if not isinstance(manifest["params"], list):
         raise CheckpointError("params is not a JSON list", field="params")
+    cfg_dict = dict(manifest["model"])
+    # knobs removed from ModelConfig load only at their one former value;
+    # `is` compares type too, so 1 does not pass for true
+    for key, former in (("relu_after_input", None), ("bias", True)):
+        if cfg_dict.pop(key, former) is not former:
+            raise CheckpointError(f"{key} is no longer configurable; only "
+                                  f"{json.dumps(former)} loads", field=key)
     try:
-        cfg_dict = dict(manifest["model"])
         cfg_dict["psi_widths"] = tuple(cfg_dict.get("psi_widths", ()))
         model = build_model(ModelConfig(**cfg_dict), seed=0)
     except (TypeError, ValueError) as e:  # ConfigError is a ValueError

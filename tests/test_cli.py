@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from equisr import __version__, config, metrics
+from equisr import __version__, config, inr, metrics
 from equisr.cli import main
 from equisr.data import read_image, write_image
 from equisr.errors import ConfigError
@@ -106,6 +106,18 @@ class TestEvalEquiv:
         assert len(os.listdir(maps_dir)) == A * S * R * N + 1
         for name in os.listdir(expected_dir):
             assert (maps_dir / name).read_bytes() == (expected_dir / name).read_bytes(), name
+
+    def test_defaults_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
+        # chunk boundaries must not follow the thread count: liif's products
+        # round differently per chunk size
+        cfg = _write_config(tmp_path, config.defaults())
+        outs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(inr, "_workers", lambda w=workers: w)
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["eval-equiv", "--config", cfg, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = _write_config(tmp_path, {"modle": {}})

@@ -134,15 +134,37 @@ def test_checkpoint_mutated_manifest_key(tmp_path, saved, key, value, delete):
     assert _load_outcome(tmp_path, doc, blob) is None
 
 
-@pytest.mark.parametrize("key", sorted(ModelConfig.__dataclass_fields__) + ["extra"])
+# model keys of knobs that were removed, with the one value that still loads
+RETIRED = {"relu_after_input": None, "bias": True}
+
+
+@pytest.mark.parametrize("key", sorted([*ModelConfig.__dataclass_fields__, *RETIRED]) + ["extra"])
 @settings(FUZZ, max_examples=40)
 @given(value=MODEL_VALUES)
 def test_checkpoint_mutated_model_field(tmp_path, saved, key, value):
     manifest, blob = saved
     doc = {**manifest, "model": {**manifest["model"], key: value}}
     model = _load_outcome(tmp_path, doc, blob)
-    assert model is None or getattr(model.cfg, key) == (
-        tuple(value) if key == "psi_widths" else value)
+    if key in RETIRED:
+        assert (model is None) == (value is not RETIRED[key])
+    else:
+        assert model is None or getattr(model.cfg, key) == (
+            tuple(value) if key == "psi_widths" else value)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("relu_after_input", True), ("relu_after_input", False), ("relu_after_input", 0),
+    ("bias", False), ("bias", 1), ("bias", 1.0), ("bias", None),
+])
+def test_checkpoint_retired_knob(tmp_path, saved, key, value):
+    manifest, blob = saved
+    legacy = {**manifest, "model": {**manifest["model"], **RETIRED}}
+    assert _load_outcome(tmp_path, legacy, blob) is not None
+    doc = {**legacy, "model": {**legacy["model"], key: value}}
+    assert _load_outcome(tmp_path, doc, blob) is None
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(str(tmp_path / "m.json"))
+    assert err.value.field == key
 
 
 @FUZZ
