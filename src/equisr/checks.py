@@ -100,7 +100,7 @@ def _primitive_checks() -> list[CheckResult]:
 
 
 def _filter_checks() -> list[CheckResult]:
-    g4, g2 = make_group(4), make_group(2)
+    g8, g4, g2 = make_group(8), make_group(4), make_group(2)
     c45, s45 = np.cos(np.pi / 4), np.sin(np.pi / 4)
     A45 = np.array([[c45, s45], [-s45, c45]])
 
@@ -110,15 +110,19 @@ def _filter_checks() -> list[CheckResult]:
     def lift(x, coeffs):
         return diff.reduce_sum(diff.sin(lifting_conv_t(x, ParamFilter(coeffs), g4, pad="same")))
 
-    def gconv(x, coeffs):
-        return diff.reduce_sum(diff.sin(group_conv_t(x, ParamFilter(coeffs), g2, pad="valid")))
+    def gconv(group):
+        return lambda x, coeffs: diff.reduce_sum(diff.sin(
+            group_conv_t(x, ParamFilter(coeffs), group, pad="valid")))
 
     return [
         _check("filters.synthesize", synth, [lambda r: r.standard_normal((2, 1, 1, 5, 5))]),
         _check("filters.lifting_conv", lift, [lambda r: r.standard_normal((6, 6, 3)),
                                               lambda r: r.standard_normal((2, 1, 3, 3, 3))]),
-        _check("filters.group_conv", gconv, [lambda r: r.standard_normal((5, 5, 2, 2)),
-                                             lambda r: r.standard_normal((2, 2, 2, 3, 3))]),
+        _check("filters.group_conv", gconv(g2), [lambda r: r.standard_normal((5, 5, 2, 2)),
+                                                 lambda r: r.standard_normal((2, 2, 2, 3, 3))]),
+        # t = 2 and t = 4 resample by masked permutations, t = 8 interpolates
+        _check("filters.group_conv.t8", gconv(g8), [lambda r: r.standard_normal((4, 4, 8, 1)),
+                                                    lambda r: r.standard_normal((2, 8, 1, 3, 3))]),
     ]
 
 

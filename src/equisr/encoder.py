@@ -25,7 +25,6 @@ from .errors import ConfigError, ShapeError
 from .filters import (
     ParamFilter,
     group_conv_t,
-    lifting_conv_t,
     make_param_filter,
     _feat_to_public,
 )
@@ -35,7 +34,6 @@ from .image import Image
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    variant: str = "equivariant"  # "plain" | "equivariant"
     t: int = 4
     blocks: int = 4
     n: int = 8  # channels per group slot
@@ -44,10 +42,6 @@ class EncoderConfig:
     bias: bool = True
 
     def __post_init__(self):
-        if self.variant not in ("plain", "equivariant"):
-            raise ConfigError(f"unknown encoder variant {self.variant!r}")
-        if self.variant == "plain" and self.t != 1:
-            raise ConfigError("plain encoder variant forces t = 1")
         if self.blocks < 1 or self.n < 1:
             raise ConfigError("encoder needs blocks >= 1 and n >= 1")
         if self.p % 2 == 0 or self.p < 1:
@@ -88,28 +82,22 @@ def build_encoder(cfg: EncoderConfig, seed: int = 0) -> EncoderParams:
     return EncoderParams(cfg, group, filters, biases)
 
 
-def _conv(params: EncoderParams, name: str, x: Tensor, lifting: bool = False) -> Tensor:
-    pf = params.filters[name]
-    if lifting:
-        y = lifting_conv_t(x, pf, params.group, pad="same")
-    else:
-        y = group_conv_t(x, pf, params.group, pad="same")
-    b = params.biases.get(name)
-    if b is not None:
-        y = diff.add(y, diff.reshape(b, (1, 1, 1, pf.c_out)))
-    return y
-
-
 def encode_t(params: EncoderParams, x: Tensor) -> Tensor:
-    """Image tensor (h, w, c_in) -> feature tensor (h, w, t, n)."""
-    head = _conv(params, "head", x, lifting=True)
+    """Image tensor ([b,] h, w, c_in) -> feature tensor ([b,] h, w, t, n)."""
+
+    def conv(name: str, y: Tensor) -> Tensor:
+        return group_conv_t(y, params.filters[name], params.group,
+                            bias=params.biases.get(name))
+
+    # the head is a lifting convolution: an image is a one-slot feature map
+    head = conv("head", diff.reshape(x, x.shape[:-1] + (1, x.shape[-1])))
     y = head
     for b in range(params.cfg.blocks):
-        r = _conv(params, f"block{b}.conv0", y)
+        r = conv(f"block{b}.conv0", y)
         r = diff.relu(r)
-        r = _conv(params, f"block{b}.conv1", r)
+        r = conv(f"block{b}.conv1", r)
         y = diff.add(y, r)
-    y = _conv(params, "tail", y)
+    y = conv("tail", y)
     return diff.add(y, head)
 
 

@@ -11,9 +11,11 @@ and 0 at every other node), the coefficient grid *is* the filter at the
 identity rotation, and the filter at any rotation A is obtained by
 resampling the continuous function at A^{-1} u over the grid nodes u.
 
-Resampling is a fixed linear map per (p, A); the matrices are precomputed
-and cached, so kernel synthesis is one matrix product that is trivially
-differentiable w.r.t. the coefficients.
+Resampling is a fixed linear map per (p, A).  A layer's whole kernel is
+assembled in two differentiable steps: one matrix product of every
+coefficient grid with the t resample matrices placed side by side (cached
+per p and group), then one gather by a cached index that puts filter slot
+(b - a) mod g_in, rotated by A_a, at block (a, b).
 
 Synthesized taps (and the coefficients themselves) outside the disk of
 radius (p+1)/2 cells are zeroed so that rotated filters never lose mass off
@@ -22,14 +24,17 @@ the corner of the grid; for p in {3, 5} this mask is all ones.
 Two layer types are built on top:
 
 * `lifting_conv` takes an image to a group feature map by convolving with
-  every rotated copy of one filter;
+  every rotated copy of one filter (g_in = 1);
 * `group_conv` maps group features to group features, pairing spatial
-  rotation with a cyclic shift of the filter's own group index.  With p = 1
-  it degenerates to the equivariant pointwise (1x1) layer.
+  rotation with a cyclic shift of the filter's own group index (g_in = t).
+  With p = 1 it degenerates to the equivariant pointwise (1x1) layer.
+
+Both are the same code: an image is a group feature map with one slot.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +95,6 @@ def _check_orthogonal(A: np.ndarray) -> np.ndarray:
     return A
 
 
-_RM_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def resample_matrix(p: int, A: np.ndarray) -> np.ndarray:
     """(p^2, p^2) map from basis coefficients to the kernel rotated by A.
 
@@ -101,17 +103,12 @@ def resample_matrix(p: int, A: np.ndarray) -> np.ndarray:
     mask itself (the interpolation property).
     """
     A = _check_orthogonal(A)
-    key = (p, A.tobytes())
-    cached = _RM_CACHE.get(key)
-    if cached is not None:
-        return cached
     nodes = _grid_nodes(p)
     src = nodes @ A  # row-vector form of A^{-1} u for orthogonal A
     M = BicubicBasis(p).design_matrix(src)
     mask = coeff_disk_mask(p).ravel()
     M[~mask, :] = 0.0
     M[:, ~mask] = 0.0
-    _RM_CACHE[key] = M
     return M
 
 
@@ -152,36 +149,58 @@ class ParamFilter:
 
 def make_param_filter(c_out: int, g_in: int, c_in: int, p: int,
                       data: np.ndarray | None = None,
-                      rng: np.random.Generator | None = None,
-                      gain: float = 1.0,
-                      requires_grad: bool = True) -> ParamFilter:
+                      rng: np.random.Generator | None = None) -> ParamFilter:
     """Create a filter from explicit coefficients or He-uniform init."""
     shape = (c_out, g_in, c_in, p, p)
     if data is None:
         if rng is None:
             raise ShapeError("make_param_filter needs either data or an rng")
         fan_in = g_in * c_in * p * p
-        bound = gain * np.sqrt(6.0 / fan_in)
+        bound = np.sqrt(6.0 / fan_in)
         data = rng.uniform(-bound, bound, size=shape)
     else:
         data = np.asarray(data, dtype=np.float64)
         if data.shape != shape:
             raise ShapeError(f"coefficient data has shape {data.shape}, expected {shape}")
     data = data * coeff_disk_mask(p)
-    return ParamFilter(Tensor(data, requires_grad=requires_grad))
+    return ParamFilter(diff.parameter(data))
 
 
-def _resample_coeffs(coeffs: Tensor, p: int, M: np.ndarray) -> Tensor:
-    lead = coeffs.shape[:-2]
-    flat = diff.reshape(coeffs, (int(np.prod(lead)), p * p))
-    out = diff.matmul(flat, diff.constant(M.T))
-    return diff.reshape(out, lead + (p, p))
+@functools.lru_cache(maxsize=None)
+def _side_by_side(p: int, matrices: bytes) -> np.ndarray:
+    """(p^2, k p^2): the transposed resample matrices of k rotations, given
+    as the bytes of a (k, 2, 2) array, side by side."""
+    mats = np.frombuffer(matrices).reshape(-1, 2, 2)
+    return np.concatenate([resample_matrix(p, A).T for A in mats], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_index(k: int, c_out: int, g_in: int, c_in: int) -> np.ndarray:
+    """Kernel row (a, o, b, i) is row (o, (b - a) mod g_in, i, a) of the
+    resampled stack: filter slot (b - a) mod g_in rotated by matrix a."""
+    a, o, b, i = np.ix_(range(k), range(c_out), range(g_in), range(c_in))
+    return (((o * g_in + (b - a) % g_in) * c_in + i) * k + a).ravel()
+
+
+def _rotated_kernels(coeffs: Tensor, matrices: np.ndarray) -> Tensor:
+    """Kernels (k c_out, g_in c_in, p, p) of k (2, 2) rotation matrices.
+
+    Block (a, b) holds filter slot (b - a) mod g_in rotated by matrices[a]:
+    one product resamples every coefficient grid by all k matrices, and one
+    gather puts each resampled grid at its block.
+    """
+    c_out, g_in, c_in, p, _ = coeffs.shape
+    k, rows = len(matrices), c_out * g_in * c_in
+    flat = diff.reshape(coeffs, (rows, p * p))
+    rotated = diff.matmul(flat, diff.constant(_side_by_side(p, matrices.tobytes())))
+    grids = diff.reshape(rotated, (rows * k, p * p))
+    kern = diff.gather(grids, _block_index(k, c_out, g_in, c_in), axis=0)
+    return diff.reshape(kern, (k * c_out, g_in * c_in, p, p))
 
 
 def synthesize_kernel(f: ParamFilter, A: np.ndarray) -> Tensor:
     """Discrete kernel of the filter rotated by A, same shape as the coeffs."""
-    M = resample_matrix(f.p, A)
-    return _resample_coeffs(f.coeffs, f.p, M)
+    return diff.reshape(_rotated_kernels(f.coeffs, _check_orthogonal(A)[None]), f.coeffs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +211,7 @@ def lifting_kernel(f: ParamFilter, group: RotationGroup) -> Tensor:
     """Stacked rotated kernels (t*c_out, c_in, p, p); slot k is rotation A_k."""
     if f.g_in != 1:
         raise ShapeError(f"lifting filter must have g_in=1, got {f.g_in}")
-    blocks = []
-    for k in range(group.t):
-        kern = synthesize_kernel(f, group.matrix(k))
-        blocks.append(diff.reshape(kern, (f.c_out, f.c_in, f.p, f.p)))
-    return diff.concat(blocks, axis=0)
+    return _rotated_kernels(f.coeffs, group.matrices)
 
 
 def group_kernel(f: ParamFilter, group: RotationGroup) -> Tensor:
@@ -207,14 +222,7 @@ def group_kernel(f: ParamFilter, group: RotationGroup) -> Tensor:
     """
     if f.g_in != group.t:
         raise GroupError(f"group filter has g_in={f.g_in} but group order is {group.t}")
-    t = group.t
-    blocks = []
-    for a in range(t):
-        perm = np.array([(b - a) % t for b in range(t)], dtype=np.int64)
-        ga = diff.gather(f.coeffs, perm, axis=1)
-        kern = _resample_coeffs(ga, f.p, resample_matrix(f.p, group.matrix(a)))
-        blocks.append(diff.reshape(kern, (f.c_out, t * f.c_in, f.p, f.p)))
-    return diff.concat(blocks, axis=0)
+    return _rotated_kernels(f.coeffs, group.matrices)
 
 
 def lifting_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
@@ -222,25 +230,30 @@ def lifting_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
     """Image tensor ([b,] h, w, c_in) -> group feature tensor ([b,] h', w', t, n)."""
     if x.ndim not in (3, 4) or x.shape[-1] != f.c_in:
         raise ShapeError(f"lifting_conv: image shape {x.shape} vs filter c_in {f.c_in}")
-    y = diff.conv2d(x, lifting_kernel(f, group), pad=pad)
-    return diff.reshape(y, y.shape[:-1] + (group.t, f.c_out))
+    return group_conv_t(diff.reshape(x, x.shape[:-1] + (1, f.c_in)), f, group, pad=pad)
 
 
 def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
-                 pad: str = "same") -> Tensor:
-    """Group feature tensor ([b,] h, w, t, n_in) -> ([b,] h', w', t, n_out).
+                 pad: str = "same", bias: Tensor | None = None) -> Tensor:
+    """Feature tensor ([b,] h, w, g_in, n_in) -> ([b,] h', w', t, n_out).
 
     Output slot a sums, over input slots b, the convolution of slot b with
-    the filter at group index (b - a) mod t spatially rotated by A_a.
+    the filter at group index (b - a) mod g_in spatially rotated by A_a.  A
+    filter with g_in = 1 is a lifting filter (an image is a feature map with
+    one slot); otherwise g_in is the group order t.  An optional per-channel
+    `bias` is shared by all t output slots, which keeps the layer equivariant.
     """
-    if x.ndim not in (4, 5) or x.shape[-2] != group.t:
-        raise GroupError(f"feature tensor {x.shape} does not match group order {group.t}")
+    if x.ndim not in (4, 5) or x.shape[-2] != f.g_in:
+        raise GroupError(f"feature tensor {x.shape} does not match filter g_in {f.g_in}")
     if x.shape[-1] != f.c_in:
         raise ShapeError(f"group_conv: feature channels {x.shape[-1]} vs filter c_in {f.c_in}")
-    t = group.t
-    x_flat = diff.reshape(x, x.shape[:-2] + (t * f.c_in,))
-    y = diff.conv2d(x_flat, group_kernel(f, group), pad=pad)
-    return diff.reshape(y, y.shape[:-1] + (t, f.c_out))
+    kernel = lifting_kernel(f, group) if f.g_in == 1 else group_kernel(f, group)
+    x_flat = diff.reshape(x, x.shape[:-2] + (f.g_in * f.c_in,))
+    y = diff.conv2d(x_flat, kernel, pad=pad)
+    y = diff.reshape(y, y.shape[:-1] + (group.t, f.c_out))
+    if bias is not None:
+        y = diff.add(y, diff.reshape(bias, (1, 1, 1, f.c_out)))
+    return y
 
 
 # public wrappers on the h x w x n x t container types

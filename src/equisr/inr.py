@@ -127,11 +127,8 @@ class ModelConfig:
         return self.c_in
 
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            variant="plain" if self.t == 1 else "equivariant",
-            t=self.t, blocks=self.blocks, n=self.n, p=self.p,
-            c_in=self.c_in,
-        )
+        return EncoderConfig(t=self.t, blocks=self.blocks, n=self.n, p=self.p,
+                             c_in=self.c_in)
 
 
 @dataclass
@@ -273,24 +270,16 @@ class Latents:
         return ref.shape[1]
 
 
-def _head(model: INRModel, name: str, feat: Tensor) -> Tensor:
-    pf = model.inr.heads[name]
-    y = group_conv_t(feat, pf, model.group, pad="same")
-    b = model.inr.head_biases.get(name)
-    if b is not None:
-        y = diff.add(y, diff.reshape(b, (1, 1, 1, pf.c_out)))
-    return y
-
-
 def compute_latents(model: INRModel, feat: Tensor) -> Latents:
     """Turn encoder features (h, w, t, n) into the variant's latent codes."""
     v = model.cfg.variant
     if v == "liif":
         return Latents(v, main=feat)
+    out = {name: group_conv_t(feat, pf, model.group, bias=model.inr.head_biases.get(name))
+           for name, pf in model.inr.heads.items()}
     if v == "ope":
-        return Latents(v, main=_head(model, "ope_head", feat))
-    return Latents(v, amp=_head(model, "amp_head", feat),
-                   freq=_head(model, "freq_head", feat))
+        return Latents(v, main=out["ope_head"])
+    return Latents(v, amp=out["amp_head"], freq=out["freq_head"])
 
 
 def _gather_pixels(lat: Tensor, flat_idx: np.ndarray) -> Tensor:
@@ -325,13 +314,18 @@ def _cyclic_layer(u: Tensor, blocks: Tensor) -> Tensor:
     """out[:, b] = sum_a blocks[(a - b) % t] . u[:, a]: (Q, t, in) -> (Q, t, out).
 
     The cyclic weight tying is one gather of the (t, out, in) blocks by the
-    (a - b) % t table, followed by one contraction over slots and channels.
+    (a - b) % t table, laid out as one (t in, t out) matrix, and the layer is
+    one product with it.  BLAS splits a product over rows and columns only,
+    so its bits do not depend on the BLAS thread count (np.einsum's did).
     """
-    t, n_out, n_in = blocks.shape
+    q, t, n_in = u.shape
+    n_out = blocks.shape[1]
     slots = np.arange(t)
     table = (slots[:, None] - slots[None, :]) % t  # [a, b]
     tied = diff.reshape(diff.gather(blocks, table.ravel(), axis=0), (t, t, n_out, n_in))
-    return diff.einsum("qai,abmi->qbm", u, tied)
+    tied = diff.reshape(diff.transpose(tied, (0, 3, 1, 2)), (t * n_in, t * n_out))
+    out = diff.matmul(diff.reshape(u, (q, t * n_in)), tied)
+    return diff.reshape(out, (q, t, n_out))
 
 
 def _input_layer_liif(params: INRParams, F_q: Tensor, X: np.ndarray) -> Tensor:

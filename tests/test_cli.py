@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equisr
 from equisr import __version__, config, inr, metrics
 from equisr.cli import main
 from equisr.data import read_image, write_image
@@ -118,6 +122,20 @@ class TestEvalEquiv:
             assert main(["eval-equiv", "--config", cfg, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_defaults_same_bytes_for_any_blas_thread_count(self, tmp_path):
+        # OpenBLAS reads its thread count at start-up: one process per count
+        cfg = _write_config(tmp_path, config.defaults())
+        src = str(Path(equisr.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "equisr.cli", "eval-equiv", "--config", cfg,
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = _write_config(tmp_path, {"modle": {}})

@@ -11,15 +11,15 @@ from equisr.image import Image
 
 class TestBuild:
     def test_plain_weight_count_matches_hand_count(self):
-        cfg = EncoderConfig(variant="plain", t=1, blocks=1, n=8, p=3, c_in=3, bias=False)
+        cfg = EncoderConfig(t=1, blocks=1, n=8, p=3, c_in=3, bias=False)
         params = build_encoder(cfg, seed=0)
         # head + two block convs + tail, 3x3 kernels
         expected = 3 * 8 * 9 + 2 * (8 * 8 * 9) + 8 * 8 * 9
         assert count_weight_params(params) == expected
 
     def test_channel_budget_bookkeeping(self):
-        eq = build_encoder(EncoderConfig(variant="equivariant", t=4, blocks=1, n=2, p=3), seed=0)
-        plain = build_encoder(EncoderConfig(variant="plain", t=1, blocks=1, n=8, p=3), seed=0)
+        eq = build_encoder(EncoderConfig(t=4, blocks=1, n=2, p=3), seed=0)
+        plain = build_encoder(EncoderConfig(t=1, blocks=1, n=8, p=3), seed=0)
         img = Image(np.random.default_rng(0).random((6, 6, 3)))
         f_eq, f_plain = encode(eq, img), encode(plain, img)
         assert f_eq.n * f_eq.t == f_plain.n * f_plain.t == 8
@@ -37,8 +37,6 @@ class TestBuild:
                                   b.filters["head"].coeffs.data)
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(ConfigError):
-            EncoderConfig(variant="plain", t=4)
         with pytest.raises(ConfigError):
             EncoderConfig(blocks=0)
         with pytest.raises(ConfigError):
@@ -72,7 +70,7 @@ class TestEncode:
             assert np.linalg.norm(lhs.data - rhs.data) / denom <= 1e-9
 
     def test_plain_encoder_is_not_equivariant(self):
-        params = build_encoder(EncoderConfig(variant="plain", t=1, blocks=4, n=32, p=5),
+        params = build_encoder(EncoderConfig(t=1, blocks=4, n=32, p=5),
                                seed=5)
         img = Image(np.random.default_rng(5).random((16, 16, 3)))
         base = encode(params, img)

@@ -11,10 +11,13 @@ from equisr.filters import (
     coeff_disk_mask,
     group_conv,
     group_conv_t,
+    group_kernel,
     lifting_conv,
     lifting_conv_t,
+    lifting_kernel,
     make_param_filter,
     phi_bic,
+    resample_matrix,
     synthesize_kernel,
     _grid_nodes,
 )
@@ -108,6 +111,66 @@ class TestBasisAndSynthesis:
         m7 = coeff_disk_mask(7)
         assert m7.sum() == 49 - 4
         assert not m7[0, 0] and not m7[6, 6] and not m7[0, 6] and not m7[6, 0]
+
+
+def _resample_ref(coeffs, p, M):
+    """Resample the trailing (p, p) grids of `coeffs` by one matrix."""
+    lead = coeffs.shape[:-2]
+    flat = diff.reshape(coeffs, (int(np.prod(lead)), p * p))
+    return diff.reshape(diff.matmul(flat, diff.constant(M.T)), lead + (p, p))
+
+
+def _lifting_kernel_ref(f, group):
+    """Per-slot reference: one resample per rotation, concatenated."""
+    blocks = []
+    for k in range(group.t):
+        kern = _resample_ref(f.coeffs, f.p, resample_matrix(f.p, group.matrix(k)))
+        blocks.append(diff.reshape(kern, (f.c_out, f.c_in, f.p, f.p)))
+    return diff.concat(blocks, axis=0)
+
+
+def _group_kernel_ref(f, group):
+    """Per-slot reference: output slot a gathers slots (b - a) mod t, rotates by A_a."""
+    t = group.t
+    blocks = []
+    for a in range(t):
+        perm = np.array([(b - a) % t for b in range(t)], dtype=np.int64)
+        ga = diff.gather(f.coeffs, perm, axis=1)
+        kern = _resample_ref(ga, f.p, resample_matrix(f.p, group.matrix(a)))
+        blocks.append(diff.reshape(kern, (f.c_out, t * f.c_in, f.p, f.p)))
+    return diff.concat(blocks, axis=0)
+
+
+class TestKernelAssembly:
+    """The one-product, one-gather kernels against the per-slot loops."""
+
+    @pytest.mark.parametrize("t", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["lifting", "group"])
+    def test_matches_per_slot_loops(self, t, p, kind):
+        g = make_group(t)
+        build, ref = ((lifting_kernel, _lifting_kernel_ref) if kind == "lifting"
+                      else (group_kernel, _group_kernel_ref))
+        rng = np.random.default_rng(t * 100 + p)
+        f = make_param_filter(3, 1 if kind == "lifting" else t, 2, p, rng=rng)
+        weights = rng.standard_normal(ref(f, g).shape)
+        kernels, grads = [], []
+        for fn in (build, ref):
+            with diff.Tape() as tape:
+                kern = fn(f, g)
+                loss = diff.reduce_sum(diff.mul(kern, diff.constant(weights)))
+            kernels.append(kern.data)
+            grads.append(diff.backward(tape, loss)[f.coeffs].data)
+        assert np.array_equal(kernels[0], kernels[1])
+        # the product sums the t rotations' gradients in one BLAS call
+        assert np.max(np.abs(grads[0] - grads[1])) <= 1e-13 * np.max(np.abs(grads[1]))
+
+    def test_synthesize_matches_single_resample(self):
+        rng = np.random.default_rng(9)
+        f = make_param_filter(2, 3, 2, 5, rng=rng)
+        A = _rot_matrix(0.7)
+        expected = _resample_ref(f.coeffs, 5, resample_matrix(5, A)).data
+        assert np.array_equal(synthesize_kernel(f, A).data, expected)
 
 
 def _naive_conv_same(img, kern):
