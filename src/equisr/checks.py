@@ -136,7 +136,7 @@ def _layer_checks() -> list[CheckResult]:
 
         if variant == "lte":
             def local(amp, freq, _m=model):
-                lat = Latents("lte", amp=amp, freq=freq)
+                lat = Latents(amp=amp, freq=freq)
                 return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, lat, x_loc)))
 
             inputs = [lambda r: r.standard_normal((3, cfg.t, 2 * cfg.K)),
@@ -144,8 +144,8 @@ def _layer_checks() -> list[CheckResult]:
         else:
             n_lat = cfg.n if variant == "liif" else 3 * (2 * cfg.k_max + 1) ** 2
 
-            def local(latq, _m=model, _v=variant):
-                lat = Latents(_v, main=latq)
+            def local(latq, _m=model):
+                lat = Latents(main=latq)
                 return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, lat, x_loc)))
 
             inputs = [lambda r, nl=n_lat: r.standard_normal((3, cfg.t, nl))]

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, config
-from .data import dataset_count, gen_synthetic, read_image, write_image
+from .data import atomic_write, dataset_count, gen_synthetic, read_image, write_image
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -97,8 +97,7 @@ def _cmd_gen_data(args) -> int:
     writer.writerow(["index", "file", "kind", "size", "seed"])
     for i, name in rows:
         writer.writerow([i, name, spec.kind, spec.size, spec.seed])
-    with open(os.path.join(args.out, "manifest.csv"), "w") as fh:
-        fh.write(buf.getvalue())
+    atomic_write(os.path.join(args.out, "manifest.csv"), buf.getvalue().encode())
     print(f"wrote {len(rows)} images + manifest.csv to {args.out}")
     return 0
 
@@ -121,8 +120,7 @@ def _cmd_eval_equiv(args) -> int:
         angles, list(ev["scales"]), list(ev["resolutions"]),
         seeds=list(ev["seeds"]), data=data, mask=mask, eps=ev["eps"], model=model,
     ))
-    with open(args.out, "w") as fh:
-        fh.write(sweep_csv(cells))
+    atomic_write(args.out, sweep_csv(cells).encode())
     print(f"wrote {args.out}")
 
     if args.error_maps:
@@ -138,11 +136,9 @@ def _cmd_eval_equiv(args) -> int:
                 write_image(os.path.join(args.error_maps, name),
                             Image(emap / peak if peak > 0 else emap))
                 side_rows.append((name, angle_deg, scale, res, seed, peak))
-        with open(os.path.join(args.error_maps, "scales.csv"), "w") as fh:
-            fh.write(f"# equisr {__version__}\n")
-            fh.write("file,angle_deg,scale,resolution,seed,max_abs_error\n")
-            for row in side_rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+        text = f"# equisr {__version__}\nfile,angle_deg,scale,resolution,seed,max_abs_error\n"
+        text += "".join(",".join(str(v) for v in row) + "\n" for row in side_rows)
+        atomic_write(os.path.join(args.error_maps, "scales.csv"), text.encode())
         print(f"wrote {len(side_rows)} error maps to {args.error_maps}")
     return 0
 
@@ -157,8 +153,7 @@ def _cmd_train(args) -> int:
                    patch=int(tr["patch"]), seed=int(tr["seed"]))
     os.makedirs(args.out, exist_ok=True)
     ckpt_json, _ = save_checkpoint(os.path.join(args.out, "ckpt"), result.model)
-    with open(os.path.join(args.out, "loss.csv"), "w") as fh:
-        fh.write(loss_log_csv(result.loss_rows))
+    atomic_write(os.path.join(args.out, "loss.csv"), loss_log_csv(result.loss_rows).encode())
     final = result.loss_rows[-1][1]
     print(f"trained {tr['steps']} steps, final loss {final:.6f}; checkpoint at {ckpt_json}")
     return 0
@@ -196,8 +191,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_defaults(args) -> int:
     text = config.defaults_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        atomic_write(args.out, text.encode())
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -252,58 +252,55 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> INRModel:
 
 @dataclass
 class Latents:
-    """Per-variant latent tensors in internal (h, w, t, c) layout."""
+    """Per-variant latent tensors in internal ([B,] h, w, t, c) layout.
 
-    kind: str
+    With the leading axis the tensors hold the latents of B items; without
+    it, of one.  Gathered per query they are (Q, t, c).
+    """
+
     main: Tensor | None = None  # liif: encoder features; ope: coefficients
     amp: Tensor | None = None  # lte amplitudes (h, w, t, 2K)
     freq: Tensor | None = None  # lte frequencies (h, w, t, 2K)
 
     @property
+    def _ref(self) -> Tensor:
+        return self.main if self.main is not None else self.amp
+
+    @property
+    def items(self) -> int:
+        return self._ref.shape[0] if self._ref.ndim == 5 else 1
+
+    @property
     def h(self) -> int:
-        ref = self.main if self.main is not None else self.amp
-        return ref.shape[0]
+        return self._ref.shape[-4]
 
     @property
     def w(self) -> int:
-        ref = self.main if self.main is not None else self.amp
-        return ref.shape[1]
+        return self._ref.shape[-3]
 
 
 def compute_latents(model: INRModel, feat: Tensor) -> Latents:
-    """Turn encoder features (h, w, t, n) into the variant's latent codes."""
+    """Turn encoder features ([B,] h, w, t, n) into the variant's latent codes."""
     v = model.cfg.variant
     if v == "liif":
-        return Latents(v, main=feat)
+        return Latents(main=feat)
     out = {name: group_conv_t(feat, pf, model.group, bias=model.inr.head_biases.get(name))
            for name, pf in model.inr.heads.items()}
     if v == "ope":
-        return Latents(v, main=out["ope_head"])
-    return Latents(v, amp=out["amp_head"], freq=out["freq_head"])
+        return Latents(main=out["ope_head"])
+    return Latents(amp=out["amp_head"], freq=out["freq_head"])
 
 
-def _gather_pixels(lat: Tensor, flat_idx: np.ndarray) -> Tensor:
-    h, w, t, c = lat.shape
-    return diff.gather(diff.reshape(lat, (h * w, t, c)), flat_idx, axis=0)
-
-
-def slice_latents(lats: Latents, i: int) -> Latents:
-    """Select item i from latents with a leading batch axis."""
+def _gather_latents(lats: Latents, flat_idx: np.ndarray) -> Latents:
+    """The latent codes at flat indices into the ([B *] h * w) pixel table."""
 
     def pick(x: Tensor | None) -> Tensor | None:
         if x is None:
             return None
-        return diff.reshape(diff.gather(x, np.array([i]), axis=0), x.shape[1:])
+        t, c = x.shape[-2:]
+        return diff.gather(diff.reshape(x, (-1, t, c)), flat_idx, axis=0)
 
-    return Latents(lats.kind, main=pick(lats.main), amp=pick(lats.amp),
-                   freq=pick(lats.freq))
-
-
-def _gather_latents(model: INRModel, lats: Latents, flat_idx: np.ndarray) -> Latents:
-    if lats.kind == "lte":
-        return Latents("lte", amp=_gather_pixels(lats.amp, flat_idx),
-                       freq=_gather_pixels(lats.freq, flat_idx))
-    return Latents(lats.kind, main=_gather_pixels(lats.main, flat_idx))
+    return Latents(main=pick(lats.main), amp=pick(lats.amp), freq=pick(lats.freq))
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +416,19 @@ def _corners(X: np.ndarray, h: int, w: int, mode: str,
     return flat, off.reshape(-1, 2), weights / weights.sum(axis=0)
 
 
-def _eval_global_chunk(model: INRModel, lats: Latents, X: np.ndarray,
-                       mode: str, eps: float) -> Tensor:
+def _eval_global_chunk(model: INRModel, lats: Latents, X: np.ndarray, first: int,
+                       per_item: int, mode: str, eps: float) -> Tensor:
+    """Queries X (Q, 2): rows first, first + 1, ... of an eval_global_batch
+    call with per_item queries per item."""
     q = X.shape[0]
     flat, off, weights = _corners(X, lats.h, lats.w, mode, eps)
+    items = (first + np.arange(q)) // per_item
+    flat = (flat.reshape(4, q) + items * (lats.h * lats.w)).ravel()
     # only corners with weight are evaluated, at most _EVALS[mode] * Q rows at
     # a time, so nearest-mode ties stay inside the chunk budget
     rows = np.flatnonzero(weights)
     step = _EVALS[mode] * q
-    preds = [_eval_local_batch(model.inr, _gather_latents(model, lats, flat[r]),
+    preds = [_eval_local_batch(model.inr, _gather_latents(lats, flat[r]),
                                np.take(off, r, axis=0))
              for r in (rows[a:a + step] for a in range(0, rows.size, step))]
     preds.append(diff.constant(np.zeros((1, model.cfg.out_channels))))
@@ -505,8 +506,8 @@ def _set_cpus(cpus: set[int]) -> None:
         pass
 
 
-def _eval_chunks_threaded(model: INRModel, lats: Latents, X: np.ndarray, mode: str,
-                          eps: float, cuts: list[int], workers: int) -> np.ndarray:
+def _eval_chunks_threaded(model: INRModel, lats: Latents, X: np.ndarray, per_item: int,
+                          mode: str, eps: float, cuts: list[int], workers: int) -> np.ndarray:
     """Run the chunks X[cuts[i]:cuts[i + 1]] on this thread and workers - 1 helpers.
 
     Each thread takes the next chunk from one shared iterator and writes its
@@ -532,7 +533,7 @@ def _eval_chunks_threaded(model: INRModel, lats: Latents, X: np.ndarray, mode: s
                 return
             a, b = span
             try:
-                out[a:b] = _eval_global_chunk(model, lats, X[a:b], mode, eps).data
+                out[a:b] = _eval_global_chunk(model, lats, X[a:b], a, per_item, mode, eps).data
             except BaseException as e:  # re-raised by the caller once all have joined
                 errors.append(e)
 
@@ -554,27 +555,36 @@ def _eval_chunks_threaded(model: INRModel, lats: Latents, X: np.ndarray, mode: s
 
 def eval_global_batch(model: INRModel, lats: Latents, X: np.ndarray,
                       mode: str | None = None, eps: float | None = None) -> Tensor:
-    """Evaluate the global continuous function at queries X (Q, 2).
+    """Evaluate the global continuous function at queries X (N, 2) -> (N, n0).
+
+    Latents with a leading axis of B items take N/B queries per item,
+    item-major: rows [i N/B, (i + 1) N/B) of X query item i, whose pixels
+    start at row i h w of the flattened (B h w, t, c) latent table.  B must
+    divide N (else ShapeError); unbatched latents are the case B = 1.
 
     While this thread records (a tape or the relu trace, both per thread) the
-    queries are one chunk: a tape keeps every chunk's temporaries, so
-    splitting would save nothing.  Otherwise they run in equal chunks (sizes
-    differ by at most one) whose temporaries fit the per-thread _CHUNK_BYTES
-    budget, on `_workers()` threads into one output array.  Chunk boundaries
-    follow from the model, mode and Q alone, so the output does not depend on
-    the thread count, and memory past the (Q, n0) output does not grow with Q.
+    queries of all items are one chunk: a tape keeps every chunk's
+    temporaries, so splitting would save nothing.  Otherwise they run in
+    equal chunks (sizes differ by at most one) whose temporaries fit the
+    per-thread _CHUNK_BYTES budget, on `_workers()` threads into one output
+    array; a chunk may span items.  Chunk boundaries follow from the model,
+    mode and N alone, so the output does not depend on the thread count, and
+    memory past the (N, n0) output does not grow with N.
     """
     mode = model.cfg.mode if mode is None else mode
     eps = model.cfg.eps if eps is None else eps
     if mode not in _EVALS:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
+    q, items = X.shape[0], lats.items
+    if q % items:
+        raise ShapeError(f"{q} queries do not split evenly over {items} latent items")
     if diff.recording():
-        return _eval_global_chunk(model, lats, X, mode, eps)
-    q = X.shape[0]
+        return _eval_global_chunk(model, lats, X, 0, q // items, mode, eps)
     rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg, mode))
     chunks = max(1, -(-q // rows))
     cuts = [q * i // chunks for i in range(chunks + 1)]
-    return diff.constant(_eval_chunks_threaded(model, lats, X, mode, eps, cuts, _workers()))
+    return diff.constant(_eval_chunks_threaded(model, lats, X, q // items, mode, eps, cuts,
+                                               _workers()))
 
 
 def output_size(h: int, w: int, scale: float) -> tuple[int, int]:
@@ -620,9 +630,9 @@ def _latent_to_batch(latent, variant: str) -> Latents:
         t = amp.shape[-1]
         lat_a = diff.constant(np.ascontiguousarray(amp.T)[None, :, :])  # (1, t, 2K)
         lat_f = diff.constant(np.moveaxis(freq, -1, 0).reshape(t, -1)[None, :, :])
-        return Latents("lte", amp=lat_a, freq=lat_f)
+        return Latents(amp=lat_a, freq=lat_f)
     lat = np.asarray(latent, dtype=np.float64)  # (n, t)
-    return Latents(variant, main=diff.constant(np.ascontiguousarray(lat.T)[None, :, :]))
+    return Latents(main=diff.constant(np.ascontiguousarray(lat.T)[None, :, :]))
 
 
 def input_layer(latent, x, params: INRParams) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .inr import (
     build_model,
     compute_latents,
     eval_global_batch,
-    slice_latents,
 )
 
 
@@ -42,17 +41,14 @@ class TrainState:
     params: dict[str, Tensor]
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    loss_history: list[float] = field(default_factory=list)
-    seed: int = 0
 
 
-def init_train_state(params: dict[str, Tensor], seed: int = 0) -> TrainState:
+def init_train_state(params: dict[str, Tensor]) -> TrainState:
     return TrainState(
         step=0,
         params=params,
         m={k: np.zeros(p.shape) for k, p in params.items()},
         v={k: np.zeros(p.shape) for k, p in params.items()},
-        seed=seed,
     )
 
 
@@ -99,7 +95,7 @@ def train(cfg: ModelConfig, data: DatasetSpec, steps: int, lr: float = 1e-4,
         raise ContractError("steps must be >= 1")
     model = build_model(cfg, seed=seed)
     params = model.named_parameters()
-    state = init_train_state(params, seed=seed)
+    state = init_train_state(params)
     rows: list[tuple[int, float, float]] = []
     for step in range(steps):
         lr_t = lr * 0.5 ** (step // decay_steps)
@@ -109,19 +105,17 @@ def train(cfg: ModelConfig, data: DatasetSpec, steps: int, lr: float = 1e-4,
             lr_stack = np.stack([pair.lr.data for pair in pairs])
             feat = encode_t(model.encoder, diff.constant(lr_stack))
             lats = compute_latents(model, feat)
-            total = None
-            for i, pair in enumerate(pairs):
-                pred = eval_global_batch(model, slice_latents(lats, i), pair.coords)
-                term = l1_loss(pred, pair.targets)
-                total = term if total is None else diff.add(total, term)
-            loss = diff.scale(total, 1.0 / len(pairs))
+            # every item has patch^2 queries, so the one mean is the mean
+            # of the per-item means
+            coords = np.concatenate([pair.coords for pair in pairs])
+            pred = eval_global_batch(model, lats, coords)
+            loss = l1_loss(pred, np.concatenate([pair.targets for pair in pairs]))
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
             raise EvaluationError(f"non-finite loss at step {step}")
         grads = backward(tape, loss)
         by_name = {name: grads[p] for name, p in params.items() if p in grads}
         adam_step(state, by_name, lr_t)
-        state.loss_history.append(loss_val)
         rows.append((step, loss_val, lr_t))
     return TrainResult(model, state, rows)
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, file outputs, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import equisr
-from equisr import __version__, config, inr, metrics
+from equisr import __version__, cli, config, data, inr, metrics
 from equisr.cli import main
 from equisr.data import read_image, write_image
 from equisr.errors import ConfigError
@@ -214,6 +215,66 @@ class TestTrainAndSr:
         bad.write_text(json.dumps({"version": "equisr-ckpt-1"}))
         assert main(["sr", "--ckpt", str(bad), "--in", "x.ppm",
                      "--scale", "2", "--out", "y.ppm"]) == 3
+
+
+class TestAtomicOutputs:
+    """Every CLI output replaces its file whole or leaves it as it was."""
+
+    _SMALL = {
+        "model": {"t": 2, "encoder": {"blocks": 1, "n": 2, "p": 3}, "inr": {"widths": [8, 8]}},
+        "data": {"kind": "stripes", "count": 2, "size": 48},
+        "train": {"steps": 1, "batch": 1, "patch": 12},
+        "eval": {"angles_deg": [90.0], "scales": [2.0], "resolutions": [8],
+                 "seeds": [0], "eps": 0.0},
+    }
+
+    @staticmethod
+    def _fail_partway(monkeypatch, target):
+        """Writes to `target` stop with ENOSPC after half of the payload."""
+        real_write, real_fdopen = data.atomic_write, os.fdopen
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, payload):
+                self.fh.write(payload[:len(payload) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def write(path, payload):
+            if os.path.abspath(path) != str(target):
+                return real_write(path, payload)
+            with monkeypatch.context() as m:
+                m.setattr(os, "fdopen", lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
+                return real_write(path, payload)
+
+        monkeypatch.setattr(cli, "atomic_write", write)
+
+    @pytest.mark.parametrize("command, target", [
+        (["defaults", "--out", "{d}/defaults.json"], "defaults.json"),
+        (["gen-data", "--config", "{cfg}", "--out", "{d}/corpus"], "corpus/manifest.csv"),
+        (["eval-equiv", "--config", "{cfg}", "--out", "{d}/r.csv"], "r.csv"),
+        (["eval-equiv", "--config", "{cfg}", "--out", "{d}/r.csv", "--error-maps", "{d}/maps"],
+         "maps/scales.csv"),
+        (["train", "--config", "{cfg}", "--out", "{d}/run"], "run/loss.csv"),
+    ])
+    def test_failed_write_leaves_earlier_file(self, tmp_path, monkeypatch, command, target):
+        cfg = _write_config(tmp_path, self._SMALL)
+        target = tmp_path / target
+        target.parent.mkdir(exist_ok=True)
+        target.write_text("earlier\n")
+        self._fail_partway(monkeypatch, target)
+        argv = [arg.format(d=tmp_path, cfg=cfg) for arg in command]
+        assert main(argv) == 2  # an OSError is an I/O error
+        assert target.read_text() == "earlier\n"
+        assert not list(target.parent.glob("*.tmp"))
 
 
 class TestGradcheckAndDefaults:

@@ -330,7 +330,8 @@ class TestTrain:
     def test_loss_history_matches_steps(self):
         cfg, data = _train_setup()
         res = train(cfg, data, steps=3, batch=1, patch=12, seed=1)
-        assert len(res.state.loss_history) == res.state.step == 3
+        assert [row[0] for row in res.loss_rows] == [0, 1, 2]
+        assert res.state.step == 3
 
 
 class TestCheckpoint:

@@ -1,5 +1,6 @@
 """Rotation-equivariant INR layers: exactness identities and assembly."""
 
+import contextlib
 import os
 import sys
 import threading
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from equisr import diff, inr
 from equisr.data import DatasetSpec
-from equisr.errors import ConfigError, DomainError
+from equisr.errors import ConfigError, DomainError, ShapeError
 from equisr.groups import make_group, rotate_image
 from equisr.image import Image, coord_to_index, pixel_coords
 from equisr.inr import (
@@ -276,9 +277,9 @@ class TestEvalLocal:
             return diff.constant(np.concatenate([getattr(b, field).data for b in per_query]))
 
         if variant == "lte":
-            batch = Latents(variant, amp=stack("amp"), freq=stack("freq"))
+            batch = Latents(amp=stack("amp"), freq=stack("freq"))
         else:
-            batch = Latents(variant, main=stack("main"))
+            batch = Latents(main=stack("main"))
         got = _eval_local_batch(params, batch, X).data
         for q in range(5):
             expected = _closed_form_oracle(cfg, params, g, latents[q], X[q])
@@ -396,7 +397,7 @@ class TestEvalGlobal:
         # and that latent is the nearest one, at its own offset
         ij = coord_to_index(X, 8)
         centers = pixel_coords(8)[ij[:, 0], ij[:, 1]]
-        lat_q = inr._gather_latents(model, lats, ij[:, 0] * 8 + ij[:, 1])
+        lat_q = inr._gather_latents(lats, ij[:, 0] * 8 + ij[:, 1])
         expected = real(model.inr, lat_q, (X - centers) * 8).data
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -506,9 +507,9 @@ def _chunk_sizes(monkeypatch):
     sizes = []
     real = inr._eval_global_chunk
 
-    def counting(model, lats, X, mode, eps):
+    def counting(model, lats, X, *rest):
         sizes.append(X.shape[0])
-        return real(model, lats, X, mode, eps)
+        return real(model, lats, X, *rest)
 
     monkeypatch.setattr(inr, "_eval_global_chunk", counting)
     return sizes
@@ -591,6 +592,88 @@ class TestStreamedAssembly:
             if workers == 1:
                 assert large <= 1.1 * small
                 assert ties <= 1.1 * off_ties
+
+
+def _latents_of(model, img):
+    return compute_latents(model, encode_t(model.encoder, diff.constant(img)))
+
+
+class TestBatchedAssembly:
+    """Latents of B items answer N/B queries each, as B separate calls would."""
+
+    @staticmethod
+    def _setup(variant, items):
+        model = build_model(_small_cfg(variant, 4, L=1 if variant == "liif" else 0), seed=0)
+        imgs = np.random.default_rng(items).random((items, 8, 8, 3))
+        X = np.random.default_rng(10 + items).uniform(-1.0, 1.0, (items * 100, 2))
+        return model, imgs, X
+
+    @staticmethod
+    def _run(model, imgs, X, mode, batched):
+        """Outputs and parameter gradients of their sum, batched or per item."""
+        with diff.Tape() as tape:
+            if batched:
+                lats = compute_latents(model, encode_t(model.encoder, diff.constant(imgs)))
+                out = eval_global_batch(model, lats, X, mode=mode)
+            else:
+                parts = []
+                for img, X_item in zip(imgs, np.split(X, len(imgs))):
+                    lats = compute_latents(model, encode_t(model.encoder, diff.constant(img)))
+                    parts.append(eval_global_batch(model, lats, X_item, mode=mode))
+                out = diff.concat(parts, axis=0)
+            loss = diff.reduce_sum(out)
+        grads = diff.backward(tape, loss)
+        return out.data, [grads[p].data for p in model.named_parameters().values() if p in grads]
+
+    @staticmethod
+    def _close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
+    @pytest.mark.parametrize("items", [1, 3])
+    def test_tape_matches_per_item_calls(self, variant, mode, items):
+        model, imgs, X = self._setup(variant, items)
+        out, grads = self._run(model, imgs, X, mode, batched=True)
+        ref_out, ref_grads = self._run(model, imgs, X, mode, batched=False)
+        assert self._close(out, ref_out)
+        assert len(grads) == len(ref_grads) > 0
+        assert all(self._close(g, r) for g, r in zip(grads, ref_grads))
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
+    def test_threaded_chunks_straddle_items(self, monkeypatch, variant, mode):
+        model, imgs, X = self._setup(variant, 3)
+        per_item = [eval_global_batch(model, _latents_of(model, img), X_item, mode=mode).data
+                    for img, X_item in zip(imgs, np.split(X, 3))]
+        # 300 queries in 5 chunks of 60: boundaries 60, 120, 180 and 240 fall
+        # inside items, whose boundaries are 100 and 200
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", 70 * inr._query_bytes(model.cfg, mode))
+        _pin_workers(monkeypatch, 2)
+        sizes = _chunk_sizes(monkeypatch)
+        out = eval_global_batch(model, _latents_of(model, imgs), X, mode=mode).data
+        assert sizes == [60] * 5
+        assert self._close(out, np.concatenate(per_item))
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
+    def test_one_item_is_the_unbatched_call(self, variant, mode):
+        model, imgs, X = self._setup(variant, 1)
+        lats = _latents_of(model, imgs[0])
+        one = inr.Latents(**{name: diff.constant(x.data[None]) for name, x in vars(lats).items()
+                             if x is not None})
+        assert one.items == 1 and lats.items == 1
+        for record in (False, True):
+            with diff.Tape() if record else contextlib.nullcontext():
+                got = eval_global_batch(model, one, X, mode=mode).data
+                expected = eval_global_batch(model, lats, X, mode=mode).data
+            assert np.array_equal(got, expected)
+
+    def test_queries_must_split_evenly(self):
+        model, imgs, X = self._setup("ope", 3)
+        lats = _latents_of(model, imgs)
+        with pytest.raises(ShapeError):
+            eval_global_batch(model, lats, X[:-1])
 
 
 class TestParallelAssembly:
