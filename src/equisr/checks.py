@@ -18,7 +18,6 @@ from .filters import ParamFilter, group_conv_t, lifting_conv_t, synthesize_kerne
 from .groups import make_group
 from .inr import (
     INRModel,
-    Latents,
     ModelConfig,
     _eval_local_batch,
     build_model,
@@ -136,8 +135,7 @@ def _layer_checks() -> list[CheckResult]:
 
         if variant == "lte":
             def local(amp, freq, _m=model):
-                lat = Latents(amp=amp, freq=freq)
-                return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, lat, x_loc)))
+                return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, (amp, freq), x_loc)))
 
             inputs = [lambda r: r.standard_normal((3, cfg.t, 2 * cfg.K)),
                       lambda r: r.standard_normal((3, cfg.t, 2 * cfg.K))]
@@ -145,8 +143,7 @@ def _layer_checks() -> list[CheckResult]:
             n_lat = cfg.n if variant == "liif" else 3 * (2 * cfg.k_max + 1) ** 2
 
             def local(latq, _m=model):
-                lat = Latents(main=latq)
-                return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, lat, x_loc)))
+                return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, (latq,), x_loc)))
 
             inputs = [lambda r, nl=n_lat: r.standard_normal((3, cfg.t, nl))]
         out.append(_check(f"inr.local.{variant}", local, inputs))

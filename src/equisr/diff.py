@@ -210,11 +210,7 @@ def einsum(subscripts: str, *operands) -> Tensor:
     if not ok or not set(out_sub) <= sizes.keys():
         raise ShapeError(f"einsum: unsupported subscripts {subscripts!r} for operand "
                          f"shapes {[t.shape for t in operands]}")
-    # numpy's BLAS path pays off unless an index runs through every term
-    # (a batch index, kept by the gradients too); then its plain loop avoids
-    # transposed copies of the large operands
-    blas = not any(all(c in s for s in ins) for c in out_sub)
-    out = Tensor(np.einsum(subscripts, *(t.data for t in operands), optimize=blas))
+    out = Tensor(np.einsum(subscripts, *(t.data for t in operands)))
 
     def bwd(g):
         grads = []
@@ -222,7 +218,7 @@ def einsum(subscripts: str, *operands) -> Tensor:
             rest = ins[:i] + ins[i + 1:]
             spec = ",".join([out_sub] + rest) + "->" + ins[i]
             others = (u.data for u in operands[:i] + operands[i + 1:])
-            grads.append(np.einsum(spec, g, *others, optimize=blas) if t.requires_grad else None)
+            grads.append(np.einsum(spec, g, *others) if t.requires_grad else None)
         return tuple(grads)
 
     return _finish(out, operands, bwd)

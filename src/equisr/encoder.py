@@ -15,13 +15,14 @@ add equivariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import diff
 from .diff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .filters import (
     ParamFilter,
     group_conv_t,
@@ -31,29 +32,16 @@ from .filters import (
 from .groups import GroupFeatureMap, RotationGroup, make_group
 from .image import Image
 
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    t: int = 4
-    blocks: int = 4
-    n: int = 8  # channels per group slot
-    p: int = 5
-    c_in: int = 3
-    bias: bool = True
-
-    def __post_init__(self):
-        if self.blocks < 1 or self.n < 1:
-            raise ConfigError("encoder needs blocks >= 1 and n >= 1")
-        if self.p % 2 == 0 or self.p < 1:
-            raise ConfigError(f"filter size must be odd and positive, got {self.p}")
+if TYPE_CHECKING:  # inr imports this module
+    from .inr import ModelConfig
 
 
 @dataclass
 class EncoderParams:
-    cfg: EncoderConfig
+    cfg: ModelConfig
     group: RotationGroup
     filters: dict[str, ParamFilter]
-    biases: dict[str, Tensor] = field(default_factory=dict)
+    biases: dict[str, Tensor]
 
     def named_parameters(self) -> dict[str, Tensor]:
         params = {f"{name}.w": pf.coeffs for name, pf in self.filters.items()}
@@ -61,8 +49,9 @@ class EncoderParams:
         return params
 
 
-def build_encoder(cfg: EncoderConfig, seed: int = 0) -> EncoderParams:
-    """Initialize encoder parameters (He-uniform fan-in scaling, seeded)."""
+def build_encoder(cfg: ModelConfig, seed: int = 0) -> EncoderParams:
+    """Initialize the encoder of model `cfg`: He-uniform fan-in scaled
+    weights (seeded) and zero biases."""
     rng = np.random.default_rng(seed)
     group = make_group(cfg.t)
     t, n, p = cfg.t, cfg.n, cfg.p
@@ -71,8 +60,7 @@ def build_encoder(cfg: EncoderConfig, seed: int = 0) -> EncoderParams:
 
     def add_conv(name: str, g_in: int, c_in: int, c_out: int):
         filters[name] = make_param_filter(c_out, g_in, c_in, p, rng=rng)
-        if cfg.bias:
-            biases[name] = diff.parameter(np.zeros(c_out))
+        biases[name] = diff.parameter(np.zeros(c_out))
 
     add_conv("head", 1, cfg.c_in, n)
     for b in range(cfg.blocks):
@@ -87,7 +75,7 @@ def encode_t(params: EncoderParams, x: Tensor) -> Tensor:
 
     def conv(name: str, y: Tensor) -> Tensor:
         return group_conv_t(y, params.filters[name], params.group,
-                            bias=params.biases.get(name))
+                            bias=params.biases[name])
 
     # the head is a lifting convolution: an image is a one-slot feature map
     head = conv("head", diff.reshape(x, x.shape[:-1] + (1, x.shape[-1])))

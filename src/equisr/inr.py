@@ -41,7 +41,7 @@ import numpy as np
 
 from . import diff
 from .diff import Tensor
-from .encoder import EncoderConfig, EncoderParams, build_encoder, encode_t
+from .encoder import EncoderParams, build_encoder, encode_t
 from .errors import ConfigError, DomainError, ShapeError
 from .filters import ParamFilter, group_conv_t, make_param_filter, _feat_to_internal
 from .groups import GroupFeatureMap, RotationGroup, make_group
@@ -114,6 +114,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.p % 2 == 0:
+            raise ConfigError(f"filter size p must be odd, got {self.p}")
         if not (isinstance(self.psi_widths, tuple)
                 and all(_is_int(m) and m >= 1 for m in self.psi_widths)):
             raise ConfigError(f"psi_widths must be integers >= 1, got {self.psi_widths!r}")
@@ -126,10 +128,6 @@ class ModelConfig:
     def out_channels(self) -> int:
         return self.c_in
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(t=self.t, blocks=self.blocks, n=self.n, p=self.p,
-                             c_in=self.c_in)
-
 
 @dataclass
 class INRParams:
@@ -139,7 +137,7 @@ class INRParams:
     group: RotationGroup
     W_in: Tensor | None = None  # (t, m, n+2) input-layer blocks
     W_mid: list[Tensor] = field(default_factory=list)  # each (t, m, m)
-    W_out1: Tensor | None = None  # (m_psi, m), constant (1/t) I for ope
+    W_out1: Tensor | None = None  # (m, m) for liif, (m, 2K) for lte
     psi: list[tuple[Tensor, Tensor]] = field(default_factory=list)  # (W (out,in), b)
     heads: dict[str, ParamFilter] = field(default_factory=dict)
     head_biases: dict[str, Tensor] = field(default_factory=dict)
@@ -150,7 +148,7 @@ class INRParams:
             out["W_in"] = self.W_in
         for i, w in enumerate(self.W_mid):
             out[f"mid{i}"] = w
-        if self.W_out1 is not None and self.W_out1.requires_grad:
+        if self.W_out1 is not None:
             out["W_out1"] = self.W_out1
         for i, (w, b) in enumerate(self.psi):
             out[f"psi{i}.w"] = w
@@ -213,7 +211,6 @@ def build_inr(cfg: ModelConfig, group: RotationGroup,
         n_lat = n0 * (2 * cfg.k_max + 1) ** 2
         params.heads["ope_head"] = make_param_filter(n_lat, t, n, 1, rng=rng)
         params.head_biases["ope_head"] = diff.parameter(np.zeros(n_lat))
-        params.W_out1 = diff.constant(np.eye(n0) / t)
     else:  # lte
         two_k = 2 * cfg.K
         for name in ("amp_head", "freq_head"):
@@ -241,66 +238,47 @@ class INRModel:
 def build_model(cfg: ModelConfig, seed: int = 0) -> INRModel:
     """Build a model with seeded He-uniform initialization (bit reproducible)."""
     group = make_group(cfg.t)
-    enc = build_encoder(cfg.encoder_config(), seed=seed)
+    enc = build_encoder(cfg, seed=seed)
     inr = build_inr(cfg, group, np.random.default_rng((seed, 1)))
     return INRModel(cfg, group, enc, inr)
+
+
+def parameter_count(cfg: ModelConfig) -> int:
+    """Number of floats in the parameters of build_model(cfg), without building it."""
+    t, n, p2, m, c, two_k = cfg.t, cfg.n, cfg.p ** 2, cfg.width, cfg.c_in, 2 * cfg.K
+    # encoder: head, two convolutions per block and tail, each with n biases
+    count = n * c * p2 + (2 * cfg.blocks + 1) * t * n * n * p2 + (2 * cfg.blocks + 2) * n
+    if cfg.variant == "ope":
+        return count + c * (2 * cfg.k_max + 1) ** 2 * (t * n + 1)
+    widths = [m, *cfg.psi_widths, c]
+    count += sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))  # psi
+    if cfg.variant == "liif":
+        return count + t * m * (n + 2) + cfg.L * t * m * m + m * m
+    return count + 2 * two_k * (t * n + 1) + m * two_k  # lte
 
 
 # ---------------------------------------------------------------------------
 # latent production
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Latents:
-    """Per-variant latent tensors in internal ([B,] h, w, t, c) layout.
+def compute_latents(model: INRModel, feat: Tensor) -> tuple[Tensor, ...]:
+    """Turn encoder features ([B,] h, w, t, n) into the variant's latent codes.
 
-    With the leading axis the tensors hold the latents of B items; without
-    it, of one.  Gathered per query they are (Q, t, c).
+    The codes are a tuple of ([B,] h, w, t, c) tensors: (feat,) for liif,
+    (coeffs,) for ope and (amp, freq) for lte.  With the leading axis they
+    hold the latents of B items; without it, of one.
     """
-
-    main: Tensor | None = None  # liif: encoder features; ope: coefficients
-    amp: Tensor | None = None  # lte amplitudes (h, w, t, 2K)
-    freq: Tensor | None = None  # lte frequencies (h, w, t, 2K)
-
-    @property
-    def _ref(self) -> Tensor:
-        return self.main if self.main is not None else self.amp
-
-    @property
-    def items(self) -> int:
-        return self._ref.shape[0] if self._ref.ndim == 5 else 1
-
-    @property
-    def h(self) -> int:
-        return self._ref.shape[-4]
-
-    @property
-    def w(self) -> int:
-        return self._ref.shape[-3]
+    if model.cfg.variant == "liif":
+        return (feat,)
+    # the heads are ope_head, or amp_head then freq_head
+    return tuple(group_conv_t(feat, pf, model.group, bias=model.inr.head_biases[name])
+                 for name, pf in model.inr.heads.items())
 
 
-def compute_latents(model: INRModel, feat: Tensor) -> Latents:
-    """Turn encoder features ([B,] h, w, t, n) into the variant's latent codes."""
-    v = model.cfg.variant
-    if v == "liif":
-        return Latents(main=feat)
-    out = {name: group_conv_t(feat, pf, model.group, bias=model.inr.head_biases.get(name))
-           for name, pf in model.inr.heads.items()}
-    if v == "ope":
-        return Latents(main=out["ope_head"])
-    return Latents(amp=out["amp_head"], freq=out["freq_head"])
-
-
-def _gather_latents(lats: Latents, flat_idx: np.ndarray) -> Latents:
-    """The latent codes at flat indices into the ([B *] h * w) pixel table."""
-
-    def pick(x: Tensor | None) -> Tensor | None:
-        if x is None:
-            return None
-        t, c = x.shape[-2:]
-        return diff.gather(diff.reshape(x, (-1, t, c)), flat_idx, axis=0)
-
-    return Latents(main=pick(lats.main), amp=pick(lats.amp), freq=pick(lats.freq))
+def _gather_latents(lats: tuple[Tensor, ...], flat_idx: np.ndarray) -> tuple[Tensor, ...]:
+    """The (Q, t, c) latent codes at flat indices into the ([B *] h * w) pixel table."""
+    return tuple(diff.gather(diff.reshape(x, (-1,) + x.shape[-2:]), flat_idx, axis=0)
+                 for x in lats)
 
 
 # ---------------------------------------------------------------------------
@@ -339,38 +317,38 @@ def _apply_psi(psi: list[tuple[Tensor, Tensor]], z: Tensor) -> Tensor:
     return z
 
 
-def _input_sum_ope(params: INRParams, lat: Latents, X: np.ndarray) -> Tensor:
+def _input_sum_ope(params: INRParams, coeffs: Tensor, X: np.ndarray) -> Tensor:
     """sum_A (F^A)^T P(A^{-1} x); H(x, B) is this value for every B."""
     cfg = params.cfg
     q, t, kb = X.shape[0], cfg.t, (2 * cfg.k_max + 1) ** 2
     basis = ope_basis(lift_coordinate(X, params.group).reshape(q * t, 2), cfg.k_max)
-    coeffs = diff.reshape(lat.main, (q, t, cfg.out_channels, kb))
+    coeffs = diff.reshape(coeffs, (q, t, cfg.out_channels, kb))
     return diff.einsum("qtck,qtk->qc", coeffs, diff.constant(basis.reshape(q, t, kb)))
 
 
-def _input_sum_lte(params: INRParams, lat: Latents, X: np.ndarray) -> Tensor:
+def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray) -> Tensor:
     """sum_A Fa^A (*) [cos(pi Ff^A A^{-1}x); sin(pi Ff^A A^{-1}x)] -> (Q, 2K)."""
     cfg = params.cfg
     q, t = X.shape[0], cfg.t
     xrot = diff.constant(np.pi * lift_coordinate(X, params.group))  # (Q, t, 2)
-    ang = diff.einsum("qtkd,qtd->qtk", diff.reshape(lat.freq, (q, t, cfg.K, 2)), xrot)
+    ang = diff.einsum("qtkd,qtd->qtk", diff.reshape(freq, (q, t, cfg.K, 2)), xrot)
     waves = diff.concat([diff.cos(ang), diff.sin(ang)], axis=2)
-    return diff.einsum("qtk,qtk->qk", lat.amp, waves)
+    return diff.einsum("qtk,qtk->qk", amp, waves)
 
 
-def _eval_local_batch(params: INRParams, lat_q: Latents, X: np.ndarray) -> Tensor:
-    """Local functions of Q latent codes at Q normalized offsets -> (Q, n0)."""
+def _eval_local_batch(params: INRParams, lat_q: tuple[Tensor, ...], X: np.ndarray) -> Tensor:
+    """Local functions of Q latent codes (Q, t, c) at Q normalized offsets -> (Q, n0)."""
     cfg = params.cfg
     if cfg.variant == "ope":
-        # output layer with W_out1 = (1/t) I and identity psi collapses to
-        # the plain average over the t identical H slots
-        return _input_sum_ope(params, lat_q, X)
+        # ope's output layer is fixed, W_out1 = (1/t) I and identity psi, so
+        # it is the plain average over the t identical H slots
+        return _input_sum_ope(params, *lat_q, X)
     if cfg.variant == "lte":
-        h_sum = _input_sum_lte(params, lat_q, X)  # equals (1/t) sum_B H(x,B) * t
+        h_sum = _input_sum_lte(params, *lat_q, X)  # equals (1/t) sum_B H(x,B) * t
         z = diff.scale(diff.matmul(h_sum, diff.transpose(params.W_out1, (1, 0))), cfg.t)
         return _apply_psi(params.psi, z)
     # liif
-    h = _input_layer_liif(params, lat_q.main, X)
+    h = _input_layer_liif(params, *lat_q, X)
     if cfg.L > 0:
         h = diff.relu(h)
     for w_mid in params.W_mid:
@@ -416,14 +394,15 @@ def _corners(X: np.ndarray, h: int, w: int, mode: str,
     return flat, off.reshape(-1, 2), weights / weights.sum(axis=0)
 
 
-def _eval_global_chunk(model: INRModel, lats: Latents, X: np.ndarray, first: int,
+def _eval_global_chunk(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, first: int,
                        per_item: int, mode: str, eps: float) -> Tensor:
     """Queries X (Q, 2): rows first, first + 1, ... of an eval_global_batch
     call with per_item queries per item."""
     q = X.shape[0]
-    flat, off, weights = _corners(X, lats.h, lats.w, mode, eps)
+    h, w = lats[0].shape[-4:-2]
+    flat, off, weights = _corners(X, h, w, mode, eps)
     items = (first + np.arange(q)) // per_item
-    flat = (flat.reshape(4, q) + items * (lats.h * lats.w)).ravel()
+    flat = (flat.reshape(4, q) + items * (h * w)).ravel()
     # only corners with weight are evaluated, at most _EVALS[mode] * Q rows at
     # a time, so nearest-mode ties stay inside the chunk budget
     rows = np.flatnonzero(weights)
@@ -506,8 +485,9 @@ def _set_cpus(cpus: set[int]) -> None:
         pass
 
 
-def _eval_chunks_threaded(model: INRModel, lats: Latents, X: np.ndarray, per_item: int,
-                          mode: str, eps: float, cuts: list[int], workers: int) -> np.ndarray:
+def _eval_chunks_threaded(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
+                          per_item: int, mode: str, eps: float, cuts: list[int],
+                          workers: int) -> np.ndarray:
     """Run the chunks X[cuts[i]:cuts[i + 1]] on this thread and workers - 1 helpers.
 
     Each thread takes the next chunk from one shared iterator and writes its
@@ -553,11 +533,11 @@ def _eval_chunks_threaded(model: INRModel, lats: Latents, X: np.ndarray, per_ite
     return out
 
 
-def eval_global_batch(model: INRModel, lats: Latents, X: np.ndarray,
+def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
                       mode: str | None = None, eps: float | None = None) -> Tensor:
     """Evaluate the global continuous function at queries X (N, 2) -> (N, n0).
 
-    Latents with a leading axis of B items take N/B queries per item,
+    Latent tensors with a leading axis of B items take N/B queries per item,
     item-major: rows [i N/B, (i + 1) N/B) of X query item i, whose pixels
     start at row i h w of the flattened (B h w, t, c) latent table.  B must
     divide N (else ShapeError); unbatched latents are the case B = 1.
@@ -575,7 +555,7 @@ def eval_global_batch(model: INRModel, lats: Latents, X: np.ndarray,
     eps = model.cfg.eps if eps is None else eps
     if mode not in _EVALS:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
-    q, items = X.shape[0], lats.items
+    q, items = X.shape[0], (lats[0].shape[0] if lats[0].ndim == 5 else 1)
     if q % items:
         raise ShapeError(f"{q} queries do not split evenly over {items} latent items")
     if diff.recording():
@@ -622,7 +602,7 @@ def super_resolve(model: INRModel, img: Image, scale: float,
 # per-pixel public layer API (thin wrappers over the batched cores)
 # ---------------------------------------------------------------------------
 
-def _latent_to_batch(latent, variant: str) -> Latents:
+def _latent_to_batch(latent, variant: str) -> tuple[Tensor, ...]:
     if variant == "lte":
         amp, freq = latent
         amp = np.asarray(amp, dtype=np.float64)  # (2K, t)
@@ -630,9 +610,9 @@ def _latent_to_batch(latent, variant: str) -> Latents:
         t = amp.shape[-1]
         lat_a = diff.constant(np.ascontiguousarray(amp.T)[None, :, :])  # (1, t, 2K)
         lat_f = diff.constant(np.moveaxis(freq, -1, 0).reshape(t, -1)[None, :, :])
-        return Latents(amp=lat_a, freq=lat_f)
+        return (lat_a, lat_f)
     lat = np.asarray(latent, dtype=np.float64)  # (n, t)
-    return Latents(main=diff.constant(np.ascontiguousarray(lat.T)[None, :, :]))
+    return (diff.constant(np.ascontiguousarray(lat.T)[None, :, :]),)
 
 
 def input_layer(latent, x, params: INRParams) -> np.ndarray:
@@ -645,12 +625,12 @@ def input_layer(latent, x, params: INRParams) -> np.ndarray:
     X = np.asarray(x, dtype=np.float64)[None, :]
     lat = _latent_to_batch(latent, cfg.variant)
     if cfg.variant == "liif":
-        h = _input_layer_liif(params, lat.main, X)
+        h = _input_layer_liif(params, *lat, X)
         return h.data[0]
     if cfg.variant == "ope":
-        row = _input_sum_ope(params, lat, X).data[0]
+        row = _input_sum_ope(params, *lat, X).data[0]
     else:
-        row = _input_sum_lte(params, lat, X).data[0]
+        row = _input_sum_lte(params, *lat, X).data[0]
     return np.tile(row, (cfg.t, 1))  # phi ignores W, so H is constant in B
 
 

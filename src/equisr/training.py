@@ -30,6 +30,7 @@ from .inr import (
     build_model,
     compute_latents,
     eval_global_batch,
+    parameter_count,
 )
 
 
@@ -194,16 +195,23 @@ def load_checkpoint(json_path: str) -> INRModel:
                                   f"{json.dumps(former)} loads", field=key)
     try:
         cfg_dict["psi_widths"] = tuple(cfg_dict.get("psi_widths", ()))
-        model = build_model(ModelConfig(**cfg_dict), seed=0)
+        cfg = ModelConfig(**cfg_dict)
     except (TypeError, ValueError) as e:  # ConfigError is a ValueError
         raise CheckpointError(f"bad model config: {e}", field="model")
-    params = model.named_parameters()
     blob_path = os.path.join(os.path.dirname(os.path.abspath(json_path)), blob_name)
     try:
         with open(blob_path, "rb") as fh:
             blob = fh.read()
     except OSError as e:
         raise CheckpointError(f"cannot read blob: {e}", field="blob") from e
+    # checked before build_model allocates: a config may declare any size.
+    # With it, records that tile the blob in order stay within it and cover it
+    needed = 8 * parameter_count(cfg)
+    if needed != len(blob):
+        raise CheckpointError(f"model config needs {needed} parameter bytes, blob has "
+                              f"{len(blob)}", field="model")
+    model = build_model(cfg, seed=0)
+    params = model.named_parameters()
     seen = set()
     end = 0  # the records tile the blob in manifest order
     for i, rec in enumerate(manifest["params"]):
@@ -229,8 +237,6 @@ def load_checkpoint(json_path: str) -> INRModel:
         nbytes = p.data.size * 8
         if offset != end:
             raise CheckpointError(f"blob offset {offset}, expected {end}", field=name)
-        if offset + nbytes > len(blob):
-            raise CheckpointError("blob offset out of range", field=name)
         values = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(shape)
         if not np.all(np.isfinite(values)):
             raise CheckpointError("non-finite parameter value", field=name)
@@ -240,7 +246,4 @@ def load_checkpoint(json_path: str) -> INRModel:
     missing = set(params) - seen
     if missing:
         raise CheckpointError("parameters missing from manifest", field=sorted(missing)[0])
-    if end != len(blob):
-        raise CheckpointError(f"blob has {len(blob) - end} bytes past the last parameter",
-                              field="blob")
     return model

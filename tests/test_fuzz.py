@@ -30,11 +30,13 @@ def _json_values(ints):
                         max_leaves=6)
 
 
-# model-config fields take small integers only: a well-formed but huge
-# config builds a correspondingly huge model before any record is compared;
-# boundary values are drawn as often as random JSON
+# boundary values are drawn as often as random JSON; model-config fields
+# take small integers here, and sizes past any blob come from LARGE_SIZES
 MODEL_VALUES = st.sampled_from([-1, 0, 1, 2, 1.5, math.nan, math.inf, "", None, True,
                                 [], [0], [-1], [2]]) | _json_values(st.integers(-3, 8))
+# well-formed sizes; a config whose model would take megabytes to terabytes
+# more than the blob holds must fail on its parameter count, before a build
+LARGE_SIZES = st.sampled_from([10**6, 10**9, 10**12])
 RECORD_VALUES = _json_values(st.integers())
 
 
@@ -140,7 +142,7 @@ RETIRED = {"relu_after_input": None, "bias": True}
 
 @pytest.mark.parametrize("key", sorted([*ModelConfig.__dataclass_fields__, *RETIRED]) + ["extra"])
 @settings(FUZZ, max_examples=40)
-@given(value=MODEL_VALUES)
+@given(value=MODEL_VALUES | LARGE_SIZES)
 def test_checkpoint_mutated_model_field(tmp_path, saved, key, value):
     manifest, blob = saved
     doc = {**manifest, "model": {**manifest["model"], key: value}}

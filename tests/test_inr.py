@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisr import diff, inr
+from equisr import config, diff, inr
 from equisr.data import DatasetSpec
 from equisr.errors import ConfigError, DomainError, ShapeError
 from equisr.groups import make_group, rotate_image
 from equisr.image import Image, coord_to_index, pixel_coords
 from equisr.inr import (
     INRModel,
-    Latents,
     ModelConfig,
     _eval_local_batch,
     _latent_to_batch,
@@ -34,6 +33,7 @@ from equisr.inr import (
     ope_basis,
     output_layer,
     output_size,
+    parameter_count,
     super_resolve,
 )
 from equisr.encoder import encode, encode_t
@@ -272,14 +272,8 @@ class TestEvalLocal:
         latents = [_random_latent(rng, cfg) for _ in range(5)]
         X = rng.uniform(-1, 1, size=(5, 2))
         per_query = [_latent_to_batch(lat, variant) for lat in latents]
-
-        def stack(field):
-            return diff.constant(np.concatenate([getattr(b, field).data for b in per_query]))
-
-        if variant == "lte":
-            batch = Latents(amp=stack("amp"), freq=stack("freq"))
-        else:
-            batch = Latents(main=stack("main"))
+        batch = tuple(diff.constant(np.concatenate([x.data for x in parts]))
+                      for parts in zip(*per_query))
         got = _eval_local_batch(params, batch, X).data
         for q in range(5):
             expected = _closed_form_oracle(cfg, params, g, latents[q], X[q])
@@ -660,9 +654,8 @@ class TestBatchedAssembly:
     def test_one_item_is_the_unbatched_call(self, variant, mode):
         model, imgs, X = self._setup(variant, 1)
         lats = _latents_of(model, imgs[0])
-        one = inr.Latents(**{name: diff.constant(x.data[None]) for name, x in vars(lats).items()
-                             if x is not None})
-        assert one.items == 1 and lats.items == 1
+        one = tuple(diff.constant(x.data[None]) for x in lats)
+        assert one[0].shape == (1,) + lats[0].shape
         for record in (False, True):
             with diff.Tape() if record else contextlib.nullcontext():
                 got = eval_global_batch(model, one, X, mode=mode).data
@@ -898,3 +891,24 @@ class TestConfigValidation:
     def test_negative_eps_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(eps=-1.0)
+
+    def test_invalid_encoder_shape_rejected(self):
+        with pytest.raises(ConfigError):
+            ModelConfig(blocks=0)
+        with pytest.raises(ConfigError):
+            ModelConfig(p=4)
+
+    def test_cli_defaults_are_the_library_defaults(self):
+        doc = config.defaults()
+        assert config.model_config(doc) == ModelConfig()
+        assert config.dataset_spec(doc) == DatasetSpec()
+
+
+@pytest.mark.parametrize("variant,t,L,psi_widths", [
+    (variant, t, L, psi_widths) for variant in ("liif", "ope", "lte") for t in (1, 2, 8)
+    for L in ((0, 2) if variant == "liif" else (0,)) for psi_widths in ((), (5,), (3, 7))])
+def test_parameter_count_matches_built_model(variant, t, L, psi_widths):
+    cfg = ModelConfig(variant=variant, t=t, L=L, psi_widths=psi_widths, blocks=2, n=3, p=3,
+                      c_in=2, width=5, K=3, k_max=1)
+    params = build_model(cfg).named_parameters().values()
+    assert parameter_count(cfg) == sum(p.size for p in params)
