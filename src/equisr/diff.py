@@ -20,6 +20,7 @@ import threading
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     CatalogueError,
     ContractError,
@@ -347,12 +348,39 @@ def gather(x, index, axis: int = 0) -> Tensor:
     return _finish(out, (x,), bwd)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Valid kh x kw windows of xp (b, H, W, c) as rows flattened (kh, kw, c)."""
+# GEMM rows per conv2d band and im2col columns per weight-gradient band.  OpenBLAS
+# rounds some split products differently, so cuts follow these and shapes alone.
+_BAND_ROWS = 256
+_BAND_COLS = 128
+
+
+def _spans(total: int, size: int) -> list[tuple[int, int]]:
+    return [(a, min(a + size, total)) for a in range(0, total, size)]
+
+
+def _correlate(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int, ph: int, pw: int,
+               cols: np.ndarray | None = None) -> np.ndarray:
+    """Correlation of x (b, h, w, c), zero-padded by ph and pw, with kmat (kh kw c, co),
+    in bands of output rows over all items.  Each band builds its slice of the
+    (b ho wo, kh kw c) im2col matrix within _CHUNK_BYTES, into `cols` if given."""
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if ph or pw else x
     nb, hp, wp, c = xp.shape
+    ho, wo, depth = hp - kh + 1, wp - kw + 1, kh * kw * c
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(nb * (hp - kh + 1) * (wp - kw + 1),
-                                                    kh * kw * c)
+    win = win.transpose(0, 1, 2, 4, 5, 3)  # (b, ho, wo, kh, kw, c)
+    y = np.empty((nb * ho * wo, kmat.shape[1]))
+    rows = max(1, min(round(_BAND_ROWS / wo), parallel._CHUNK_BYTES // (8 * wo * depth)))
+
+    def band(a: int, b: int):
+        part = np.empty(((b - a) * wo, depth)) if cols is None else cols[a * wo:b * wo]
+        dst = part.reshape(b - a, wo, kh, kw, c)
+        for i in range(a // ho, (b - 1) // ho + 1):  # the items the band crosses
+            lo, hi = max(a, i * ho), min(b, (i + 1) * ho)
+            dst[lo - a:hi - a] = win[i, lo - i * ho:hi - i * ho]
+        np.matmul(part, kmat, out=y[a * wo:b * wo])
+
+    parallel.run_bands(_spans(nb * ho, rows), band)
+    return y.reshape(nb, ho, wo, -1)
 
 
 def conv2d(x, k, pad: str = "valid") -> Tensor:
@@ -360,14 +388,14 @@ def conv2d(x, k, pad: str = "valid") -> Tensor:
 
     Stride 1; `pad` is "valid" or "same" (zero padding, odd kernels only).
     An optional leading batch axis on x is carried through.  The input
-    gradient is the same im2col product applied to the output gradient,
-    padded to full correlation, with the flipped, channel-swapped kernel.
+    gradient is the same banded product (_correlate) of the output gradient,
+    padded to full correlation, and the flipped, channel-swapped kernel; the
+    weight gradient runs in bands of im2col columns, kept when a tape records k.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if x.ndim not in (3, 4) or k.ndim != 4:
         raise ShapeError(f"conv2d expects ([b,]h,w,ci) and (co,ci,kh,kw), got {x.shape}, {k.shape}")
     batched = x.ndim == 4
-    nb = x.shape[0] if batched else 1
     h, w, ci = x.shape[-3], x.shape[-2], x.shape[-1]
     co, kci, kh, kw = k.shape
     if kci != ci:
@@ -384,25 +412,25 @@ def conv2d(x, k, pad: str = "valid") -> Tensor:
         raise ContractError(f"unknown padding mode {pad!r}")
 
     xd = x.data if batched else x.data[None]
-    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if ph or pw else xd
-    ho, wo = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
-    cols = _im2col(xp, kh, kw)
-    y = (cols @ k.data.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)).reshape(nb, ho, wo, co)
+    depth = kh * kw * ci
+    rows = len(xd) * (h + 2 * ph - kh + 1) * (w + 2 * pw - kw + 1)
+    cols = np.empty((rows, depth)) if _STACKS.stack and k.requires_grad else None
+    y = _correlate(xd, k.data.transpose(2, 3, 1, 0).reshape(depth, co), kh, kw, ph, pw, cols)
     out = Tensor(y if batched else y[0])
 
     def bwd(g):
-        g4 = g.reshape(nb, ho, wo, co)
+        g4 = g.reshape(y.shape)
         gx = gk = None
         if x.requires_grad:
-            qh, qw = kh - 1 - ph, kw - 1 - pw
-            gp = np.pad(g4, ((0, 0), (qh, qh), (qw, qw), (0, 0)))
             kf = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-            gx = (_im2col(gp, kh, kw) @ kf).reshape(nb, h, w, ci)
+            gx = _correlate(g4, kf, kh, kw, kh - 1 - ph, kw - 1 - pw)
             if not batched:
                 gx = gx[0]
         if k.requires_grad:
-            gk = (g4.reshape(nb * ho * wo, co).T @ cols).reshape(co, kh, kw, ci)
-            gk = gk.transpose(0, 3, 1, 2)
+            gt, gk = g4.reshape(rows, co).T, np.empty((co, depth))
+            parallel.run_bands(_spans(depth, _BAND_COLS),
+                               lambda a, b: np.matmul(gt, cols[:, a:b], out=gk[:, a:b]))
+            gk = gk.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
         return gx, gk
 
     return _finish(out, (x, k), bwd)
@@ -491,14 +519,12 @@ def _relu_trace():
         _STACKS.relu_trace = saved
 
 
-def _eval_scalar(fn, tensors) -> float:
-    out = fn(*tensors)
-    val = np.asarray(out.data, dtype=np.float64)
-    if val.size != 1:
+def _scalar(out: Tensor) -> float:
+    if out.size != 1:
         raise ContractError("check_gradients needs a scalar-valued function")
-    if not np.isfinite(val).all():
+    if not np.isfinite(out.data).all():
         raise EvaluationError("non-finite forward value during gradient check")
-    return float(val.reshape(()))
+    return float(out.data.reshape(()))
 
 
 def check_gradients(fn, inputs, step: float = 1e-5, max_coords: int = 10_000,
@@ -518,10 +544,7 @@ def check_gradients(fn, inputs, step: float = 1e-5, max_coords: int = 10_000,
                      requires_grad=True) for t in inputs]
     with Tape() as tape:
         out = fn(*leaves)
-    if out.size != 1:
-        raise ContractError("check_gradients needs a scalar-valued function")
-    if not np.isfinite(out.data).all():
-        raise EvaluationError("non-finite forward value during gradient check")
+    _scalar(out)
     grads = backward(tape, out)
     analytic = [grads[t].data if t in grads else np.zeros(t.shape) for t in leaves]
 
@@ -537,10 +560,10 @@ def check_gradients(fn, inputs, step: float = 1e-5, max_coords: int = 10_000,
         orig = base[flat]
         base[flat] = orig + step
         with _relu_trace() as pat_plus:
-            f_plus = _eval_scalar(fn, leaves)
+            f_plus = _scalar(fn(*leaves))
         base[flat] = orig - step
         with _relu_trace() as pat_minus:
-            f_minus = _eval_scalar(fn, leaves)
+            f_minus = _scalar(fn(*leaves))
         base[flat] = orig
         if any((p != q).any() for p, q in zip(pat_plus, pat_minus)):
             continue  # perturbation crosses a relu kink

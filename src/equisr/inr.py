@@ -33,25 +33,18 @@ the areas) or the nearest one, ties shared equally ("nearest" mode).
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diff
+from . import diff, parallel
 from .diff import Tensor
 from .encoder import EncoderParams, build_encoder, encode_t
 from .errors import ConfigError, DomainError, ShapeError
 from .filters import ParamFilter, group_conv_t, make_param_filter, _feat_to_internal
 from .groups import GroupFeatureMap, RotationGroup, make_group
 from .image import Image, cell_position, pixel_coords
-
-# Byte budget for the temporaries of one chunk of queries in
-# eval_global_batch, per thread.  Each array of a chunk then stays below
-# glibc's largest mmap threshold (32 MiB), so it is reused from the heap
-# instead of being page-faulted in afresh.
-_CHUNK_BYTES = 16 << 20
+from .parallel import _CHUNK_BYTES
 
 # Largest output super_resolve accepts, in pixels (4096 x 4096).  Past the
 # chunk budget, SR memory grows with the output: its coordinates and pixel
@@ -434,105 +427,6 @@ def _query_bytes(cfg: ModelConfig, mode: str) -> int:
     return _EVALS[mode] * 8 * floats
 
 
-def _workers() -> int:
-    """Threads for independent query chunks: the cores BLAS threads leave idle.
-
-    OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS, when the value is a positive integer, and otherwise
-    uses every core; so does this count, which is 1 (serial) in that case.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cores = os.cpu_count() or 1
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            return max(1, cores // blas)
-    return 1
-
-
-def _cpu_slices(threads: int) -> tuple[set[int], list[set[int]]]:
-    """This thread's CPU set and `threads` disjoint, contiguous slices of it.
-
-    The slices are empty when the platform cannot pin threads or there are
-    fewer CPUs than threads.  Without pinning, threads that hand the GIL back
-    and forth are often woken on the CPU that woke them, so both can stay on
-    one core for a whole process while another core idles: on 2 cores the
-    same lte request took about 0.5x the serial time in most processes and
-    0.8-1.0x in the others.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return set(), []
-    own = os.sched_getaffinity(0)
-    cpus = sorted(own)
-    if len(cpus) < threads:
-        return own, []
-    return own, [set(cpus[len(cpus) * i // threads:len(cpus) * (i + 1) // threads])
-                 for i in range(threads)]
-
-
-def _set_cpus(cpus: set[int]) -> None:
-    """Run the calling thread on `cpus` only.  Placement does not change
-    results, so a request the OS refuses (a cpuset changed meanwhile) is
-    ignored."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
-def _eval_chunks_threaded(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
-                          per_item: int, mode: str, eps: float, cuts: list[int],
-                          workers: int) -> np.ndarray:
-    """Run the chunks X[cuts[i]:cuts[i + 1]] on this thread and workers - 1 helpers.
-
-    Each thread takes the next chunk from one shared iterator and writes its
-    rows of one preallocated (Q, n0) result.  After a failure no thread takes
-    a new chunk; the first error is raised once every helper has joined.
-    Thread i runs on slice i of this thread's CPUs (see _cpu_slices), and
-    this thread gets its own CPU set back before the call returns.
-    """
-    out = np.empty((X.shape[0], model.cfg.out_channels))
-    spans = iter(zip(cuts[:-1], cuts[1:]))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-    threads = min(workers, len(cuts) - 1)
-    own, slices = _cpu_slices(threads)
-
-    def work(slot: int):
-        if slices:
-            _set_cpus(slices[slot])
-        while not errors:
-            with lock:
-                span = next(spans, None)
-            if span is None:
-                return
-            a, b = span
-            try:
-                out[a:b] = _eval_global_chunk(model, lats, X[a:b], a, per_item, mode, eps).data
-            except BaseException as e:  # re-raised by the caller once all have joined
-                errors.append(e)
-
-    helpers = [threading.Thread(target=work, args=(slot,), daemon=True)
-               for slot in range(1, threads)]
-    for th in helpers:
-        th.start()
-    try:
-        work(0)
-    finally:
-        for th in helpers:
-            th.join()
-        if slices:
-            _set_cpus(own)
-    if errors:
-        raise errors[0]
-    return out
-
-
 def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
                       mode: str | None = None, eps: float | None = None) -> Tensor:
     """Evaluate the global continuous function at queries X (N, 2) -> (N, n0).
@@ -542,14 +436,12 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
     start at row i h w of the flattened (B h w, t, c) latent table.  B must
     divide N (else ShapeError); unbatched latents are the case B = 1.
 
-    While this thread records (a tape or the relu trace, both per thread) the
-    queries of all items are one chunk: a tape keeps every chunk's
-    temporaries, so splitting would save nothing.  Otherwise they run in
-    equal chunks (sizes differ by at most one) whose temporaries fit the
-    per-thread _CHUNK_BYTES budget, on `_workers()` threads into one output
-    array; a chunk may span items.  Chunk boundaries follow from the model,
-    mode and N alone, so the output does not depend on the thread count, and
-    memory past the (N, n0) output does not grow with N.
+    While this thread records (a tape or the relu trace) all queries are one
+    chunk: a tape keeps every chunk's temporaries anyway.  Otherwise equal
+    chunks (sizes differ by at most one, a chunk may span items) within the
+    per-thread _CHUNK_BYTES budget run on `parallel.run_bands`; their bounds
+    follow from the model, mode and N alone, so the output does not depend on
+    the thread count and memory past the (N, n0) output does not grow with N.
     """
     mode = model.cfg.mode if mode is None else mode
     eps = model.cfg.eps if eps is None else eps
@@ -563,8 +455,13 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
     rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg, mode))
     chunks = max(1, -(-q // rows))
     cuts = [q * i // chunks for i in range(chunks + 1)]
-    return diff.constant(_eval_chunks_threaded(model, lats, X, q // items, mode, eps, cuts,
-                                               _workers()))
+    out = np.empty((q, model.cfg.out_channels))
+
+    def chunk(a: int, b: int):
+        out[a:b] = _eval_global_chunk(model, lats, X[a:b], a, q // items, mode, eps).data
+
+    parallel.run_bands(zip(cuts[:-1], cuts[1:]), chunk)
+    return diff.constant(out)
 
 
 def output_size(h: int, w: int, scale: float) -> tuple[int, int]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import equisr
-from equisr import __version__, cli, config, data, inr, metrics
+from equisr import __version__, cli, config, data, inr, metrics, parallel
 from equisr.cli import main
 from equisr.data import read_image, write_image
 from equisr.errors import ConfigError
@@ -118,7 +118,7 @@ class TestEvalEquiv:
         cfg = _write_config(tmp_path, config.defaults())
         outs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(inr, "_workers", lambda w=workers: w)
+            monkeypatch.setattr(parallel, "_workers", lambda w=workers: w)
             out = tmp_path / f"w{workers}.csv"
             assert main(["eval-equiv", "--config", cfg, "--out", str(out)]) == 0
             outs.append(out.read_bytes())

@@ -1,6 +1,9 @@
 """Reverse-mode differentiation: primitives, backward pass, gradient checks."""
 
+import contextlib
+import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +134,132 @@ def test_conv2d_input_grad_matches_loop_reference(pad, xshape):
     ref = _conv2d_input_grad_loop(xshape, k.data, g, pad)
     assert gx.shape == ref.shape
     assert np.max(np.abs(gx - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _conv2d_unbanded(x, k, g, pad):
+    """Value and both gradients of conv2d, each from one whole im2col product."""
+    xb = x if x.ndim == 4 else x[None]
+    co, ci, kh, kw = k.shape
+    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if pad == "same" else (0, 0)
+
+    def im2col(a):
+        win = np.lib.stride_tricks.sliding_window_view(a, (kh, kw), axis=(1, 2))
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * a.shape[-1])
+
+    xp = np.pad(xb, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    cols = im2col(xp)
+    shape = (len(xb), xp.shape[1] - kh + 1, xp.shape[2] - kw + 1, co)
+    y = (cols @ k.transpose(2, 3, 1, 0).reshape(-1, co)).reshape(shape)
+    g4 = g.reshape(shape)
+    gp = np.pad(g4, ((0, 0), (kh - 1 - ph,) * 2, (kw - 1 - pw,) * 2, (0, 0)))
+    gx = (im2col(gp) @ k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, ci)).reshape(xb.shape)
+    gk = (g4.reshape(-1, co).T @ cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
+    return (y, gx, gk) if x.ndim == 4 else (y[0], gx[0], gk)
+
+
+class TestBandedConv2d:
+    """conv2d's bands against the unbanded products, for any worker count."""
+
+    @staticmethod
+    def _banded(monkeypatch, x, k, g, pad, workers):
+        monkeypatch.setattr(diff.parallel, "_workers", lambda: workers)
+        spans = []
+        real = diff.parallel.run_bands
+
+        def recording(todo, fn):
+            todo = list(todo)
+            spans.append(todo)
+            real(todo, fn)
+
+        monkeypatch.setattr(diff.parallel, "run_bands", recording)
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        with Tape() as tape:
+            y = diff.conv2d(xt, kt, pad=pad)
+        (_, _, bwd), = tape.entries
+        gx, gk = bwd(g)
+        return (y.data, gx, gk), spans
+
+    # band rows, band columns and shapes: the last row band and the last
+    # column band are ragged, and batched inputs have bands across items
+    @pytest.mark.parametrize("pad,xshape,band_rows,band_cols", [
+        ("valid", (3, 7, 9, 4), 14, 5),  # 5 x 7 outputs: 2-row bands over 15 rows
+        ("same", (3, 6, 5, 4), 20, 8),  # 6 x 5 outputs: 4-row bands over 18 rows
+        ("same", (7, 9, 4), 27, 7),  # 7 x 9 outputs: 3-row bands over 7 rows
+        ("valid", (9, 6, 4), 8, 10),  # 7 x 4 outputs: 2-row bands over 7 rows
+    ])
+    def test_matches_unbanded(self, monkeypatch, pad, xshape, band_rows, band_cols):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(xshape)
+        k = rng.standard_normal((5, 4, 3, 3))
+        g = rng.standard_normal(diff.conv2d(Tensor(x), Tensor(k), pad=pad).shape)
+        ref = _conv2d_unbanded(x, k, g, pad)
+        ho, depth = ref[0].shape[-3], 3 * 3 * 4
+        assert depth % band_cols
+        monkeypatch.setattr(diff, "_BAND_ROWS", band_rows)
+        monkeypatch.setattr(diff, "_BAND_COLS", band_cols)
+        for workers in (1, 2, 3):
+            got, (forward, grad_x, grad_k) = self._banded(monkeypatch, x, k, g, pad, workers)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            sizes = [b - a for a, b in forward]
+            assert len(sizes) > 1 and sizes[-1] < sizes[0]
+            if x.ndim == 4:
+                assert any(a // ho != (b - 1) // ho for a, b in forward)
+            assert len(grad_x) > 1
+            assert grad_k[-1] == (depth - depth % band_cols, depth)
+
+    def test_failed_band_raises_once_after_join(self, monkeypatch):
+        monkeypatch.setattr(diff.parallel, "_workers", lambda: 3)
+        affinity = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, mask: affinity.append((threading.get_ident(), set(mask))),
+                            raising=False)
+        real = np.matmul
+        calls = []
+        lock = threading.Lock()
+
+        def failing(*args, **kwargs):
+            with lock:
+                calls.append(threading.get_ident())
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("band failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", failing)
+        x = np.random.default_rng(12).standard_normal((4, 24, 24, 8))
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="band failed"):
+            diff.conv2d(Tensor(x), Tensor(np.ones((8, 8, 3, 3))), pad="same")
+        assert set(threading.enumerate()) == before
+        # after the failure each other thread finishes at most one band
+        assert len(calls) <= 3
+        me = threading.get_ident()
+        assert [m for t, m in affinity if t == me] == [{0}, {0, 1, 2}]
+
+    def test_whole_im2col_only_for_a_recorded_kernel(self, monkeypatch):
+        monkeypatch.setattr(diff.parallel, "_workers", lambda: 1)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((64, 64, 32))
+        k = rng.standard_normal((32, 32, 5, 5))
+        whole = 64 * 64 * 32 * 25 * 8  # bytes of the (h w, kh kw ci) im2col matrix
+        diff.conv2d(Tensor(x), Tensor(k), pad="same")  # the process's one-time heap block
+
+        def peak(record, k_grad):
+            xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=k_grad)
+            tracemalloc.start()
+            try:
+                with Tape() if record else contextlib.nullcontext():
+                    diff.conv2d(xt, kt, pad="same")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(True, True) >= whole
+        assert peak(False, True) < whole / 4
+        assert peak(True, False) < whole / 4
 
 
 def test_gather_backward_matches_add_at_bit_for_bit():

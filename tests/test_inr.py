@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisr import config, diff, inr
+from equisr import config, diff, inr, parallel
 from equisr.data import DatasetSpec
 from equisr.errors import ConfigError, DomainError, ShapeError
 from equisr.groups import make_group, rotate_image
@@ -510,7 +510,7 @@ def _chunk_sizes(monkeypatch):
 
 
 def _pin_workers(monkeypatch, workers):
-    monkeypatch.setattr(inr, "_workers", lambda: workers)
+    monkeypatch.setattr(parallel, "_workers", lambda: workers)
 
 
 def _param_grads(model, img, X):
@@ -870,13 +870,13 @@ class TestParallelAssembly:
                 monkeypatch.delenv(var, raising=False)
             else:
                 monkeypatch.setenv(var, value)
-        assert inr._workers() == expected
+        assert parallel._workers() == expected
 
     def test_worker_rule_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert inr._workers() == 3
+        assert parallel._workers() == 3
 
 
 class TestConfigValidation:

@@ -3,9 +3,10 @@
 Each measurement runs in a fresh Python process with one BLAS thread, so
 its `ru_maxrss` is the peak of that single request (imports, model build,
 encoder and INR query assembly) and nothing else.  With one BLAS thread the
-INR query chunks run on one thread per core (`inr._workers()`, printed in
-the header).  Prints one row per (variant, t) with the median SR time and
-the median and largest peak RSS over the repetitions.
+encoder's conv2d bands and the INR query chunks run on one thread per core
+(`parallel._workers()`, printed in the header).  Prints one row per
+(variant, t) with the median SR time and the median and largest peak RSS
+over the repetitions.
 
     PYTHONPATH=src python tools/rss_probe.py                 # t in {1, 4, 16}
     PYTHONPATH=src python tools/rss_probe.py --t 1 4 --reps 3
@@ -60,13 +61,13 @@ def main(argv=None) -> int:
         variant, t = args.child
         child(variant, int(t))
         return 0
-    # the children inherit one BLAS thread; the chunk-thread count follows
+    # the children inherit one BLAS thread; the band-thread count follows
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    from equisr.inr import _workers
+    from equisr.parallel import _workers
 
     print(f"super_resolve of a {SIDE}x{SIDE} input at scale {SCALE:g}, "
           f"{args.reps} fresh processes per row, OPENBLAS_NUM_THREADS=1, "
-          f"{_workers()} INR chunk threads")
+          f"{_workers()} band threads")
     print("variant   t   output  sr_ms_median  peak_rss_mb_median  peak_rss_mb_max  rss_before_sr_mb")
     for variant in VARIANTS:
         for t in args.t:
