@@ -251,8 +251,10 @@ def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
     x_flat = diff.reshape(x, x.shape[:-2] + (f.g_in * f.c_in,))
     y = diff.conv2d(x_flat, kernel, pad=pad)
     y = diff.reshape(y, y.shape[:-1] + (group.t, f.c_out))
-    if bias is not None:
+    if bias is not None and diff.recording():
         y = diff.add(y, diff.reshape(bias, (1, 1, 1, f.c_out)))
+    elif bias is not None:
+        y.data += bias.data  # conv2d's fresh output: no second full array
     return y
 
 

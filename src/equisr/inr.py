@@ -319,25 +319,47 @@ def _input_sum_ope(params: INRParams, coeffs: Tensor, X: np.ndarray) -> Tensor:
     return diff.einsum("qtck,qtk->qc", coeffs, diff.constant(basis.reshape(q, t, kb)))
 
 
-def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray) -> Tensor:
-    """sum_A Fa^A (*) [cos(pi Ff^A A^{-1}x); sin(pi Ff^A A^{-1}x)] -> (Q, 2K)."""
+def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray,
+                   waves32: bool = False) -> Tensor:
+    """sum_A Fa^A (*) [cos(pi Ff^A A^{-1}x); sin(pi Ff^A A^{-1}x)] -> (Q, 2K).
+
+    With waves32 (untaped inference only) the float64 angles are reduced to
+    [-pi, pi] as a - 2 pi rint(a / 2 pi), the cos and sin of that float32
+    value fill one (Q, t, 2K) buffer, and the amplitude sum runs in float64.
+    """
     cfg = params.cfg
     q, t = X.shape[0], cfg.t
     xrot = diff.constant(np.pi * lift_coordinate(X, params.group))  # (Q, t, 2)
     ang = diff.einsum("qtkd,qtd->qtk", diff.reshape(freq, (q, t, cfg.K, 2)), xrot)
-    waves = diff.concat([diff.cos(ang), diff.sin(ang)], axis=2)
-    return diff.einsum("qtk,qtk->qk", amp, waves)
+    if not waves32:
+        waves = diff.concat([diff.cos(ang), diff.sin(ang)], axis=2)
+        return diff.einsum("qtk,qtk->qk", amp, waves)
+    # in place: a fresh temporary per step cost more than its arithmetic
+    reduced = ang.data / (2.0 * np.pi)
+    np.rint(reduced, out=reduced)
+    reduced *= 2.0 * np.pi
+    np.subtract(ang.data, reduced, out=reduced)
+    reduced = reduced.astype(np.float32)
+    waves = np.empty((q, t, 2 * cfg.K), dtype=np.float32)
+    np.cos(reduced, out=waves[..., :cfg.K])
+    np.sin(reduced, out=waves[..., cfg.K:])
+    return diff.constant(np.einsum("qtk,qtk->qk", amp.data, waves))
 
 
-def _eval_local_batch(params: INRParams, lat_q: tuple[Tensor, ...], X: np.ndarray) -> Tensor:
-    """Local functions of Q latent codes (Q, t, c) at Q normalized offsets -> (Q, n0)."""
+def _eval_local_batch(params: INRParams, lat_q: tuple[Tensor, ...], X: np.ndarray,
+                      waves32: bool = False) -> Tensor:
+    """Local functions of Q latent codes (Q, t, c) at Q normalized offsets -> (Q, n0).
+
+    waves32 selects lte's float32 waves (see _input_sum_lte); the other
+    variants ignore it.
+    """
     cfg = params.cfg
     if cfg.variant == "ope":
         # ope's output layer is fixed, W_out1 = (1/t) I and identity psi, so
         # it is the plain average over the t identical H slots
         return _input_sum_ope(params, *lat_q, X)
     if cfg.variant == "lte":
-        h_sum = _input_sum_lte(params, *lat_q, X)  # equals (1/t) sum_B H(x,B) * t
+        h_sum = _input_sum_lte(params, *lat_q, X, waves32)  # equals (1/t) sum_B H(x,B) * t
         z = diff.scale(diff.matmul(h_sum, diff.transpose(params.W_out1, (1, 0))), cfg.t)
         return _apply_psi(params.psi, z)
     # liif
@@ -388,9 +410,9 @@ def _corners(X: np.ndarray, h: int, w: int, mode: str,
 
 
 def _eval_global_chunk(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, first: int,
-                       per_item: int, mode: str, eps: float) -> Tensor:
+                       per_item: int, mode: str, eps: float, waves32: bool = False) -> Tensor:
     """Queries X (Q, 2): rows first, first + 1, ... of an eval_global_batch
-    call with per_item queries per item."""
+    call with per_item queries per item.  waves32 as in _input_sum_lte."""
     q = X.shape[0]
     h, w = lats[0].shape[-4:-2]
     flat, off, weights = _corners(X, h, w, mode, eps)
@@ -401,7 +423,7 @@ def _eval_global_chunk(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
     rows = np.flatnonzero(weights)
     step = _EVALS[mode] * q
     preds = [_eval_local_batch(model.inr, _gather_latents(lats, flat[r]),
-                               np.take(off, r, axis=0))
+                               np.take(off, r, axis=0), waves32)
              for r in (rows[a:a + step] for a in range(0, rows.size, step))]
     preds.append(diff.constant(np.zeros((1, model.cfg.out_channels))))
     live_weights = np.append(weights.ravel()[rows], 0.0)[:, None]
@@ -442,6 +464,8 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
     per-thread _CHUNK_BYTES budget run on `parallel.run_bands`; their bounds
     follow from the model, mode and N alone, so the output does not depend on
     the thread count and memory past the (N, n0) output does not grow with N.
+    Only these chunks use lte's float32 waves (see _input_sum_lte); the taped
+    exit stays float64.
     """
     mode = model.cfg.mode if mode is None else mode
     eps = model.cfg.eps if eps is None else eps
@@ -458,7 +482,7 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
     out = np.empty((q, model.cfg.out_channels))
 
     def chunk(a: int, b: int):
-        out[a:b] = _eval_global_chunk(model, lats, X[a:b], a, q // items, mode, eps).data
+        out[a:b] = _eval_global_chunk(model, lats, X[a:b], a, q // items, mode, eps, True).data
 
     parallel.run_bands(zip(cuts[:-1], cuts[1:]), chunk)
     return diff.constant(out)

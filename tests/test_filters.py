@@ -268,6 +268,23 @@ class TestGroupConv:
                 rhs = rotate_feature(base, g, k)
                 assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-10
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_bias_in_place_matches_taped_add_bit_for_bit(self, batched):
+        # untaped, the bias goes into conv2d's output in place; under a tape
+        # it is a recorded add with a gradient
+        rng = np.random.default_rng(9)
+        g = make_group(4)
+        pf = make_param_filter(3, 4, 2, 3, rng=rng)
+        x = diff.constant(rng.standard_normal((2, 6, 5, 4, 2) if batched else (6, 5, 4, 2)))
+        bias = diff.parameter(rng.standard_normal(3))
+        got = group_conv_t(x, pf, g, bias=bias)
+        with diff.Tape() as tape:
+            expected = group_conv_t(x, pf, g, bias=bias)
+            loss = diff.reduce_sum(expected)
+        assert np.array_equal(got.data, expected.data)
+        assert np.array_equal(diff.backward(tape, loss)[bias].data,
+                              np.full(3, expected.size // 3, dtype=float))
+
     def test_group_order_mismatch_raises(self):
         pf = make_param_filter(2, 2, 2, 3, rng=np.random.default_rng(8))
         f = GroupFeatureMap(np.zeros((4, 4, 2, 4)))

@@ -378,21 +378,23 @@ class TestEvalGlobal:
     def test_nearest_evaluates_one_latent_per_query_off_ties(self, monkeypatch):
         model, lats = _latents(_small_cfg("lte", 4), 8)
         X = np.random.default_rng(13).uniform(-1.0, 1.0, (500, 2))
-        rows = []
+        rows, precision = [], []
         real = inr._eval_local_batch
 
-        def counting(params, lat_q, X):
+        def counting(params, lat_q, X, *rest):
             rows.append(X.shape[0])
-            return real(params, lat_q, X)
+            precision.append(rest)
+            return real(params, lat_q, X, *rest)
 
         monkeypatch.setattr(inr, "_eval_local_batch", counting)
         got = eval_global_batch(model, lats, X, mode="nearest").data
         assert rows == [500]
-        # and that latent is the nearest one, at its own offset
+        # and that latent is the nearest one, at its own offset, evaluated at
+        # the precision the call received
         ij = coord_to_index(X, 8)
         centers = pixel_coords(8)[ij[:, 0], ij[:, 1]]
         lat_q = inr._gather_latents(lats, ij[:, 0] * 8 + ij[:, 1])
-        expected = real(model.inr, lat_q, (X - centers) * 8).data
+        expected = real(model.inr, lat_q, (X - centers) * 8, *precision[0]).data
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_value_continuous_across_cell_boundary(self):
@@ -489,6 +491,40 @@ class TestSuperResolve:
         img = gen_synthetic(data, 0)
         recon = super_resolve(result.model, img, 1.0)
         assert psnr(Image(np.clip(recon.data, 0, 1)), img) >= 40.0
+
+
+class TestFloat32Waves:
+    """lte's serving exit evaluates its waves in float32; a tape keeps float64."""
+
+    @pytest.mark.parametrize("t", [1, 4, 8])
+    @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
+    @pytest.mark.parametrize("freq_gain", [1.0, 50.0])
+    def test_serving_exit_matches_the_taped_float64_exit(self, t, mode, freq_gain):
+        # a gain of 50 on the frequency head puts angles at hundreds of radians
+        model = build_model(ModelConfig(variant="lte", t=t, n=16 // t, blocks=1), seed=t)
+        model.named_parameters()["inr.freq_head.w"].data *= freq_gain
+        img = Image(np.random.default_rng(t).random((12, 12, 3)))
+        got = super_resolve(model, img, 2.5, mode=mode).data
+        with diff.Tape():
+            expected = super_resolve(model, img, 2.5, mode=mode).data
+        lats = compute_latents(model, encode_t(model.encoder, diff.constant(img.data)))
+        assert np.max(np.abs(lats[1].data)) * np.pi >= (100.0 if freq_gain > 1 else 1.0)
+        assert not np.array_equal(got, expected)  # the waves did differ in precision
+        assert np.max(np.abs(got - expected)) <= 1e-6 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_angle_gives_nan_like_float64(self, bad):
+        model, lats = _latents(ModelConfig(variant="lte", t=4, n=4, blocks=1), 6)
+        lats[1].data[2, 3, 1, 0] = bad  # one frequency of one latent
+        X = pixel_coords(15).reshape(-1, 2)
+        with np.errstate(invalid="ignore"):
+            got = eval_global_batch(model, lats, X).data
+            with diff.Tape():
+                expected = eval_global_batch(model, lats, X).data
+        assert np.isnan(expected).any()
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        assert np.max(np.abs(got[finite] - expected[finite])) <= 1e-6 * np.max(np.abs(expected[finite]))
 
 
 def _latents(cfg, side, seed=0):
