@@ -8,7 +8,7 @@ LTE variants), and a verification harness for equivariance-error claims.
 __version__ = "0.1.0"
 
 from .errors import EquisrError  # noqa: F401
-from .image import Image, make_image  # noqa: F401
+from .image import Image  # noqa: F401
 from .groups import (  # noqa: F401
     GroupFeatureMap,
     RotationGroup,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diff
 from .encoder import EncoderParams, encode_t
-from .filters import ParamFilter, group_conv_t, lifting_conv_t, synthesize_kernel
+from .filters import ParamFilter, group_conv_t, synthesize_kernel
 from .groups import make_group
 from .inr import (
     INRModel,
@@ -107,7 +107,8 @@ def _filter_checks() -> list[CheckResult]:
         return diff.reduce_sum(diff.sin(synthesize_kernel(ParamFilter(coeffs), A45)))
 
     def lift(x, coeffs):
-        return diff.reduce_sum(diff.sin(lifting_conv_t(x, ParamFilter(coeffs), g4, pad="same")))
+        x = diff.reshape(x, x.shape[:-1] + (1, x.shape[-1]))  # an image is a one-slot map
+        return diff.reduce_sum(diff.sin(group_conv_t(x, ParamFilter(coeffs), g4, pad="same")))
 
     def gconv(group):
         return lambda x, coeffs: diff.reduce_sum(diff.sin(

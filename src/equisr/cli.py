@@ -105,9 +105,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_eval_equiv(args) -> int:
     doc = config.load_config(args.config)
     ev = doc["eval"]
-    angles_deg = list(ev["angles_deg"])
-    if not angles_deg:
-        raise ConfigError("eval.angles_deg must be non-empty")
+    angles_deg = ev["angles_deg"]
     angles = [np.deg2rad(a) for a in angles_deg]
     mask = "auto" if ev["mask"] == "auto" else None
     cfg = config.model_config(doc)
@@ -117,8 +115,8 @@ def _cmd_eval_equiv(args) -> int:
         cfg = model.cfg
     cells = list(sweep_cells(
         [(cfg.variant if cfg.t > 1 else f"{cfg.variant}-plain", cfg)],
-        angles, list(ev["scales"]), list(ev["resolutions"]),
-        seeds=list(ev["seeds"]), data=data, mask=mask, eps=ev["eps"], model=model,
+        angles, ev["scales"], ev["resolutions"],
+        seeds=ev["seeds"], data=data, mask=mask, eps=ev["eps"], model=model,
     ))
     atomic_write(args.out, sweep_csv(cells).encode())
     print(f"wrote {args.out}")
@@ -148,9 +146,7 @@ def _cmd_train(args) -> int:
     cfg = config.model_config(doc)
     data = config.dataset_spec(doc)
     tr = doc["train"]
-    result = train(cfg, data, steps=int(tr["steps"]), lr=float(tr["lr"]),
-                   decay_steps=int(tr["decay_steps"]), batch=int(tr["batch"]),
-                   patch=int(tr["patch"]), seed=int(tr["seed"]))
+    result = train(cfg, data, **tr)
     os.makedirs(args.out, exist_ok=True)
     ckpt_json, _ = save_checkpoint(os.path.join(args.out, "ckpt"), result.model)
     atomic_write(os.path.join(args.out, "loss.csv"), loss_log_csv(result.loss_rows).encode())

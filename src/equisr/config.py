@@ -1,8 +1,11 @@
 """JSON run configuration: strict schema with documented defaults.
 
 A run config has four sections (model, data, train, eval); unknown keys are
-rejected with the offending dotted path.  `defaults()` returns the complete
-default document, which the CLI can also emit as defaults.json.
+rejected with the offending dotted path.  `load_config` checks the train and
+eval values as they are, without coercion, and `model_config` passes the
+model values unchanged to `ModelConfig`, whose checks are the only ones; a
+bad value raises ConfigError naming its dotted key.  `defaults()` returns the
+complete default document, which the CLI can also emit as defaults.json.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import json
 import math
 
 from .data import DatasetSpec
-from .errors import ConfigError
-from .inr import ModelConfig
+from .errors import ConfigError, DomainError
+from .inr import ModelConfig, output_size
 
 _DEFAULTS = {
     "model": {
@@ -71,7 +74,9 @@ def _merge(base: dict, override: dict, path: str) -> dict:
         dotted = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{dotted} must be a JSON object")
             out[key] = _merge(base[key], value, dotted)
         else:
             out[key] = value
@@ -87,8 +92,60 @@ def load_config(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     doc = _merge(_DEFAULTS, doc, "")
+    _check_run_values(doc)
     _check_patch_fits(doc)
     return doc
+
+
+def _is_int(v, low: int) -> bool:
+    return type(v) is int and v >= low  # a JSON true is not an integer
+
+
+def _is_real(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+# key -> (test, rule); eval entries are lists, each item tested
+_TRAIN_RULES = {
+    "steps": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "lr": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
+    "decay_steps": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "batch": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "patch": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+}
+_EVAL_RULES = {
+    "angles_deg": (_is_real, "finite numbers"),
+    "scales": (_is_real, "finite numbers"),
+    "resolutions": (lambda v: _is_int(v, 1), "integers >= 1"),
+    "seeds": (lambda v: _is_int(v, 0), "integers >= 0"),
+}
+
+
+def _check_run_values(doc: dict) -> None:
+    """The train and eval values the commands use as they are."""
+    for key, (ok, rule) in _TRAIN_RULES.items():
+        value = doc["train"][key]
+        if not ok(value):
+            raise ConfigError(f"train.{key} must be {rule}, got {json.dumps(value)}")
+    ev = doc["eval"]
+    for key, (ok, rule) in _EVAL_RULES.items():
+        if not (isinstance(ev[key], list) and ev[key] and all(ok(v) for v in ev[key])):
+            raise ConfigError(f"eval.{key} must be a non-empty list of {rule}, "
+                              f"got {json.dumps(ev[key])}")
+    for scale in ev["scales"]:
+        for res in ev["resolutions"]:
+            try:
+                output_size(res, res, scale)
+            except DomainError as e:
+                raise ConfigError(f"eval.scales: {e}") from None
+    if ev["mask"] not in ("auto", "none"):
+        raise ConfigError(f"eval.mask must be \"auto\" or \"none\", got {json.dumps(ev['mask'])}")
+    if ev["eps"] is not None:
+        try:
+            ModelConfig(eps=ev["eps"])
+        except ConfigError as e:
+            raise ConfigError(f"eval.eps: {e}") from None
 
 
 def _check_patch_fits(doc: dict) -> None:
@@ -106,24 +163,33 @@ def _check_patch_fits(doc: dict) -> None:
 
 
 def model_config(doc: dict) -> ModelConfig:
+    """The model section as a ModelConfig, its values unchanged: ModelConfig's
+    checks are the only ones, and a failing field is reported by its key."""
     m = doc["model"]
-    widths = list(m["inr"]["widths"])
-    if not widths:
-        raise ConfigError("model.inr.widths must be non-empty")
-    return ModelConfig(
-        variant=m["variant"],
-        t=int(m["t"]),
-        blocks=int(m["encoder"]["blocks"]),
-        n=int(m["encoder"]["n"]),
-        p=int(m["encoder"]["p"]),
-        L=int(m["inr"]["L"]),
-        width=int(widths[0]),
-        psi_widths=tuple(int(wv) for wv in widths[1:]),
-        k_max=int(m["inr"]["k_max"]),
-        K=int(m["inr"]["K"]),
-        eps=float(m["inr"]["eps"]),
-        mode=m["inr"]["mode"],
-    )
+    enc, head = m["encoder"], m["inr"]
+    widths = head["widths"]
+    if not (isinstance(widths, list) and widths):
+        raise ConfigError(f"model.inr.widths must be a non-empty list, got {json.dumps(widths)}")
+    fields = {  # ModelConfig field -> (dotted key, value)
+        "variant": ("model.variant", m["variant"]),
+        "t": ("model.t", m["t"]),
+        "blocks": ("model.encoder.blocks", enc["blocks"]),
+        "n": ("model.encoder.n", enc["n"]),
+        "p": ("model.encoder.p", enc["p"]),
+        "L": ("model.inr.L", head["L"]),
+        "width": ("model.inr.widths", widths[0]),
+        "psi_widths": ("model.inr.widths", tuple(widths[1:])),
+        "k_max": ("model.inr.k_max", head["k_max"]),
+        "K": ("model.inr.K", head["K"]),
+        "eps": ("model.inr.eps", head["eps"]),
+        "mode": ("model.inr.mode", head["mode"]),
+    }
+    for name, (key, value) in fields.items():
+        try:
+            ModelConfig(**{name: value})  # each field alone, so the error names its key
+        except ConfigError as e:
+            raise ConfigError(f"{key}: {e}") from None
+    return ModelConfig(**{name: value for name, (_, value) in fields.items()})
 
 
 def dataset_spec(doc: dict) -> DatasetSpec:

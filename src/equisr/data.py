@@ -277,16 +277,15 @@ class PatchPair:
     targets: np.ndarray  # (q, c) ground-truth values
 
 
-def sample_patch_pairs(spec: DatasetSpec, patch: int, scale_range: tuple[float, float],
-                       batch: int, seed) -> list[PatchPair]:
+def sample_patch_pairs(spec: DatasetSpec, patch: int, batch: int, seed) -> list[PatchPair]:
     """Draw `batch` (LR, HR, queries) training tuples.
 
-    Per sample: scale s ~ U[scale_range]; an HR crop of round(patch*s)^2 from
-    a random corpus image; LR = bicubic downscale to patch^2; queries are a
-    uniform sample (without replacement) of patch^2 HR cell centers with
-    their ground-truth values.
+    Per sample: scale s ~ U[scale_lo, scale_hi] of the spec; an HR crop of
+    round(patch*s)^2 from a random corpus image; LR = bicubic downscale to
+    patch^2; queries are a uniform sample (without replacement) of patch^2
+    HR cell centers with their ground-truth values.
     """
-    s_lo, s_hi = scale_range
+    s_lo, s_hi = spec.scale_lo, spec.scale_hi
     count = dataset_count(spec)
     max_side = int(np.floor(patch * s_hi + 0.5))
     rng = np.random.default_rng(seed)

@@ -285,14 +285,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _finish(out, tuple(tensors), bwd)
 
 
-def reduce_sum(x, axes=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x, axes=None) -> Tensor:
     x = _as_tensor(x)
     if axes is not None and not isinstance(axes, tuple):
         axes = (axes,)
-    out = Tensor(x.data.sum(axis=axes, keepdims=keepdims))
+    out = Tensor(x.data.sum(axis=axes))
 
     def bwd(g):
-        if axes is not None and not keepdims:
+        if axes is not None:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, x.shape).copy(),)
 

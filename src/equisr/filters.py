@@ -225,14 +225,6 @@ def group_kernel(f: ParamFilter, group: RotationGroup) -> Tensor:
     return _rotated_kernels(f.coeffs, group.matrices)
 
 
-def lifting_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
-                   pad: str = "same") -> Tensor:
-    """Image tensor ([b,] h, w, c_in) -> group feature tensor ([b,] h', w', t, n)."""
-    if x.ndim not in (3, 4) or x.shape[-1] != f.c_in:
-        raise ShapeError(f"lifting_conv: image shape {x.shape} vs filter c_in {f.c_in}")
-    return group_conv_t(diff.reshape(x, x.shape[:-1] + (1, f.c_in)), f, group, pad=pad)
-
-
 def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
                  pad: str = "same", bias: Tensor | None = None) -> Tensor:
     """Feature tensor ([b,] h, w, g_in, n_in) -> ([b,] h', w', t, n_out).
@@ -270,7 +262,7 @@ def _feat_to_internal(f: GroupFeatureMap) -> np.ndarray:
 
 def lifting_conv(img: Image, f: ParamFilter, group: RotationGroup,
                  pad: str = "same") -> GroupFeatureMap:
-    y = lifting_conv_t(diff.constant(img.data), f, group, pad=pad)
+    y = group_conv_t(diff.constant(img.data[:, :, None, :]), f, group, pad=pad)
     return _feat_to_public(y.data)
 
 

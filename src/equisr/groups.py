@@ -95,21 +95,13 @@ def _rotate_array(data: np.ndarray, angle: float) -> np.ndarray:
     return bilinear_sample(data, src)
 
 
-def rotate_image(img: Image, angle: float | None = None, *,
-                 group: RotationGroup | None = None, k: int | None = None) -> Image:
-    """Rotate an image CCW by `angle` radians, or by group element k.
+def rotate_image(img: Image, angle: float) -> Image:
+    """Rotate an image CCW by `angle` radians.
 
     Multiples of pi/2 (within 1e-12) are exact index permutations; any other
     angle uses bilinear interpolation with out-of-domain samples set to 0.
-    Passing `group` and `k` applies element k's image action instead of an
-    explicit angle.
+    Group element k's image action is the angle `element_image_angle(group, k)`.
     """
-    if (angle is None) == (group is None):
-        raise ShapeError("rotate_image needs either an angle or (group, k)")
-    if group is not None:
-        if k is None or not 0 <= k < group.t:
-            raise GroupIndexError(f"group index {k} outside [0, {group.t})")
-        angle = element_image_angle(group, k)
     return Image(_rotate_array(img.data, float(angle)))
 
 

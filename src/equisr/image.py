@@ -56,10 +56,6 @@ class Image:
         return 2.0 / self.h
 
 
-def make_image(data) -> Image:
-    return Image(np.asarray(data, dtype=np.float64))
-
-
 def pixel_coords(h: int, w: int | None = None) -> np.ndarray:
     """Cell-center coordinates, shape (h, w, 2) holding (x1, x2) per pixel."""
     if w is None:

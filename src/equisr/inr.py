@@ -33,7 +33,7 @@ the areas) or the nearest one, ties shared equally ("nearest" mode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -324,8 +324,8 @@ def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray,
     """sum_A Fa^A (*) [cos(pi Ff^A A^{-1}x); sin(pi Ff^A A^{-1}x)] -> (Q, 2K).
 
     With waves32 (untaped inference only) the float64 angles are reduced to
-    [-pi, pi] as a - 2 pi rint(a / 2 pi), the cos and sin of that float32
-    value fill one (Q, t, 2K) buffer, and the amplitude sum runs in float64.
+    [-pi, pi] as a - 2 pi rint(a / 2 pi), and float32 cos and sin of that
+    float32 value fill one (Q, t, 2K) float64 buffer for the amplitude sum.
     """
     cfg = params.cfg
     q, t = X.shape[0], cfg.t
@@ -340,9 +340,10 @@ def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray,
     reduced *= 2.0 * np.pi
     np.subtract(ang.data, reduced, out=reduced)
     reduced = reduced.astype(np.float32)
-    waves = np.empty((q, t, 2 * cfg.K), dtype=np.float32)
-    np.cos(reduced, out=waves[..., :cfg.K])
-    np.sin(reduced, out=waves[..., cfg.K:])
+    # a float64 buffer spares einsum a buffered cast of float32 waves
+    waves = np.empty((q, t, 2 * cfg.K))
+    np.cos(reduced, out=waves[..., :cfg.K], dtype=np.float32)
+    np.sin(reduced, out=waves[..., cfg.K:], dtype=np.float32)
     return diff.constant(np.einsum("qtk,qtk->qk", amp.data, waves))
 
 
@@ -410,12 +411,13 @@ def _corners(X: np.ndarray, h: int, w: int, mode: str,
 
 
 def _eval_global_chunk(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, first: int,
-                       per_item: int, mode: str, eps: float, waves32: bool = False) -> Tensor:
+                       per_item: int, waves32: bool = False) -> Tensor:
     """Queries X (Q, 2): rows first, first + 1, ... of an eval_global_batch
     call with per_item queries per item.  waves32 as in _input_sum_lte."""
     q = X.shape[0]
     h, w = lats[0].shape[-4:-2]
-    flat, off, weights = _corners(X, h, w, mode, eps)
+    mode = model.cfg.mode
+    flat, off, weights = _corners(X, h, w, mode, model.cfg.eps)
     items = (first + np.arange(q)) // per_item
     flat = (flat.reshape(4, q) + items * (h * w)).ravel()
     # only corners with weight are evaluated, at most _EVALS[mode] * Q rows at
@@ -434,7 +436,7 @@ def _eval_global_chunk(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
     return diff.reduce_sum(diff.reshape(diff.gather(preds, slot), (4, q, -1)), axes=0)
 
 
-def _query_bytes(cfg: ModelConfig, mode: str) -> int:
+def _query_bytes(cfg: ModelConfig) -> int:
     """Upper estimate of the bytes one query's assembly temporaries hold at once."""
     if cfg.variant == "liif":
         slot = 2 * (cfg.n + 2) + 4 * cfg.width  # codes, [F; x], cyclic layer outputs
@@ -446,12 +448,15 @@ def _query_bytes(cfg: ModelConfig, mode: str) -> int:
     # per local evaluation: the group slots, then the t-free output head
     # (W_out1 and psi layers, two arrays each), outputs, offsets and weights
     floats = cfg.t * slot + 2 * (cfg.width + sum(cfg.psi_widths)) + 2 * cfg.out_channels + 8
-    return _EVALS[mode] * 8 * floats
+    return _EVALS[cfg.mode] * 8 * floats
 
 
-def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
-                      mode: str | None = None, eps: float | None = None) -> Tensor:
+def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, *,
+                      eps: float | None = None) -> Tensor:
     """Evaluate the global continuous function at queries X (N, 2) -> (N, n0).
+
+    The mode is model.cfg.mode; an `eps` replaces model.cfg.eps, checked as
+    ModelConfig checks it (else ConfigError).
 
     Latent tensors with a leading axis of B items take N/B queries per item,
     item-major: rows [i N/B, (i + 1) N/B) of X query item i, whose pixels
@@ -462,27 +467,25 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
     chunk: a tape keeps every chunk's temporaries anyway.  Otherwise equal
     chunks (sizes differ by at most one, a chunk may span items) within the
     per-thread _CHUNK_BYTES budget run on `parallel.run_bands`; their bounds
-    follow from the model, mode and N alone, so the output does not depend on
+    follow from the model and N alone, so the output does not depend on
     the thread count and memory past the (N, n0) output does not grow with N.
     Only these chunks use lte's float32 waves (see _input_sum_lte); the taped
     exit stays float64.
     """
-    mode = model.cfg.mode if mode is None else mode
-    eps = model.cfg.eps if eps is None else eps
-    if mode not in _EVALS:
-        raise ConfigError(f"unknown evaluation mode {mode!r}")
+    if eps is not None:
+        model = replace(model, cfg=replace(model.cfg, eps=eps))
     q, items = X.shape[0], (lats[0].shape[0] if lats[0].ndim == 5 else 1)
     if q % items:
         raise ShapeError(f"{q} queries do not split evenly over {items} latent items")
     if diff.recording():
-        return _eval_global_chunk(model, lats, X, 0, q // items, mode, eps)
-    rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg, mode))
+        return _eval_global_chunk(model, lats, X, 0, q // items)
+    rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg))
     chunks = max(1, -(-q // rows))
     cuts = [q * i // chunks for i in range(chunks + 1)]
     out = np.empty((q, model.cfg.out_channels))
 
     def chunk(a: int, b: int):
-        out[a:b] = _eval_global_chunk(model, lats, X[a:b], a, q // items, mode, eps, True).data
+        out[a:b] = _eval_global_chunk(model, lats, X[a:b], a, q // items, True).data
 
     parallel.run_bands(zip(cuts[:-1], cuts[1:]), chunk)
     return diff.constant(out)
@@ -505,17 +508,18 @@ def output_size(h: int, w: int, scale: float) -> tuple[int, int]:
     return h_out, w_out
 
 
-def super_resolve(model: INRModel, img: Image, scale: float,
-                  mode: str | None = None, eps: float | None = None) -> Image:
+def super_resolve(model: INRModel, img: Image, scale: float, *,
+                  eps: float | None = None) -> Image:
     """Arbitrary-scale super-resolution: encode, then query every HR cell center.
 
-    The scale and output size are checked by `output_size` before any work.
+    The scale and output size are checked by `output_size` before any work;
+    `eps` as in eval_global_batch.
     """
     h_out, w_out = output_size(img.h, img.w, scale)
     feat = encode_t(model.encoder, diff.constant(img.data))
     lats = compute_latents(model, feat)
     xx = pixel_coords(h_out, w_out).reshape(-1, 2)
-    out = eval_global_batch(model, lats, xx, mode=mode, eps=eps)
+    out = eval_global_batch(model, lats, xx, eps=eps)
     return Image(out.data.reshape(h_out, w_out, model.cfg.out_channels))
 
 
@@ -579,7 +583,7 @@ def eval_local(latent, x_local, params: INRParams) -> np.ndarray:
     return _eval_local_batch(params, lat, X).data[0]
 
 
-def eval_global(model: INRModel, F: GroupFeatureMap, x, mode: str | None = None,
+def eval_global(model: INRModel, F: GroupFeatureMap, x, *,
                 eps: float | None = None) -> np.ndarray:
     """Evaluate the assembled continuous function at one coordinate."""
     x = np.asarray(x, dtype=np.float64)
@@ -587,4 +591,4 @@ def eval_global(model: INRModel, F: GroupFeatureMap, x, mode: str | None = None,
         raise DomainError(f"query {x} outside [-1, 1]^2")
     feat = diff.constant(_feat_to_internal(F))
     lats = compute_latents(model, feat)
-    return eval_global_batch(model, lats, x[None, :], mode=mode, eps=eps).data[0]
+    return eval_global_batch(model, lats, x[None, :], eps=eps).data[0]

@@ -110,9 +110,9 @@ def _check_mask(mask) -> None:
 
 
 def _compare(model: INRModel, img: Image, y0: Image, angle: float, scale: float,
-             mask, eps: float | None, mode: str | None) -> EquivEntry:
+             mask, eps: float | None) -> EquivEntry:
     """The angle-dependent half of a measurement, given y0 = Phi(img)."""
-    y1 = super_resolve(model, rotate_image(img, angle), scale, mode=mode, eps=eps)
+    y1 = super_resolve(model, rotate_image(img, angle), scale, eps=eps)
     ref = rotate_image(y0, angle)
     if isinstance(mask, str):
         mask = _auto_mask(angle, ref.h, ref.w, img.h)
@@ -121,16 +121,15 @@ def _compare(model: INRModel, img: Image, y0: Image, angle: float, scale: float,
 
 
 def equivariance_error(model: INRModel, img: Image, angle: float, scale: float,
-                       eps: float | None = None, mask="auto",
-                       mode: str | None = None) -> EquivEntry:
+                       eps: float | None = None, mask="auto") -> EquivEntry:
     """One (image, angle, scale) equivariance measurement.
 
     `mask` is "auto" (inscribed disk for non-right angles, none otherwise),
     None, or an explicit boolean (h, w) array on the HR raster.
     """
     _check_mask(mask)
-    y0 = super_resolve(model, img, scale, mode=mode, eps=eps)
-    return _compare(model, img, y0, angle, scale, mask, eps, mode)
+    y0 = super_resolve(model, img, scale, eps=eps)
+    return _compare(model, img, y0, angle, scale, mask, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def sweep_image(data: DatasetSpec, resolution: int, seed: int) -> Image:
 
 def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
                 data: DatasetSpec | None = None, mask="auto", eps: float | None = None,
-                mode: str | None = None, model: INRModel | None = None):
+                model: INRModel | None = None):
     """Evaluate an equivariance-error grid in one pass, yielding its cells.
 
     `model_cfgs` is a list of (name, ModelConfig); `t_values` optionally
@@ -188,10 +187,10 @@ def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0
                 for ri, res in enumerate(resolutions):
                     img = sweep_image(data, res, seed)
                     for si, scale_ in enumerate(scales):
-                        y0 = super_resolve(m, img, scale_, mode=mode, eps=eps)
+                        y0 = super_resolve(m, img, scale_, eps=eps)
                         for ai, angle in enumerate(angles):
                             entries.setdefault((ai, si, ri), []).append(_compare(
-                                m, img, y0, angle, scale_, mask, eps, mode))
+                                m, img, y0, angle, scale_, mask, eps))
             for ai, si, ri in sorted(entries):  # row order: angle, scale, resolution
                 yield (name, run_cfg, angles[ai], scales[si], resolutions[ri],
                        tuple(entries[ai, si, ri]))
@@ -213,7 +212,7 @@ def sweep_csv(cells) -> str:
 
 def sweep(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
           data: DatasetSpec | None = None, mask="auto", eps: float | None = None,
-          mode: str | None = None, model: INRModel | None = None) -> str:
+          model: INRModel | None = None) -> str:
     """`sweep_cells` as a CSV: one row per cell, mean +- sample std over seeds."""
     return sweep_csv(sweep_cells(model_cfgs, angles, scales, resolutions, t_values,
-                                 seeds, data, mask, eps, mode, model))
+                                 seeds, data, mask, eps, model))

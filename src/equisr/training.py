@@ -53,9 +53,11 @@ def init_train_state(params: dict[str, Tensor]) -> TrainState:
     )
 
 
-def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps_a: float = 1e-8) -> TrainState:
+# Adam's moment decay rates and denominator stabilizer
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> TrainState:
     """One bias-corrected Adam update (parameters updated in place)."""
     t = state.step + 1
     for name, p in state.params.items():
@@ -66,11 +68,11 @@ def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float,
             g = g.data
         if g.shape != p.shape:
             raise ContractError(f"gradient for {name!r} has shape {g.shape}, expected {p.shape}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps_a)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     state.step = t
     return state
 
@@ -89,7 +91,7 @@ class TrainResult:
 
 
 def train(cfg: ModelConfig, data: DatasetSpec, steps: int, lr: float = 1e-4,
-          decay_steps: int = 500, batch: int = 4, patch: int = 24,
+          decay_steps: int = 500, batch: int = 4, patch: int = 12,
           seed: int = 0) -> TrainResult:
     """Train a model on sampled patch pairs with L1 loss."""
     if steps < 1:
@@ -100,8 +102,7 @@ def train(cfg: ModelConfig, data: DatasetSpec, steps: int, lr: float = 1e-4,
     rows: list[tuple[int, float, float]] = []
     for step in range(steps):
         lr_t = lr * 0.5 ** (step // decay_steps)
-        pairs = sample_patch_pairs(data, patch, (data.scale_lo, data.scale_hi),
-                                   batch, seed=(seed, step))
+        pairs = sample_patch_pairs(data, patch, batch, seed=(seed, step))
         with Tape() as tape:
             lr_stack = np.stack([pair.lr.data for pair in pairs])
             feat = encode_t(model.encoder, diff.constant(lr_stack))

@@ -144,6 +144,39 @@ class TestEvalEquiv:
                      str(tmp_path / "r.csv")]) == 1
 
 
+@pytest.mark.parametrize("command,text,key", [
+    ("eval-equiv", '{"model": {"t": 2.5}}', "model.t"),
+    ("eval-equiv", '{"model": {"t": "abc"}}', "model.t"),
+    ("eval-equiv", '{"model": {"encoder": {"blocks": 1.9}}}', "model.encoder.blocks"),
+    ("eval-equiv", '{"model": {"inr": {"widths": [32.7, 64]}}}', "model.inr.widths"),
+    ("eval-equiv", '{"model": {"inr": {"eps": "1e-3"}}}', "model.inr.eps"),
+    ("eval-equiv", '{"model": {"encoder": 5}}', "model.encoder"),
+    ("train", '{"train": {"steps": "abc"}}', "train.steps"),
+    ("train", '{"train": {"steps": 2.5}}', "train.steps"),
+    ("train", '{"train": {"lr": "x"}}', "train.lr"),
+    ("train", '{"train": {"seed": -1}}', "train.seed"),
+    ("train", '{"train": {"batch": 0}}', "train.batch"),
+    ("train", '{"train": {"patch": 0}}', "train.patch"),
+    ("eval-equiv", '{"eval": {"scales": ["x"]}}', "eval.scales"),
+    ("eval-equiv", '{"eval": {"scales": [0.5]}}', "eval.scales"),
+    ("eval-equiv", '{"eval": {"seeds": ["a"]}}', "eval.seeds"),
+    ("eval-equiv", '{"eval": {"angles_deg": ["x"]}}', "eval.angles_deg"),
+    ("eval-equiv", '{"eval": {"resolutions": [2.5]}}', "eval.resolutions"),
+    ("eval-equiv", '{"eval": {"mask": "foo"}}', "eval.mask"),
+    ("eval-equiv", '{"eval": {"eps": -1}}', "eval.eps"),
+    ("eval-equiv", '{"eval": {"eps": 1e400}}', "eval.eps"),
+    ("eval-equiv", '{"eval": {"eps": true}}', "eval.eps"),
+])
+def test_malformed_config_is_one_usage_error_naming_its_key(tmp_path, capsys, command, text,
+                                                             key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestTrainAndSr:
     def test_train_then_eval_preserves_equivariance(self, tmp_path):
         cfg = _write_config(tmp_path, {

@@ -159,15 +159,15 @@ class TestPatchSampling:
     def test_scale_one_gives_identical_pair(self):
         spec = DatasetSpec(kind="stripes", count=2, size=24, seed=1,
                            scale_lo=1.0, scale_hi=1.0)
-        pairs = sample_patch_pairs(spec, 12, (1.0, 1.0), 2, seed=0)
+        pairs = sample_patch_pairs(spec, 12, 2, seed=0)
         for p in pairs:
             assert np.array_equal(p.lr.data, p.hr.data)
 
     def test_deterministic_under_seed(self):
         spec = DatasetSpec(kind="shapes", count=4, size=96, seed=2,
                            scale_lo=2.0, scale_hi=4.0)
-        a = sample_patch_pairs(spec, 24, (2.0, 4.0), 3, seed=7)
-        b = sample_patch_pairs(spec, 24, (2.0, 4.0), 3, seed=7)
+        a = sample_patch_pairs(spec, 24, 3, seed=7)
+        b = sample_patch_pairs(spec, 24, 3, seed=7)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.lr.data, pb.lr.data)
             assert np.array_equal(pa.coords, pb.coords)
@@ -176,7 +176,7 @@ class TestPatchSampling:
     def test_desk_scale_shapes(self):
         spec = DatasetSpec(kind="stripes", count=4, size=96, seed=0,
                            scale_lo=2.0, scale_hi=4.0)
-        pairs = sample_patch_pairs(spec, 24, (2.0, 4.0), 4, seed=1)
+        pairs = sample_patch_pairs(spec, 24, 4, seed=1)
         assert len(pairs) == 4
         for p in pairs:
             assert p.lr.data.shape == (24, 24, 3)
@@ -198,7 +198,7 @@ class TestPatchSampling:
             assert np.array_equal(pixel_coords(hs)[ii, jj], inline)
         spec = DatasetSpec(kind="stripes", count=4, size=96, seed=0,
                            scale_lo=2.0, scale_hi=4.0)
-        for p in sample_patch_pairs(spec, 24, (2.0, 4.0), 4, seed=1):
+        for p in sample_patch_pairs(spec, 24, 4, seed=1):
             ii, jj = coord_to_index(p.coords, p.hr.h).T
             assert np.array_equal(p.coords, pixel_coords(p.hr.h)[ii, jj])
             assert np.array_equal(p.targets, p.hr.data[ii, jj])
@@ -207,7 +207,7 @@ class TestPatchSampling:
         spec = DatasetSpec(kind="stripes", count=1, size=24, seed=0,
                            scale_lo=2.0, scale_hi=4.0)
         with pytest.raises(ConfigError):
-            sample_patch_pairs(spec, 20, (2.0, 4.0), 1, seed=0)
+            sample_patch_pairs(spec, 20, 1, seed=0)
 
     def test_file_dir_dataset(self, tmp_path):
         rng = np.random.default_rng(4)

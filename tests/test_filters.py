@@ -13,7 +13,6 @@ from equisr.filters import (
     group_conv_t,
     group_kernel,
     lifting_conv,
-    lifting_conv_t,
     lifting_kernel,
     make_param_filter,
     phi_bic,
@@ -224,7 +223,7 @@ class TestLiftingConv:
         g = make_group(4)
         pf = make_param_filter(2, 1, 3, 3, rng=np.random.default_rng(6))
         with pytest.raises(ShapeError):
-            lifting_conv_t(diff.constant(np.zeros((5, 5, 2))), pf, g)
+            lifting_conv(Image(np.zeros((5, 5, 2))), pf, g)
 
 
 class TestGroupConv:

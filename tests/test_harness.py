@@ -178,7 +178,7 @@ class TestSweep:
 
 
 def _reference_sweep(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
-                     data=None, mask="auto", eps=None, mode=None, model=None):
+                     data=None, mask="auto", eps=None, model=None):
     """The nested per-angle sweep loop: a model, image and y0 per grid point."""
     lines = [f"# equisr {__version__}", SWEEP_HEADER]
     for name, cfg in model_cfgs:
@@ -192,7 +192,7 @@ def _reference_sweep(model_cfgs, angles, scales, resolutions, t_values=None, see
                             m = model if model is not None else build_model(run_cfg, seed=seed)
                             img = sweep_image(data, res, seed)
                             entries.append(equivariance_error(
-                                m, img, angle, scale_, eps=eps, mask=mask, mode=mode))
+                                m, img, angle, scale_, eps=eps, mask=mask))
                         rep = aggregate(entries)
                         lines.append(
                             f"{name},{run_cfg.variant},{run_cfg.t},{angle:.12g},"

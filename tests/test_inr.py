@@ -1,6 +1,8 @@
 """Rotation-equivariant INR layers: exactness identities and assembly."""
 
 import contextlib
+import dataclasses
+import inspect
 import os
 import sys
 import threading
@@ -65,6 +67,11 @@ def _small_cfg(variant, t, **kw):
                     psi_widths=(8,), K=3, k_max=1)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def _in_mode(model, mode):
+    """The model with its config's evaluation mode set to `mode`."""
+    return dataclasses.replace(model, cfg=dataclasses.replace(model.cfg, mode=mode))
 
 
 class TestLiftCoordinate:
@@ -316,7 +323,7 @@ class TestEvalGlobal:
         feat = encode(model.encoder, img)
         # pixel (2, 3) center
         x = np.array([-1.0 + 3.5 * (2.0 / 8), 1.0 - 2.5 * (2.0 / 8)])
-        got = eval_global(model, feat, x, mode="nearest")
+        got = eval_global(_in_mode(model, "nearest"), feat, x)
         expected = eval_local(feat.data[2, 3], np.zeros(2), model.inr)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -325,8 +332,8 @@ class TestEvalGlobal:
         img = Image(np.random.default_rng(2).random((8, 8, 3)))
         feat = encode(model.encoder, img)
         x = np.array([-1.0 + 4.5 * (2.0 / 8), 1.0 - 3.5 * (2.0 / 8)])
-        a = eval_global(model, feat, x, mode="ensemble", eps=0.0)
-        b = eval_global(model, feat, x, mode="nearest")
+        a = eval_global(_in_mode(model, "ensemble"), feat, x, eps=0.0)
+        b = eval_global(_in_mode(model, "nearest"), feat, x)
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_boundary_tie_breaks_to_lower_index(self):
@@ -346,7 +353,7 @@ class TestEvalGlobal:
         feat = encode(model.encoder, img)
         # on the edge between columns 2 and 3 of row 2
         x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 2.5 * (2.0 / 8)])
-        got = eval_global(model, feat, x, mode="nearest")
+        got = eval_global(_in_mode(model, "nearest"), feat, x)
         expected = (eval_local(feat.data[2, 2], np.array([1.0, 0.0]), model.inr)
                     + eval_local(feat.data[2, 3], np.array([-1.0, 0.0]), model.inr)) / 2
         assert np.max(np.abs(got - expected)) <= 1e-12
@@ -357,7 +364,7 @@ class TestEvalGlobal:
         feat = encode(model.encoder, img)
         # the corner shared by rows 2, 3 and columns 2, 3
         x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 3 * (2.0 / 8)])
-        got = eval_global(model, feat, x, mode="nearest")
+        got = eval_global(_in_mode(model, "nearest"), feat, x)
         expected = sum(eval_local(feat.data[i, j], np.array([1.0 - 2 * (j - 2), 2 * (i - 2) - 1.0]),
                                   model.inr)
                        for i in (2, 3) for j in (2, 3)) / 4
@@ -371,7 +378,7 @@ class TestEvalGlobal:
         img = Image(np.random.default_rng(6).random((8, 8, 3)))
         feat = encode(model.encoder, img)
         x = np.array([-1.0 + (j + 0.5) * (2.0 / 8), 1.0 - (i + 0.5) * (2.0 / 8)])
-        got = eval_global(model, feat, x, mode="ensemble", eps=0.0)
+        got = eval_global(_in_mode(model, "ensemble"), feat, x, eps=0.0)
         expected = eval_local(feat.data[i, j], np.zeros(2), model.inr)
         assert np.all(np.isfinite(got)) and np.max(np.abs(got - expected)) <= 1e-12
 
@@ -387,7 +394,7 @@ class TestEvalGlobal:
             return real(params, lat_q, X, *rest)
 
         monkeypatch.setattr(inr, "_eval_local_batch", counting)
-        got = eval_global_batch(model, lats, X, mode="nearest").data
+        got = eval_global_batch(_in_mode(model, "nearest"), lats, X).data
         assert rows == [500]
         # and that latent is the nearest one, at its own offset, evaluated at
         # the precision the call received
@@ -472,11 +479,11 @@ class TestSuperResolve:
     def test_exact_p2_p4_equivariance_at_every_scale(self, variant, t, h, mode, scale, seed):
         # with eps = 0 the 2x2 corner set and its weights commute with a
         # quarter (half) turn at any scale, cell edges and centers included
-        model = build_model(_small_cfg(variant, t, eps=0.0), seed=seed)
+        model = build_model(_small_cfg(variant, t, eps=0.0, mode=mode), seed=seed)
         img = Image(np.random.default_rng(seed).random((h, h, 3)))
         angle = 2 * np.pi / t
-        y0 = super_resolve(model, img, scale, mode=mode)
-        y1 = super_resolve(model, rotate_image(img, angle), scale, mode=mode)
+        y0 = super_resolve(model, img, scale)
+        y1 = super_resolve(model, rotate_image(img, angle), scale)
         assert nmse(y1, rotate_image(y0, angle)) <= 1e-6
 
     def test_overfit_one_image_reconstructs_it(self):
@@ -501,12 +508,13 @@ class TestFloat32Waves:
     @pytest.mark.parametrize("freq_gain", [1.0, 50.0])
     def test_serving_exit_matches_the_taped_float64_exit(self, t, mode, freq_gain):
         # a gain of 50 on the frequency head puts angles at hundreds of radians
-        model = build_model(ModelConfig(variant="lte", t=t, n=16 // t, blocks=1), seed=t)
+        model = build_model(ModelConfig(variant="lte", t=t, n=16 // t, blocks=1, mode=mode),
+                            seed=t)
         model.named_parameters()["inr.freq_head.w"].data *= freq_gain
         img = Image(np.random.default_rng(t).random((12, 12, 3)))
-        got = super_resolve(model, img, 2.5, mode=mode).data
+        got = super_resolve(model, img, 2.5).data
         with diff.Tape():
-            expected = super_resolve(model, img, 2.5, mode=mode).data
+            expected = super_resolve(model, img, 2.5).data
         lats = compute_latents(model, encode_t(model.encoder, diff.constant(img.data)))
         assert np.max(np.abs(lats[1].data)) * np.pi >= (100.0 if freq_gain > 1 else 1.0)
         assert not np.array_equal(got, expected)  # the waves did differ in precision
@@ -562,15 +570,15 @@ class TestStreamedAssembly:
     @pytest.mark.parametrize("t", [1, 4, 8])
     @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
     def test_chunks_match_single_chunk(self, monkeypatch, variant, t, mode):
-        model, lats = _latents(_small_cfg(variant, t), 10)
+        model, lats = _latents(_small_cfg(variant, t, mode=mode), 10)
         X = np.random.default_rng(1).uniform(-1.0, 1.0, (1003, 2))
-        whole = eval_global_batch(model, lats, X, mode=mode).data
+        whole = eval_global_batch(model, lats, X).data
         rows = 97  # 1003 = 10 * 97 + 33 queries, for any number of workers
-        monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * inr._query_bytes(model.cfg, mode))
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * inr._query_bytes(model.cfg))
         for workers in (1, 2, 3):
             _pin_workers(monkeypatch, workers)
             sizes = _chunk_sizes(monkeypatch)
-            parts = eval_global_batch(model, lats, X, mode=mode).data
+            parts = eval_global_batch(model, lats, X).data
             assert sum(sizes) == 1003 and len(sizes) == 11
             assert max(sizes) - min(sizes) <= 1 and max(sizes) <= rows
             assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
@@ -580,7 +588,7 @@ class TestStreamedAssembly:
         # under a tape every chunk's intermediates are kept, so chunking would
         # only add work: any query count is one call, past the budget too
         model, lats = _latents(ModelConfig(variant=variant, blocks=1), 6)
-        monkeypatch.setattr(inr, "_CHUNK_BYTES", 97 * inr._query_bytes(model.cfg, "ensemble"))
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", 97 * inr._query_bytes(model.cfg))
         _pin_workers(monkeypatch, 2)
         for q in (24 * 24, 1003):
             X = np.random.default_rng(2).uniform(-1.0, 1.0, (q, 2))
@@ -597,9 +605,10 @@ class TestStreamedAssembly:
         rng = np.random.default_rng(3)
 
         def temporaries(lats, X, mode="ensemble"):
+            in_mode = _in_mode(model, mode)
             tracemalloc.start()
             try:
-                out = eval_global_batch(model, lats, X, mode=mode)
+                out = eval_global_batch(in_mode, lats, X)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -644,12 +653,12 @@ class TestBatchedAssembly:
         with diff.Tape() as tape:
             if batched:
                 lats = compute_latents(model, encode_t(model.encoder, diff.constant(imgs)))
-                out = eval_global_batch(model, lats, X, mode=mode)
+                out = eval_global_batch(_in_mode(model, mode), lats, X)
             else:
                 parts = []
                 for img, X_item in zip(imgs, np.split(X, len(imgs))):
                     lats = compute_latents(model, encode_t(model.encoder, diff.constant(img)))
-                    parts.append(eval_global_batch(model, lats, X_item, mode=mode))
+                    parts.append(eval_global_batch(_in_mode(model, mode), lats, X_item))
                 out = diff.concat(parts, axis=0)
             loss = diff.reduce_sum(out)
         grads = diff.backward(tape, loss)
@@ -674,14 +683,15 @@ class TestBatchedAssembly:
     @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
     def test_threaded_chunks_straddle_items(self, monkeypatch, variant, mode):
         model, imgs, X = self._setup(variant, 3)
-        per_item = [eval_global_batch(model, _latents_of(model, img), X_item, mode=mode).data
+        model = _in_mode(model, mode)
+        per_item = [eval_global_batch(model, _latents_of(model, img), X_item).data
                     for img, X_item in zip(imgs, np.split(X, 3))]
         # 300 queries in 5 chunks of 60: boundaries 60, 120, 180 and 240 fall
         # inside items, whose boundaries are 100 and 200
-        monkeypatch.setattr(inr, "_CHUNK_BYTES", 70 * inr._query_bytes(model.cfg, mode))
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", 70 * inr._query_bytes(model.cfg))
         _pin_workers(monkeypatch, 2)
         sizes = _chunk_sizes(monkeypatch)
-        out = eval_global_batch(model, _latents_of(model, imgs), X, mode=mode).data
+        out = eval_global_batch(model, _latents_of(model, imgs), X).data
         assert sizes == [60] * 5
         assert self._close(out, np.concatenate(per_item))
 
@@ -689,13 +699,14 @@ class TestBatchedAssembly:
     @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
     def test_one_item_is_the_unbatched_call(self, variant, mode):
         model, imgs, X = self._setup(variant, 1)
+        model = _in_mode(model, mode)
         lats = _latents_of(model, imgs[0])
         one = tuple(diff.constant(x.data[None]) for x in lats)
         assert one[0].shape == (1,) + lats[0].shape
         for record in (False, True):
             with diff.Tape() if record else contextlib.nullcontext():
-                got = eval_global_batch(model, one, X, mode=mode).data
-                expected = eval_global_batch(model, lats, X, mode=mode).data
+                got = eval_global_batch(model, one, X).data
+                expected = eval_global_batch(model, lats, X).data
             assert np.array_equal(got, expected)
 
     def test_queries_must_split_evenly(self):
@@ -709,8 +720,8 @@ class TestParallelAssembly:
     """Chunks on helper threads: same values, one call while recording."""
 
     @staticmethod
-    def _budget(monkeypatch, model, mode, rows, workers):
-        monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * inr._query_bytes(model.cfg, mode))
+    def _budget(monkeypatch, model, rows, workers):
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * inr._query_bytes(model.cfg))
         _pin_workers(monkeypatch, workers)
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
@@ -719,11 +730,11 @@ class TestParallelAssembly:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parallel_matches_serial_at_same_chunks(self, monkeypatch, variant, t, mode,
                                                     workers):
-        model, lats = _latents(_small_cfg(variant, t), 10)
+        model, lats = _latents(_small_cfg(variant, t, mode=mode), 10)
         X = np.random.default_rng(4).uniform(-1.0, 1.0, (1003, 2))
-        self._budget(monkeypatch, model, mode, 50, 1)
-        serial = eval_global_batch(model, lats, X, mode=mode).data
-        self._budget(monkeypatch, model, mode, 50, workers)
+        self._budget(monkeypatch, model, 50, 1)
+        serial = eval_global_batch(model, lats, X).data
+        self._budget(monkeypatch, model, 50, workers)
         # every worker thread must take a chunk while the others are in one
         barrier = threading.Barrier(workers, timeout=30)
         first = threading.local()
@@ -736,20 +747,20 @@ class TestParallelAssembly:
             return real(*args)
 
         monkeypatch.setattr(inr, "_eval_global_chunk", meeting)
-        parallel = eval_global_batch(model, lats, X, mode=mode).data
+        parallel = eval_global_batch(model, lats, X).data
         assert np.array_equal(parallel, serial)
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
     @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
     def test_sr_same_bits_for_any_worker_count(self, monkeypatch, variant, mode):
         # the default budget, 16 -> 96 (9216 queries): several chunks per mode
-        model = build_model(ModelConfig(variant=variant, blocks=1), seed=0)
+        model = build_model(ModelConfig(variant=variant, blocks=1, mode=mode), seed=0)
         img = Image(np.random.default_rng(13).random((16, 16, 3)))
         outs = []
         for workers in (1, 2, 3):
             _pin_workers(monkeypatch, workers)
             sizes = _chunk_sizes(monkeypatch)
-            outs.append(super_resolve(model, img, 6.0, mode=mode).data)
+            outs.append(super_resolve(model, img, 6.0).data)
             assert len(sizes) >= 2 and sum(sizes) == 96 * 96
         assert all(np.array_equal(out, outs[0]) for out in outs[1:])
 
@@ -758,9 +769,9 @@ class TestParallelAssembly:
         # twice or never would change the call count or leave rows unset
         model, lats = _latents(_small_cfg("lte", 4), 8)
         X = np.random.default_rng(8).uniform(-1.0, 1.0, (1003, 2))
-        self._budget(monkeypatch, model, "ensemble", 4, 1)
+        self._budget(monkeypatch, model, 4, 1)
         serial = eval_global_batch(model, lats, X).data
-        self._budget(monkeypatch, model, "ensemble", 4, 8)
+        self._budget(monkeypatch, model, 4, 8)
         sizes = _chunk_sizes(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -787,7 +798,7 @@ class TestParallelAssembly:
         model = build_model(_small_cfg(variant, 4, L=1 if variant == "liif" else 0), seed=0)
         img = np.random.default_rng(0).random((8, 8, 3))
         X = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 2))
-        self._budget(monkeypatch, model, "ensemble", 97, 1)
+        self._budget(monkeypatch, model, 97, 1)
         serial = _param_grads(model, img, X)
         _pin_workers(monkeypatch, 2)
         idents = self._threads_used(monkeypatch)
@@ -799,7 +810,7 @@ class TestParallelAssembly:
     def test_relu_trace_runs_on_calling_thread(self, monkeypatch):
         model, lats = _latents(_small_cfg("liif", 4, L=1), 8)
         X = np.random.default_rng(6).uniform(-1.0, 1.0, (300, 2))
-        self._budget(monkeypatch, model, "ensemble", 97, 1)
+        self._budget(monkeypatch, model, 97, 1)
         with diff._relu_trace() as serial:
             eval_global_batch(model, lats, X)
         _pin_workers(monkeypatch, 2)
@@ -814,7 +825,7 @@ class TestParallelAssembly:
     def test_chunk_error_reaches_caller_and_helpers_join(self, monkeypatch, workers):
         model, lats = _latents(_small_cfg("ope", 4), 8)
         X = np.random.default_rng(7).uniform(-1.0, 1.0, (1003, 2))
-        self._budget(monkeypatch, model, "ensemble", 20, workers)
+        self._budget(monkeypatch, model, 20, workers)
         calls = []
         lock = threading.Lock()
         real = inr._eval_global_chunk
@@ -856,9 +867,9 @@ class TestParallelAssembly:
     def test_threads_run_on_disjoint_cpu_slices(self, monkeypatch, workers, slices):
         model, lats = _latents(_small_cfg("lte", 4), 8)
         X = np.random.default_rng(9).uniform(-1.0, 1.0, (1003, 2))
-        self._budget(monkeypatch, model, "ensemble", 50, 1)
+        self._budget(monkeypatch, model, 50, 1)
         serial = eval_global_batch(model, lats, X).data
-        self._budget(monkeypatch, model, "ensemble", 50, workers)
+        self._budget(monkeypatch, model, 50, workers)
         calls = self._affinity_calls(monkeypatch, {0, 1, 2, 3})
         parallel = eval_global_batch(model, lats, X).data
         me = threading.get_ident()
@@ -871,7 +882,7 @@ class TestParallelAssembly:
     def test_no_pinning_with_fewer_cpus_than_threads(self, monkeypatch):
         model, lats = _latents(_small_cfg("ope", 4), 8)
         X = np.random.default_rng(10).uniform(-1.0, 1.0, (1003, 2))
-        self._budget(monkeypatch, model, "ensemble", 50, 2)
+        self._budget(monkeypatch, model, 50, 2)
         calls = self._affinity_calls(monkeypatch, {5})
         eval_global_batch(model, lats, X)
         assert calls == []
@@ -879,9 +890,9 @@ class TestParallelAssembly:
     def test_refused_pinning_is_ignored(self, monkeypatch):
         model, lats = _latents(_small_cfg("ope", 4), 8)
         X = np.random.default_rng(11).uniform(-1.0, 1.0, (1003, 2))
-        self._budget(monkeypatch, model, "ensemble", 50, 1)
+        self._budget(monkeypatch, model, 50, 1)
         serial = eval_global_batch(model, lats, X).data
-        self._budget(monkeypatch, model, "ensemble", 50, 2)
+        self._budget(monkeypatch, model, 50, 2)
         calls = self._affinity_calls(monkeypatch, {0, 1}, refuse=True)
         assert np.array_equal(eval_global_batch(model, lats, X).data, serial)
         assert len(calls) == 3  # caller, helper, caller's restore
@@ -889,9 +900,9 @@ class TestParallelAssembly:
     def test_no_pinning_without_platform_support(self, monkeypatch):
         model, lats = _latents(_small_cfg("ope", 4), 8)
         X = np.random.default_rng(12).uniform(-1.0, 1.0, (1003, 2))
-        self._budget(monkeypatch, model, "ensemble", 50, 1)
+        self._budget(monkeypatch, model, 50, 1)
         serial = eval_global_batch(model, lats, X).data
-        self._budget(monkeypatch, model, "ensemble", 50, 2)
+        self._budget(monkeypatch, model, 50, 2)
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         assert np.array_equal(eval_global_batch(model, lats, X).data, serial)
 
@@ -934,10 +945,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ModelConfig(p=4)
 
+    @pytest.mark.parametrize("eps", [-1.0, np.inf, "abc", True])
+    def test_per_call_eps_is_checked_as_the_config_eps(self, eps):
+        model = build_model(_small_cfg("liif", 2, n=2), seed=0)
+        with pytest.raises(ConfigError, match="eps"):
+            super_resolve(model, Image(np.zeros((4, 4, 3))), 2.0, eps=eps)
+
     def test_cli_defaults_are_the_library_defaults(self):
         doc = config.defaults()
         assert config.model_config(doc) == ModelConfig()
         assert config.dataset_spec(doc) == DatasetSpec()
+        keywords = {k: p.default for k, p in inspect.signature(train).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+        assert keywords == {k: v for k, v in doc["train"].items() if k != "steps"}
 
 
 @pytest.mark.parametrize("variant,t,L,psi_widths", [
