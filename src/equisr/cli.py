@@ -8,15 +8,13 @@ accepted in degrees and converted to radians internally.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 
 import numpy as np
 
 from . import __version__, config
-from .data import atomic_write, dataset_count, gen_synthetic, read_image, write_image
+from .data import atomic_write, csv_text, dataset_count, gen_synthetic, read_image, write_image
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -90,14 +88,9 @@ def _cmd_gen_data(args) -> int:
     for i in range(dataset_count(spec)):
         name = f"img_{i:05d}.ppm"
         write_image(os.path.join(args.out, name), gen_synthetic(spec, i))
-        rows.append((i, name))
-    buf = io.StringIO()
-    buf.write(f"# equisr {__version__}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "file", "kind", "size", "seed"])
-    for i, name in rows:
-        writer.writerow([i, name, spec.kind, spec.size, spec.seed])
-    atomic_write(os.path.join(args.out, "manifest.csv"), buf.getvalue().encode())
+        rows.append((i, name, spec.kind, spec.size, spec.seed))
+    text = csv_text("index,file,kind,size,seed", rows)
+    atomic_write(os.path.join(args.out, "manifest.csv"), text.encode())
     print(f"wrote {len(rows)} images + manifest.csv to {args.out}")
     return 0
 
@@ -134,8 +127,7 @@ def _cmd_eval_equiv(args) -> int:
                 write_image(os.path.join(args.error_maps, name),
                             Image(emap / peak if peak > 0 else emap))
                 side_rows.append((name, angle_deg, scale, res, seed, peak))
-        text = f"# equisr {__version__}\nfile,angle_deg,scale,resolution,seed,max_abs_error\n"
-        text += "".join(",".join(str(v) for v in row) + "\n" for row in side_rows)
+        text = csv_text("file,angle_deg,scale,resolution,seed,max_abs_error", side_rows)
         atomic_write(os.path.join(args.error_maps, "scales.csv"), text.encode())
         print(f"wrote {len(side_rows)} error maps to {args.error_maps}")
     return 0

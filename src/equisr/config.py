@@ -2,9 +2,10 @@
 
 A run config has four sections (model, data, train, eval); unknown keys are
 rejected with the offending dotted path.  `load_config` checks the train and
-eval values as they are, without coercion, and `model_config` passes the
-model values unchanged to `ModelConfig`, whose checks are the only ones; a
-bad value raises ConfigError naming its dotted key.  `defaults()` returns the
+eval values as they are, without coercion, and the data section through
+`dataset_spec`; `dataset_spec` and `model_config` pass the values unchanged
+to `DatasetSpec` and `ModelConfig`, whose checks are the only ones.  A bad
+value raises ConfigError naming its dotted key.  `defaults()` returns the
 complete default document, which the CLI can also emit as defaults.json.
 """
 
@@ -16,6 +17,7 @@ import math
 
 from .data import DatasetSpec
 from .errors import ConfigError, DomainError
+from .groups import _is_int, _is_real
 from .inr import ModelConfig, output_size
 
 _DEFAULTS = {
@@ -93,32 +95,24 @@ def load_config(path: str) -> dict:
         raise ConfigError("config root must be a JSON object")
     doc = _merge(_DEFAULTS, doc, "")
     _check_run_values(doc)
-    _check_patch_fits(doc)
+    _check_patch_fits(doc["train"]["patch"], dataset_spec(doc))
     return doc
-
-
-def _is_int(v, low: int) -> bool:
-    return type(v) is int and v >= low  # a JSON true is not an integer
-
-
-def _is_real(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
 
 
 # key -> (test, rule); eval entries are lists, each item tested
 _TRAIN_RULES = {
-    "steps": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "steps": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "lr": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
-    "decay_steps": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "batch": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "patch": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    "decay_steps": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "batch": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "patch": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
 }
 _EVAL_RULES = {
     "angles_deg": (_is_real, "finite numbers"),
     "scales": (_is_real, "finite numbers"),
-    "resolutions": (lambda v: _is_int(v, 1), "integers >= 1"),
-    "seeds": (lambda v: _is_int(v, 0), "integers >= 0"),
+    "resolutions": (lambda v: _is_int(v) and v >= 1, "integers >= 1"),
+    "seeds": (lambda v: _is_int(v) and v >= 0, "integers >= 0"),
 }
 
 
@@ -148,18 +142,13 @@ def _check_run_values(doc: dict) -> None:
             raise ConfigError(f"eval.eps: {e}") from None
 
 
-def _check_patch_fits(doc: dict) -> None:
+def _check_patch_fits(patch: int, data: DatasetSpec) -> None:
     """A generated corpus must hold the largest HR crop a training patch needs."""
-    data, patch = doc["data"], doc["train"]["patch"]
-    try:
-        side = math.floor(float(patch) * float(data["scale_range"][1]) + 0.5)
-        size = int(data["size"])
-    except (TypeError, ValueError, IndexError, KeyError):
-        return  # a malformed field is reported where it is converted
-    if data["kind"] != "file-dir" and side > size:
+    side = math.floor(patch * data.scale_hi + 0.5)
+    if data.kind != "file-dir" and side > data.size:
         raise ConfigError(
-            f"train.patch {patch} at data.scale_range[1] {data['scale_range'][1]} needs "
-            f"data.size >= {side}, got {size}")
+            f"train.patch {patch} at data.scale_range[1] {data.scale_hi} needs "
+            f"data.size >= {side}, got {data.size}")
 
 
 def model_config(doc: dict) -> ModelConfig:
@@ -193,15 +182,15 @@ def model_config(doc: dict) -> ModelConfig:
 
 
 def dataset_spec(doc: dict) -> DatasetSpec:
+    """The data section as a DatasetSpec, its values unchanged: DatasetSpec's
+    checks are the only ones, and its message names the failing key."""
     d = doc["data"]
-    lo, hi = d["scale_range"]
-    return DatasetSpec(
-        kind=d["kind"],
-        count=int(d["count"]),
-        size=int(d["size"]),
-        seed=int(d["seed"]),
-        scale_lo=float(lo),
-        scale_hi=float(hi),
-        cutoff=float(d["cutoff"]),
-        path=d["path"],
-    )
+    scales = d["scale_range"]
+    if not (isinstance(scales, list) and len(scales) == 2):
+        raise ConfigError(f"data.scale_range must be a list [lo, hi], got {json.dumps(scales)}")
+    try:
+        return DatasetSpec(kind=d["kind"], count=d["count"], size=d["size"], seed=d["seed"],
+                           scale_lo=scales[0], scale_hi=scales[1], cutoff=d["cutoff"],
+                           path=d["path"])
+    except ConfigError as e:
+        raise ConfigError(f"data.{e}") from None

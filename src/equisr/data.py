@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError, ParseError, ShapeError
 from .filters import phi_bic
+from .groups import _is_int, _is_real
 from .image import Image, pixel_coords
 
 
@@ -40,16 +42,28 @@ class DatasetSpec:
     path: str | None = None  # file-dir only
 
     def __post_init__(self):
+        """Check every field; a message starts with the field's key in a run
+        config's data section (scale_lo and scale_hi are its scale_range)."""
         if self.kind not in ("shapes", "stripes", "smooth-field", "file-dir"):
-            raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        if self.scale_lo < 1.0 or self.scale_hi < self.scale_lo:
-            raise ConfigError("need 1 <= scale_lo <= scale_hi")
-        if self.kind != "file-dir" and self.size % math.ceil(self.scale_hi) != 0:
-            raise ConfigError(
-                f"size {self.size} must be divisible by ceil(scale_hi)={math.ceil(self.scale_hi)}"
-            )
+            raise ConfigError(f"kind must be shapes, stripes, smooth-field or file-dir, "
+                              f"got {self.kind!r}")
+        for name, low in (("count", 1), ("size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        lo, hi = self.scale_lo, self.scale_hi
+        if not (_is_real(lo) and _is_real(hi) and 1 <= lo <= hi):
+            raise ConfigError(f"scale_range must be finite numbers with 1 <= lo <= hi, "
+                              f"got [{lo!r}, {hi!r}]")
+        if not _is_real(self.cutoff):
+            raise ConfigError(f"cutoff must be a finite number, got {self.cutoff!r}")
+        if not (self.path is None or isinstance(self.path, str)):
+            raise ConfigError(f"path must be a string or null, got {self.path!r}")
+        if self.kind != "file-dir" and self.size % math.ceil(hi) != 0:
+            raise ConfigError(f"size {self.size} must be divisible by ceil(scale_range[1])="
+                              f"{math.ceil(hi)}")
         if self.kind == "file-dir" and not self.path:
-            raise ConfigError("file-dir dataset needs a path")
+            raise ConfigError("path must name a directory for a file-dir dataset")
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +264,13 @@ def atomic_write(path: str, payload: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def csv_text(header: str, rows) -> str:
+    """CSV text: a `# equisr <version>` line, the header, one comma-joined line per row."""
+    lines = [f"# equisr {__version__}", header]
+    lines += [",".join(str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_image(path: str, img: Image) -> None:

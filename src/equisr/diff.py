@@ -15,7 +15,6 @@ the numpy work itself.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 
 import numpy as np
@@ -34,7 +33,6 @@ class _TapeStacks(threading.local):
 
     def __init__(self):
         self.stack: list[Tape] = []
-        self.relu_trace: list[np.ndarray] | None = None  # see _relu_trace
 
 
 _STACKS = _TapeStacks()
@@ -78,10 +76,15 @@ def parameter(data) -> Tensor:
 
 
 class Tape:
-    """Ordered record of primitive applications for one backward pass."""
+    """Ordered record of primitive applications for one backward pass.
+
+    `relu_masks` holds the sign pattern of every relu this thread evaluated
+    while the tape was the innermost open one (check_gradients' kink guard).
+    """
 
     def __init__(self):
         self.entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self.relu_masks: list[np.ndarray] = []
 
     def __enter__(self):
         _STACKS.stack.append(self)
@@ -95,8 +98,8 @@ class Tape:
 
 
 def recording() -> bool:
-    """True when this thread has an open Tape or an active relu trace."""
-    return bool(_STACKS.stack) or _STACKS.relu_trace is not None
+    """True when this thread has an open Tape."""
+    return bool(_STACKS.stack)
 
 
 def _as_tensor(x) -> Tensor:
@@ -228,9 +231,8 @@ def einsum(subscripts: str, *operands) -> Tensor:
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     mask = x.data > 0  # subgradient at 0 is 0
-    trace = _STACKS.relu_trace
-    if trace is not None:
-        trace.append(mask.copy())
+    if _STACKS.stack:
+        _STACKS.stack[-1].relu_masks.append(mask)
     out = Tensor(np.maximum(x.data, 0.0))  # +0.0 for -0.0; NaN propagates
 
     def bwd(g):
@@ -395,7 +397,6 @@ def conv2d(x, k, pad: str = "valid") -> Tensor:
     x, k = _as_tensor(x), _as_tensor(k)
     if x.ndim not in (3, 4) or k.ndim != 4:
         raise ShapeError(f"conv2d expects ([b,]h,w,ci) and (co,ci,kh,kw), got {x.shape}, {k.shape}")
-    batched = x.ndim == 4
     h, w, ci = x.shape[-3], x.shape[-2], x.shape[-1]
     co, kci, kh, kw = k.shape
     if kci != ci:
@@ -411,21 +412,19 @@ def conv2d(x, k, pad: str = "valid") -> Tensor:
     else:
         raise ContractError(f"unknown padding mode {pad!r}")
 
-    xd = x.data if batched else x.data[None]
+    xd = x.data.reshape((-1, h, w, ci))
     depth = kh * kw * ci
     rows = len(xd) * (h + 2 * ph - kh + 1) * (w + 2 * pw - kw + 1)
     cols = np.empty((rows, depth)) if _STACKS.stack and k.requires_grad else None
     y = _correlate(xd, k.data.transpose(2, 3, 1, 0).reshape(depth, co), kh, kw, ph, pw, cols)
-    out = Tensor(y if batched else y[0])
+    out = Tensor(y.reshape(x.shape[:-3] + y.shape[1:]))
 
     def bwd(g):
         g4 = g.reshape(y.shape)
         gx = gk = None
         if x.requires_grad:
             kf = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-            gx = _correlate(g4, kf, kh, kw, kh - 1 - ph, kw - 1 - pw)
-            if not batched:
-                gx = gx[0]
+            gx = _correlate(g4, kf, kh, kw, kh - 1 - ph, kw - 1 - pw).reshape(x.shape)
         if k.requires_grad:
             gt, gk = g4.reshape(rows, co).T, np.empty((co, depth))
             parallel.run_bands(_spans(depth, _BAND_COLS),
@@ -509,16 +508,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     }
 
 
-@contextlib.contextmanager
-def _relu_trace():
-    """Collect the relu sign patterns of this thread (the kink guard)."""
-    saved, _STACKS.relu_trace = _STACKS.relu_trace, []
-    try:
-        yield _STACKS.relu_trace
-    finally:
-        _STACKS.relu_trace = saved
-
-
 def _scalar(out: Tensor) -> float:
     if out.size != 1:
         raise ContractError("check_gradients needs a scalar-valued function")
@@ -547,6 +536,8 @@ def check_gradients(fn, inputs, step: float = 1e-5, max_coords: int = 10_000,
     _scalar(out)
     grads = backward(tape, out)
     analytic = [grads[t].data if t in grads else np.zeros(t.shape) for t in leaves]
+    for t in leaves:
+        t.requires_grad = False  # so the side evaluations' tapes keep only relu masks
 
     coords = [(i, j) for i, t in enumerate(leaves) for j in range(t.size)]
     if len(coords) > max_coords:
@@ -559,13 +550,13 @@ def check_gradients(fn, inputs, step: float = 1e-5, max_coords: int = 10_000,
         base = leaves[ti].data.ravel()
         orig = base[flat]
         base[flat] = orig + step
-        with _relu_trace() as pat_plus:
+        with Tape() as plus:
             f_plus = _scalar(fn(*leaves))
         base[flat] = orig - step
-        with _relu_trace() as pat_minus:
+        with Tape() as minus:
             f_minus = _scalar(fn(*leaves))
         base[flat] = orig
-        if any((p != q).any() for p, q in zip(pat_plus, pat_minus)):
+        if any((p != q).any() for p, q in zip(plus.relu_masks, minus.relu_masks)):
             continue  # perturbation crosses a relu kink
         numeric = (f_plus - f_minus) / (2.0 * step)
         a = analytic[ti].ravel()[flat]

@@ -17,6 +17,7 @@ of the slot index.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,19 @@ class RotationGroup:
         return self.matrices[k % self.t]
 
 
+def _is_int(v) -> bool:
+    """The package's integer rule (group orders, model and data configs): a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """The package's number rule: an int or float that a float64 holds finitely."""
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
 def make_group(t: int) -> RotationGroup:
     """Build the cyclic rotation group of order t."""
-    if not isinstance(t, (int, np.integer)) or t < 1:
+    if not _is_int(t) or t < 1:
         raise InvalidOrderError(f"group order must be a positive integer, got {t!r}")
     angles = 2.0 * np.pi * np.arange(t) / t
     c, s = np.cos(angles), np.sin(angles)

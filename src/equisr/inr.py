@@ -42,7 +42,7 @@ from .diff import Tensor
 from .encoder import EncoderParams, build_encoder, encode_t
 from .errors import ConfigError, DomainError, ShapeError
 from .filters import ParamFilter, group_conv_t, make_param_filter, _feat_to_internal
-from .groups import GroupFeatureMap, RotationGroup, make_group
+from .groups import GroupFeatureMap, RotationGroup, _is_int, _is_real, make_group
 from .image import Image, cell_position, pixel_coords
 from .parallel import _CHUNK_BYTES
 
@@ -57,10 +57,6 @@ _EVALS = {"ensemble": 4, "nearest": 1}
 # Distance in LR cells from the midpoint of two latents within which nearest
 # mode counts them as tied.
 _TIE = 1e-9
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def lift_coordinate(x: np.ndarray, group: RotationGroup) -> np.ndarray:
@@ -112,7 +108,7 @@ class ModelConfig:
         if not (isinstance(self.psi_widths, tuple)
                 and all(_is_int(m) and m >= 1 for m in self.psi_widths)):
             raise ConfigError(f"psi_widths must be integers >= 1, got {self.psi_widths!r}")
-        if not ((_is_int(self.eps) or isinstance(self.eps, float)) and 0 <= self.eps < math.inf):
+        if not (_is_real(self.eps) and self.eps >= 0):
             raise ConfigError(f"eps must be finite and non-negative, got {self.eps!r}")
         if self.variant in ("ope", "lte") and self.L != 0:
             raise ConfigError(f"{self.variant} uses no intermediate layers (L = 0)")
@@ -347,6 +343,23 @@ def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray,
     return diff.constant(np.einsum("qtk,qtk->qk", amp.data, waves))
 
 
+def _input_stage(params: INRParams, lat_q: tuple[Tensor, ...], X: np.ndarray,
+                 waves32: bool = False) -> Tensor:
+    """The input layer of Q latent codes (Q, t, c) at Q offsets: H (Q, t, m) for
+    liif; for ope and lte, whose H is constant in B, its one value, (Q, n0)
+    resp. (Q, 2K).  waves32 as in _input_sum_lte."""
+    if params.cfg.variant == "liif":
+        return _input_layer_liif(params, *lat_q, X)
+    if params.cfg.variant == "ope":
+        return _input_sum_ope(params, *lat_q, X)
+    return _input_sum_lte(params, *lat_q, X, waves32)
+
+
+def _output_head(W_out1, psi, z: Tensor) -> Tensor:
+    """psi(z . W_out1^T) for the group sum z (Q, m) of the last H layer."""
+    return _apply_psi(psi, diff.matmul(z, diff.transpose(W_out1, (1, 0))))
+
+
 def _eval_local_batch(params: INRParams, lat_q: tuple[Tensor, ...], X: np.ndarray,
                       waves32: bool = False) -> Tensor:
     """Local functions of Q latent codes (Q, t, c) at Q normalized offsets -> (Q, n0).
@@ -355,23 +368,19 @@ def _eval_local_batch(params: INRParams, lat_q: tuple[Tensor, ...], X: np.ndarra
     variants ignore it.
     """
     cfg = params.cfg
+    h = _input_stage(params, lat_q, X, waves32)
     if cfg.variant == "ope":
         # ope's output layer is fixed, W_out1 = (1/t) I and identity psi, so
         # it is the plain average over the t identical H slots
-        return _input_sum_ope(params, *lat_q, X)
+        return h
     if cfg.variant == "lte":
-        h_sum = _input_sum_lte(params, *lat_q, X, waves32)  # equals (1/t) sum_B H(x,B) * t
-        z = diff.scale(diff.matmul(h_sum, diff.transpose(params.W_out1, (1, 0))), cfg.t)
-        return _apply_psi(params.psi, z)
-    # liif
-    h = _input_layer_liif(params, *lat_q, X)
+        # the group sum of the t equal H slots, as one scaling (exact for t a power of 2)
+        return _output_head(params.W_out1, params.psi, diff.scale(h, cfg.t))
     if cfg.L > 0:
         h = diff.relu(h)
     for w_mid in params.W_mid:
         h = diff.relu(_cyclic_layer(h, w_mid))
-    z = diff.reduce_sum(h, axes=1)  # sum over group slots
-    z = diff.matmul(z, diff.transpose(params.W_out1, (1, 0)))
-    return _apply_psi(params.psi, z)
+    return _output_head(params.W_out1, params.psi, diff.reduce_sum(h, axes=1))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +472,8 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, 
     start at row i h w of the flattened (B h w, t, c) latent table.  B must
     divide N (else ShapeError); unbatched latents are the case B = 1.
 
-    While this thread records (a tape or the relu trace) all queries are one
-    chunk: a tape keeps every chunk's temporaries anyway.  Otherwise equal
+    While this thread records (a Tape is open) all queries are one chunk: a
+    tape keeps every chunk's temporaries anyway.  Otherwise equal
     chunks (sizes differ by at most one, a chunk may span items) within the
     per-thread _CHUNK_BYTES budget run on `parallel.run_bands`; their bounds
     follow from the model and N alone, so the output does not depend on
@@ -546,17 +555,9 @@ def input_layer(latent, x, params: INRParams) -> np.ndarray:
     `latent` is an (n, t) slot-column matrix, or an (amp (2K, t),
     freq (K, 2, t)) pair for the lte variant.
     """
-    cfg = params.cfg
     X = np.asarray(x, dtype=np.float64)[None, :]
-    lat = _latent_to_batch(latent, cfg.variant)
-    if cfg.variant == "liif":
-        h = _input_layer_liif(params, *lat, X)
-        return h.data[0]
-    if cfg.variant == "ope":
-        row = _input_sum_ope(params, *lat, X).data[0]
-    else:
-        row = _input_sum_lte(params, *lat, X).data[0]
-    return np.tile(row, (cfg.t, 1))  # phi ignores W, so H is constant in B
+    h = _input_stage(params, _latent_to_batch(latent, params.cfg.variant), X).data[0]
+    return h if h.ndim == 2 else np.tile(h, (params.cfg.t, 1))  # constant in B
 
 
 def intermediate_layer(H: np.ndarray, W) -> np.ndarray:
@@ -568,12 +569,8 @@ def intermediate_layer(H: np.ndarray, W) -> np.ndarray:
 
 def output_layer(Hhat: np.ndarray, W_out1, psi=None) -> np.ndarray:
     """Collapse the group axis with the shared matrix, then apply psi."""
-    Hhat = np.asarray(Hhat, dtype=np.float64)
-    w1 = W_out1.data if isinstance(W_out1, Tensor) else np.asarray(W_out1)
-    z = diff.constant(Hhat.sum(axis=0)[None, :] @ w1.T)
-    if psi:
-        z = _apply_psi(psi, z)
-    return z.data[0]
+    z = diff.reduce_sum(diff.constant(np.asarray(Hhat)[None]), axes=1)
+    return _output_head(W_out1, psi or [], z).data[0]
 
 
 def eval_local(latent, x_local, params: INRParams) -> np.ndarray:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
-from .data import DatasetSpec, bicubic_resize, gen_synthetic
+from .data import DatasetSpec, bicubic_resize, csv_text, gen_synthetic
 from .errors import ConfigError, MetricError, ShapeError
 from .groups import _right_angle_quarter_turns, rotate_image
 from .image import Image, disk_mask
@@ -198,16 +197,13 @@ def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0
 
 def sweep_csv(cells) -> str:
     """Deterministic CSV text of `sweep_cells` output."""
-    lines = [f"# equisr {__version__}", SWEEP_HEADER]
+    rows = []
     for name, run_cfg, angle, scale_, res, entries in cells:
         rep = aggregate(entries)
-        lines.append(
-            f"{name},{run_cfg.variant},{run_cfg.t},{angle:.12g},"
-            f"{scale_:.12g},{res},{len(entries)},"
-            f"{rep.nmse_mean:.10e},{rep.nmse_std:.10e},"
-            f"{rep.nmae_mean:.10e},{rep.nmae_std:.10e}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((name, run_cfg.variant, run_cfg.t, f"{angle:.12g}", f"{scale_:.12g}", res,
+                     len(entries), f"{rep.nmse_mean:.10e}", f"{rep.nmse_std:.10e}",
+                     f"{rep.nmae_mean:.10e}", f"{rep.nmae_std:.10e}"))
+    return csv_text(SWEEP_HEADER, rows)
 
 
 def sweep(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, diff
-from .data import DatasetSpec, atomic_write, sample_patch_pairs
+from . import diff
+from .data import DatasetSpec, atomic_write, csv_text, sample_patch_pairs
 from .diff import Tape, Tensor, backward
 from .encoder import encode_t
 from .errors import CheckpointError, ContractError, EvaluationError
@@ -123,9 +123,7 @@ def train(cfg: ModelConfig, data: DatasetSpec, steps: int, lr: float = 1e-4,
 
 
 def loss_log_csv(rows) -> str:
-    lines = [f"# equisr {__version__}", "step,loss,lr"]
-    lines += [f"{s},{l:.10e},{r:.10e}" for s, l, r in rows]
-    return "\n".join(lines) + "\n"
+    return csv_text("step,loss,lr", ((s, f"{l:.10e}", f"{r:.10e}") for s, l, r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,14 @@ class TestEvalEquiv:
     ("eval-equiv", '{"eval": {"eps": -1}}', "eval.eps"),
     ("eval-equiv", '{"eval": {"eps": 1e400}}', "eval.eps"),
     ("eval-equiv", '{"eval": {"eps": true}}', "eval.eps"),
+    ("gen-data", '{"data": {"count": 2.9}}', "data.count"),
+    ("gen-data", '{"data": {"size": 48.7}}', "data.size"),
+    ("gen-data", '{"data": {"count": "abc"}}', "data.count"),
+    ("gen-data", '{"data": {"cutoff": "x"}}', "data.cutoff"),
+    ("gen-data", '{"data": {"scale_range": [2, "x"]}}', "data.scale_range"),
+    ("gen-data", '{"data": {"scale_range": 4}}', "data.scale_range"),
+    ("gen-data", '{"data": {"seed": -3}}', "data.seed"),
+    ("train", '{"data": {"count": true}}', "data.count"),
 ])
 def test_malformed_config_is_one_usage_error_naming_its_key(tmp_path, capsys, command, text,
                                                              key):

@@ -92,6 +92,16 @@ class TestGenSynthetic:
     def test_size_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             DatasetSpec(kind="shapes", count=1, size=25, scale_lo=2.0, scale_hi=4.0)
+        DatasetSpec(size=50, scale_hi=4.5)  # ceil(4.5) = 5 divides 50
+
+    @pytest.mark.parametrize("field", [
+        {"count": 2.9}, {"count": True}, {"count": 0}, {"size": 48.7}, {"seed": -3},
+        {"scale_hi": "x"}, {"scale_lo": 0.5}, {"cutoff": float("nan")}, {"cutoff": 10 ** 400},
+        {"path": 5}, {"kind": "file-dir"},
+    ])
+    def test_malformed_field_is_config_error(self, field):
+        with pytest.raises(ConfigError):
+            DatasetSpec(**field)
 
     def test_index_out_of_range(self):
         spec = DatasetSpec(kind="shapes", count=2, size=16, scale_lo=1, scale_hi=2)

@@ -430,7 +430,9 @@ def test_fd_suite_covers_every_primitive():
 
 
 def test_relu_trace_ignores_other_threads():
-    with diff._relu_trace() as patterns:
+    # the relu trace is the open tape's relu_masks, which is per thread
+    with Tape() as tape:
+        patterns = tape.relu_masks
         worker = threading.Thread(target=diff.relu, args=(Tensor([1.0, -1.0]),))
         worker.start()
         worker.join(timeout=30)

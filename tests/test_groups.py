@@ -33,6 +33,11 @@ class TestMakeGroup:
         with pytest.raises(InvalidOrderError):
             make_group(0)
 
+    @pytest.mark.parametrize("t", [-1, 2.0, True, "4"])
+    def test_invalid_orders_rejected(self, t):
+        with pytest.raises(InvalidOrderError):
+            make_group(t)
+
     @pytest.mark.parametrize("t", [1, 2, 4, 8, 16])
     def test_index_arithmetic_matches_matrices(self, t):
         g = make_group(t)

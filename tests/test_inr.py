@@ -286,6 +286,25 @@ class TestEvalLocal:
             expected = _closed_form_oracle(cfg, params, g, latents[q], X[q])
             assert np.max(np.abs(got[q] - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("variant,t", [("liif", 1), ("liif", 2), ("liif", 4), ("liif", 8),
+                                           ("lte", 1), ("lte", 2), ("lte", 4), ("lte", 8)])
+    def test_layer_api_is_the_served_local_function(self, variant, t):
+        # input_layer and output_layer run eval_local's own stages: liif
+        # (L = 0) bit for bit; lte's head scales one slot by t where the
+        # layer API sums t equal slots
+        cfg = _small_cfg(variant, t)
+        params = build_inr(cfg, make_group(t), np.random.default_rng(t))
+        rng = np.random.default_rng(40 + t)
+        for _ in range(3):
+            latent = _random_latent(rng, cfg)
+            x = rng.uniform(-1, 1, size=2)
+            got = output_layer(input_layer(latent, x, params), params.W_out1, params.psi)
+            want = eval_local(latent, x, params)
+            if variant == "liif":
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_intermediate_layer_parameter_share(self):
         # a cyclic-sharing layer stores t blocks of m*m, a dense layer on the
         # stacked width stores (t*m)^2: exactly a factor t apart
@@ -811,12 +830,14 @@ class TestParallelAssembly:
         model, lats = _latents(_small_cfg("liif", 4, L=1), 8)
         X = np.random.default_rng(6).uniform(-1.0, 1.0, (300, 2))
         self._budget(monkeypatch, model, 97, 1)
-        with diff._relu_trace() as serial:
+        with diff.Tape() as tape:
             eval_global_batch(model, lats, X)
+        serial = tape.relu_masks
         _pin_workers(monkeypatch, 2)
         idents = self._threads_used(monkeypatch)
-        with diff._relu_trace() as patterns:
+        with diff.Tape() as tape:
             eval_global_batch(model, lats, X)
+        patterns = tape.relu_masks
         assert idents == [threading.get_ident()]
         assert len(patterns) == len(serial) == 3  # input, mid and psi relus
         assert all(np.array_equal(a, b) for a, b in zip(patterns, serial))
@@ -945,7 +966,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ModelConfig(p=4)
 
-    @pytest.mark.parametrize("eps", [-1.0, np.inf, "abc", True])
+    @pytest.mark.parametrize("eps", [-1.0, np.inf, "abc", True,
+                                     pytest.param(10 ** 400, id="int-past-float64")])
     def test_per_call_eps_is_checked_as_the_config_eps(self, eps):
         model = build_model(_small_cfg("liif", 2, n=2), seed=0)
         with pytest.raises(ConfigError, match="eps"):

@@ -1,0 +1,128 @@
+"""Print one `name sha256` line per output of the package, to show bit identity.
+
+Run it on two source trees and compare the lines; a refactor that keeps
+every output bit-identical prints the same text for both:
+
+    python tools/out_digests.py src > after.txt
+    python tools/out_digests.py /path/to/other/checkout/src > before.txt
+    diff before.txt after.txt
+
+The outputs are:
+  * `super_resolve` of one 16x16 image at scale 2.5 for liif/ope/lte x
+    t in {1, 4, 16} x both evaluation modes x eps in {the config's, 0};
+  * a 4-step `train` per variant: its losses and its checkpoint bytes;
+  * the CLI's manifest.csv (gen-data), loss.csv and ckpt.bin (train),
+    eval-equiv CSV and scales.csv (--error-maps) on the default config,
+    with train.steps cut to 4;
+  * every gradcheck case's `max_rel_err`.
+`OPENBLAS_NUM_THREADS` is 1 unless it is set: some products round
+differently at other thread counts.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+VARIANTS = ("liif", "ope", "lte")
+
+
+def _digest(payload: bytes) -> str:
+    return hashlib.sha256(payload).hexdigest()
+
+
+def _array_digest(arr) -> str:
+    import numpy as np
+
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    return _digest(repr(arr.shape).encode() + arr.tobytes())
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _digest(fh.read())
+
+
+def sr_lines():
+    import numpy as np
+
+    from equisr.image import Image
+    from equisr.inr import ModelConfig, build_model, super_resolve
+
+    img = Image(np.random.default_rng(0).random((16, 16, 3)))
+    for variant in VARIANTS:
+        for t in (1, 4, 16):
+            for mode in ("ensemble", "nearest"):
+                model = build_model(ModelConfig(variant=variant, t=t, mode=mode), seed=0)
+                for label, eps in (("cfg", None), ("0", 0.0)):
+                    out = super_resolve(model, img, 2.5, eps=eps)
+                    yield f"sr.{variant}.t{t}.{mode}.eps{label}", _array_digest(out.data)
+
+
+def train_lines(tmp: str):
+    from equisr.data import DatasetSpec
+    from equisr.inr import ModelConfig
+    from equisr.training import save_checkpoint, train
+
+    data = DatasetSpec(kind="stripes", count=2, size=48)
+    for variant in VARIANTS:
+        result = train(ModelConfig(variant=variant), data, steps=4)
+        losses = json.dumps([row[1] for row in result.loss_rows]).encode()
+        yield f"train.{variant}.losses", _digest(losses)
+        _, bin_path = save_checkpoint(os.path.join(tmp, f"ckpt_{variant}"), result.model)
+        yield f"train.{variant}.ckpt_bin", _file_digest(bin_path)
+
+
+def cli_lines(tmp: str):
+    from equisr import config
+    from equisr.cli import main
+
+    doc = config.defaults()
+    doc["train"]["steps"] = 4
+    cfg = os.path.join(tmp, "config.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    corpus, run = os.path.join(tmp, "corpus"), os.path.join(tmp, "run")
+    sweep, maps = os.path.join(tmp, "equiv.csv"), os.path.join(tmp, "maps")
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(["gen-data", "--config", cfg, "--out", corpus]),
+                 main(["train", "--config", cfg, "--out", run]),
+                 main(["eval-equiv", "--config", cfg, "--out", sweep, "--error-maps", maps])]
+    if any(codes):
+        raise SystemExit(f"a CLI command failed: exit codes {codes}")
+    for name, path in (("manifest.csv", os.path.join(corpus, "manifest.csv")),
+                       ("loss.csv", os.path.join(run, "loss.csv")),
+                       ("ckpt.bin", os.path.join(run, "ckpt.bin")),
+                       ("eval-equiv.csv", sweep),
+                       ("scales.csv", os.path.join(maps, "scales.csv"))):
+        yield f"cli.{name}", _file_digest(path)
+
+
+def gradcheck_lines():
+    from equisr.checks import run_all
+
+    for r in run_all():
+        yield f"gradcheck.{r.name}", _digest(repr(r.max_rel_err).encode())
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not os.path.isdir(argv[0]):
+        print("usage: python tools/out_digests.py SRC_DIR", file=sys.stderr)
+        return 1
+    sys.path.insert(0, os.path.abspath(argv[0]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for lines in (sr_lines(), train_lines(tmp), cli_lines(tmp), gradcheck_lines()):
+            for name, digest in lines:
+                print(name, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
