@@ -21,7 +21,6 @@ import numpy as np
 
 from . import parallel
 from .errors import (
-    CatalogueError,
     ContractError,
     EvaluationError,
     ShapeError,
@@ -80,6 +79,7 @@ class Tape:
 
     `relu_masks` holds the sign pattern of every relu this thread evaluated
     while the tape was the innermost open one (check_gradients' kink guard).
+    `splice` appends tapes recorded on other threads.
     """
 
     def __init__(self):
@@ -454,18 +454,6 @@ _PRIMITIVES = {
 }
 
 
-def apply_primitive(name: str, inputs, **attrs) -> Tensor:
-    """Dispatch a primitive by catalogue name (einsum takes its subscripts first)."""
-    if name not in _PRIMITIVES:
-        raise CatalogueError(f"unknown primitive {name!r}")
-    fn = _PRIMITIVES[name]
-    if name == "concat":
-        return fn(inputs, **attrs)
-    if not isinstance(inputs, (list, tuple)):
-        inputs = (inputs,)
-    return fn(*inputs, **attrs)
-
-
 # ---------------------------------------------------------------------------
 # composites built from catalogue primitives
 # ---------------------------------------------------------------------------
@@ -479,6 +467,16 @@ def absolute(x) -> Tensor:
 # backward pass and gradient checking
 # ---------------------------------------------------------------------------
 
+def splice(parts) -> Tensor:
+    """Append each (tape, output) part's tape to this thread's open tape, in
+    order, and concatenate the outputs; a part reads only earlier tensors."""
+    tape = _STACKS.stack[-1]
+    for part, _ in parts:
+        tape.entries += part.entries
+        tape.relu_masks += part.relu_masks
+    return concat([out for _, out in parts])
+
+
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     """Gradients of a scalar loss w.r.t. every requires-grad leaf on the tape.
 
@@ -488,9 +486,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones(loss.shape, dtype=loss.data.dtype)}
-    produced = {out for out, _, _ in tape.entries}
     for out, inputs, bwd in reversed(tape.entries):
-        g = grads.get(out)
+        g = grads.pop(out, None)  # complete: out's consumers all come later
         if g is None:
             continue
         for t, gi in zip(inputs, bwd(g)):
@@ -504,7 +501,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     return {
         t: Tensor(g)
         for t, g in grads.items()
-        if t.requires_grad and t not in produced
+        if t.requires_grad
     }
 
 

@@ -9,10 +9,6 @@ class ShapeError(EquisrError, ValueError):
     """Operand shapes do not conform."""
 
 
-class CatalogueError(EquisrError, KeyError):
-    """Unknown primitive name."""
-
-
 class ContractError(EquisrError, ValueError):
     """An operation precondition was violated."""
 

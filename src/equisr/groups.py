@@ -144,9 +144,6 @@ class GroupFeatureMap:
     def t(self) -> int:
         return self.data.shape[3]
 
-    def slot(self, k: int) -> np.ndarray:
-        return self.data[:, :, :, k]
-
 
 def rotate_feature(f: GroupFeatureMap, group: RotationGroup, k: int) -> GroupFeatureMap:
     """Apply group element k to a feature map.

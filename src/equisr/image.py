@@ -50,11 +50,6 @@ class Image:
     def c(self) -> int:
         return self.data.shape[2]
 
-    @property
-    def delta(self) -> float:
-        """Mesh size 2/h."""
-        return 2.0 / self.h
-
 
 def pixel_coords(h: int, w: int | None = None) -> np.ndarray:
     """Cell-center coordinates, shape (h, w, 2) holding (x1, x2) per pixel."""
@@ -73,20 +68,6 @@ def cell_position(x: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray
     cells: pixel (i, j)'s center is at (i, j)."""
     x = np.asarray(x, dtype=np.float64)
     return (1.0 - x[..., 1]) * (h / 2.0) - 0.5, (x[..., 0] + 1.0) * (w / 2.0) - 0.5
-
-
-def coord_to_index(x: np.ndarray, h: int, w: int | None = None) -> np.ndarray:
-    """Nearest-pixel indices for coordinates x (..., 2).
-
-    Ties on cell boundaries resolve toward the smaller index pair (the
-    ceil-1 convention); indices are clamped to the raster.
-    """
-    if w is None:
-        w = h
-    fi, fj = cell_position(x, h, w)
-    i = np.clip(np.ceil(fi + 0.5).astype(np.int64) - 1, 0, h - 1)
-    j = np.clip(np.ceil(fj + 0.5).astype(np.int64) - 1, 0, w - 1)
-    return np.stack([i, j], axis=-1)
 
 
 def disk_mask(h: int, w: int | None = None, margin_cells: float = 0.0,

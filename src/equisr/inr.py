@@ -472,32 +472,35 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, 
     start at row i h w of the flattened (B h w, t, c) latent table.  B must
     divide N (else ShapeError); unbatched latents are the case B = 1.
 
-    While this thread records (a Tape is open) all queries are one chunk: a
-    tape keeps every chunk's temporaries anyway.  Otherwise equal
-    chunks (sizes differ by at most one, a chunk may span items) within the
-    per-thread _CHUNK_BYTES budget run on `parallel.run_bands`; their bounds
-    follow from the model and N alone, so the output does not depend on
-    the thread count and memory past the (N, n0) output does not grow with N.
-    Only these chunks use lte's float32 waves (see _input_sum_lte); the taped
-    exit stays float64.
+    Equal chunks (sizes differ by at most one, a chunk may span items) within
+    the per-thread _CHUNK_BYTES budget run on `parallel.run_bands`; their
+    bounds follow from the model and N alone, so the output does not depend
+    on the thread count.  Untaped chunks use lte's float32 waves (see
+    _input_sum_lte) and write into the (N, n0) output, past which memory does
+    not grow with N.  While a Tape is open each chunk records, in float64, on
+    its own tape, and `diff.splice` appends these to it in chunk order.
     """
     if eps is not None:
         model = replace(model, cfg=replace(model.cfg, eps=eps))
     q, items = X.shape[0], (lats[0].shape[0] if lats[0].ndim == 5 else 1)
     if q % items:
         raise ShapeError(f"{q} queries do not split evenly over {items} latent items")
-    if diff.recording():
-        return _eval_global_chunk(model, lats, X, 0, q // items)
     rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg))
     chunks = max(1, -(-q // rows))
     cuts = [q * i // chunks for i in range(chunks + 1)]
-    out = np.empty((q, model.cfg.out_channels))
+    taped = diff.recording()
+    out = None if taped else np.empty((q, model.cfg.out_channels))
+    parts = {}
 
     def chunk(a: int, b: int):
-        out[a:b] = _eval_global_chunk(model, lats, X[a:b], a, q // items, True).data
+        if taped:
+            with diff.Tape() as tape:
+                parts[a] = (tape, _eval_global_chunk(model, lats, X[a:b], a, q // items))
+        else:
+            out[a:b] = _eval_global_chunk(model, lats, X[a:b], a, q // items, True).data
 
     parallel.run_bands(zip(cuts[:-1], cuts[1:]), chunk)
-    return diff.constant(out)
+    return diff.splice([parts[a] for a in cuts[:-1]]) if taped else diff.constant(out)
 
 
 def output_size(h: int, w: int, scale: float) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from equisr.data import (
 from equisr.errors import ConfigError, ParseError
 from equisr.filters import phi_bic
 from equisr.groups import rotate_image
-from equisr.image import Image, coord_to_index, pixel_coords
+from equisr.image import Image, cell_position, pixel_coords
 
 
 def _resize_axis_oracle(values, n_out):
@@ -209,7 +209,7 @@ class TestPatchSampling:
         spec = DatasetSpec(kind="stripes", count=4, size=96, seed=0,
                            scale_lo=2.0, scale_hi=4.0)
         for p in sample_patch_pairs(spec, 24, 4, seed=1):
-            ii, jj = coord_to_index(p.coords, p.hr.h).T
+            ii, jj = np.rint(cell_position(p.coords, p.hr.h, p.hr.h)).astype(np.int64)
             assert np.array_equal(p.coords, pixel_coords(p.hr.h)[ii, jj])
             assert np.array_equal(p.targets, p.hr.data[ii, jj])
 

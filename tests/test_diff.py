@@ -10,8 +10,8 @@ import pytest
 
 from equisr import diff
 from equisr.checks import run_all
-from equisr.diff import Tape, Tensor, apply_primitive, backward, check_gradients
-from equisr.errors import CatalogueError, ContractError, EvaluationError, ShapeError
+from equisr.diff import Tape, Tensor, backward, check_gradients
+from equisr.errors import ContractError, EvaluationError, ShapeError
 
 
 class TestPrimitives:
@@ -59,16 +59,6 @@ class TestPrimitives:
         with pytest.raises(ShapeError):
             diff.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
 
-    def test_apply_primitive_dispatch(self):
-        out = apply_primitive("add", (Tensor([1.0]), Tensor([2.0])))
-        assert out.data[0] == 3.0
-        out = apply_primitive("sum", Tensor(np.ones((2, 3))), axes=1)
-        assert np.array_equal(out.data, [3.0, 3.0])
-
-    def test_unknown_primitive_raises(self):
-        with pytest.raises(CatalogueError):
-            apply_primitive("tanh", (Tensor([1.0]),))
-
     def test_gather_and_transpose(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
         out = diff.gather(x, np.array([2, 0]), axis=0)
@@ -81,7 +71,7 @@ class TestPrimitives:
         a, b = rng.standard_normal((5, 3, 4)), rng.standard_normal((3, 3, 2, 4))
         out = diff.einsum("qai,abmi->qbm", Tensor(a), Tensor(b))
         assert np.allclose(out.data, np.einsum("qai,abmi->qbm", a, b), rtol=1e-13, atol=0)
-        out = apply_primitive("einsum", ("ij,ij->i", Tensor(a[:, 0]), Tensor(a[:, 1])))
+        out = diff.einsum("ij,ij->i", Tensor(a[:, 0]), Tensor(a[:, 1]))
         assert np.allclose(out.data, (a[:, 0] * a[:, 1]).sum(axis=1), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("subscripts, shapes", [
@@ -364,6 +354,31 @@ class TestBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         y = diff.relu(x)
         assert y.requires_grad is False  # nothing was recorded
+
+    def test_spliced_thread_tapes_replay_as_one(self):
+        # each part records on its own thread's tape; splice puts the parts
+        # on this thread's tape in order, and backward returns leaves only
+        w = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        x = np.array([[1.0, 2.0], [3.0, -4.0]])
+        parts = [None, None]
+
+        def record(i):
+            with Tape() as part:
+                parts[i] = (part, diff.relu(diff.mul(Tensor(x[i]), w)))
+
+        for i in (1, 0):
+            worker = threading.Thread(target=record, args=(i,))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        with Tape() as tape:
+            out = diff.splice(parts)
+            loss = diff.reduce_sum(out)
+        assert np.array_equal(out.data, [1.5, 0.0, 4.5, 8.0])
+        assert [m.tolist() for m in tape.relu_masks] == [[True, False], [True, True]]
+        grads = backward(tape, loss)
+        assert list(grads) == [w]
+        assert np.array_equal(grads[w].data, [4.0, -4.0])
 
 
 class TestCheckGradients:

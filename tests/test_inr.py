@@ -17,7 +17,7 @@ from equisr import config, diff, inr, parallel
 from equisr.data import DatasetSpec
 from equisr.errors import ConfigError, DomainError, ShapeError
 from equisr.groups import make_group, rotate_image
-from equisr.image import Image, coord_to_index, pixel_coords
+from equisr.image import Image, cell_position, pixel_coords
 from equisr.inr import (
     INRModel,
     ModelConfig,
@@ -67,6 +67,16 @@ def _small_cfg(variant, t, **kw):
                     psi_widths=(8,), K=3, k_max=1)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def coord_to_index(x, h):
+    """Nearest-pixel (row, column) indices on an h x h raster for coordinates
+    x (..., 2); ties on cell boundaries go to the smaller index (ceil - 1),
+    and indices are clamped to the raster."""
+    fi, fj = cell_position(x, h, h)
+    i = np.clip(np.ceil(fi + 0.5).astype(np.int64) - 1, 0, h - 1)
+    j = np.clip(np.ceil(fj + 0.5).astype(np.int64) - 1, 0, h - 1)
+    return np.stack([i, j], axis=-1)
 
 
 def _in_mode(model, mode):
@@ -603,18 +613,19 @@ class TestStreamedAssembly:
             assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
-    def test_default_training_item_is_one_chunk(self, monkeypatch, variant):
-        # under a tape every chunk's intermediates are kept, so chunking would
-        # only add work: any query count is one call, past the budget too
+    def test_taped_call_cuts_the_untaped_chunks(self, monkeypatch, variant):
+        # a training item's 24 x 24 queries are 6 chunks of 96 at a 97-row
+        # budget, whether or not a tape records
         model, lats = _latents(ModelConfig(variant=variant, blocks=1), 6)
         monkeypatch.setattr(inr, "_CHUNK_BYTES", 97 * inr._query_bytes(model.cfg))
         _pin_workers(monkeypatch, 2)
-        for q in (24 * 24, 1003):
+        for q, chunks in ((24 * 24, [96] * 6), (1003, [91] * 9 + [92] * 2)):
             X = np.random.default_rng(2).uniform(-1.0, 1.0, (q, 2))
-            sizes = _chunk_sizes(monkeypatch)
-            with diff.Tape():
-                eval_global_batch(model, lats, X)
-            assert sizes == [q]
+            for record in (False, True):
+                sizes = _chunk_sizes(monkeypatch)
+                with diff.Tape() if record else contextlib.nullcontext():
+                    eval_global_batch(model, lats, X)
+                assert sorted(sizes) == chunks
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
     def test_memory_bounded_by_budget(self, monkeypatch, variant):
@@ -736,12 +747,30 @@ class TestBatchedAssembly:
 
 
 class TestParallelAssembly:
-    """Chunks on helper threads: same values, one call while recording."""
+    """Chunks on helper threads: same values and gradients for any thread count."""
 
     @staticmethod
     def _budget(monkeypatch, model, rows, workers):
         monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * inr._query_bytes(model.cfg))
         _pin_workers(monkeypatch, workers)
+
+    def _meeting_threads(self, monkeypatch, workers):
+        """Make each thread's first chunk wait for `workers` threads; returns
+        the thread ident of every chunk call."""
+        barrier = threading.Barrier(workers, timeout=30)
+        first = threading.local()
+        idents = []
+        real = inr._eval_global_chunk
+
+        def meeting(*args):
+            idents.append(threading.get_ident())
+            if not getattr(first, "done", False):
+                first.done = True
+                barrier.wait()
+            return real(*args)
+
+        monkeypatch.setattr(inr, "_eval_global_chunk", meeting)
+        return idents
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
     @pytest.mark.parametrize("t", [1, 4, 8])
@@ -754,18 +783,7 @@ class TestParallelAssembly:
         self._budget(monkeypatch, model, 50, 1)
         serial = eval_global_batch(model, lats, X).data
         self._budget(monkeypatch, model, 50, workers)
-        # every worker thread must take a chunk while the others are in one
-        barrier = threading.Barrier(workers, timeout=30)
-        first = threading.local()
-        real = inr._eval_global_chunk
-
-        def meeting(*args):
-            if not getattr(first, "done", False):
-                first.done = True
-                barrier.wait()
-            return real(*args)
-
-        monkeypatch.setattr(inr, "_eval_global_chunk", meeting)
+        self._meeting_threads(monkeypatch, workers)
         parallel = eval_global_batch(model, lats, X).data
         assert np.array_equal(parallel, serial)
 
@@ -801,71 +819,72 @@ class TestParallelAssembly:
         assert len(sizes) == 251 and sum(sizes) == 1003
         assert np.array_equal(parallel, serial)
 
-    def _threads_used(self, monkeypatch):
-        idents = []
-        real = inr._eval_global_chunk
-
-        def tagged(*args):
-            idents.append(threading.get_ident())
-            return real(*args)
-
-        monkeypatch.setattr(inr, "_eval_global_chunk", tagged)
-        return idents
-
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
-    def test_tape_runs_on_calling_thread(self, monkeypatch, variant):
+    def test_taped_chunks_run_on_helpers_with_same_gradients(self, monkeypatch, variant):
         model = build_model(_small_cfg(variant, 4, L=1 if variant == "liif" else 0), seed=0)
         img = np.random.default_rng(0).random((8, 8, 3))
         X = np.random.default_rng(5).uniform(-1.0, 1.0, (300, 2))
-        self._budget(monkeypatch, model, 97, 1)
-        serial = _param_grads(model, img, X)
-        _pin_workers(monkeypatch, 2)
-        idents = self._threads_used(monkeypatch)
-        grads = _param_grads(model, img, X)
-        assert idents == [threading.get_ident()]
-        assert len(grads) == len(serial) > 0
-        assert all(np.array_equal(a, b) for a, b in zip(grads, serial))
+        runs = []
+        for workers in (1, 2, 3):
+            self._budget(monkeypatch, model, 97, workers)  # 4 chunks of 75
+            idents = self._meeting_threads(monkeypatch, workers)
+            runs.append(_param_grads(model, img, X))
+            assert len(idents) == 4 and len(set(idents)) == workers
+        assert len(runs[0]) == len(model.named_parameters())
+        for grads in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(grads, runs[0]))
 
-    def test_relu_trace_runs_on_calling_thread(self, monkeypatch):
+    def test_taped_relu_masks_same_for_any_worker_count(self, monkeypatch):
         model, lats = _latents(_small_cfg("liif", 4, L=1), 8)
         X = np.random.default_rng(6).uniform(-1.0, 1.0, (300, 2))
-        self._budget(monkeypatch, model, 97, 1)
-        with diff.Tape() as tape:
-            eval_global_batch(model, lats, X)
-        serial = tape.relu_masks
-        _pin_workers(monkeypatch, 2)
-        idents = self._threads_used(monkeypatch)
-        with diff.Tape() as tape:
-            eval_global_batch(model, lats, X)
-        patterns = tape.relu_masks
-        assert idents == [threading.get_ident()]
-        assert len(patterns) == len(serial) == 3  # input, mid and psi relus
-        assert all(np.array_equal(a, b) for a, b in zip(patterns, serial))
+        runs = []
+        for workers in (1, 2, 3):
+            self._budget(monkeypatch, model, 97, workers)
+            idents = self._meeting_threads(monkeypatch, workers)
+            with diff.Tape() as tape:
+                eval_global_batch(model, lats, X)
+            runs.append(tape.relu_masks)
+            assert len(set(idents)) == workers
+        # per chunk, in chunk order: the input, mid and psi relus
+        assert len(runs[0]) == 4 * 3
+        assert [m.shape[0] for m in runs[0]] == [4 * 75] * 12
+        for masks in runs[1:]:
+            assert len(masks) == 12 and all(np.array_equal(a, b) for a, b in zip(masks, runs[0]))
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_chunk_error_reaches_caller_and_helpers_join(self, monkeypatch, workers):
-        model, lats = _latents(_small_cfg("ope", 4), 8)
+        model = build_model(_small_cfg("ope", 4), seed=0)
+        img = diff.constant(np.random.default_rng(0).random((8, 8, 3)))
         X = np.random.default_rng(7).uniform(-1.0, 1.0, (1003, 2))
         self._budget(monkeypatch, model, 20, workers)
-        calls = []
-        lock = threading.Lock()
         real = inr._eval_global_chunk
+        for record in (False, True):
+            calls = []
+            lock = threading.Lock()
 
-        def failing(*args):
-            with lock:
-                calls.append(threading.get_ident())
-                first = len(calls) == 1
-            if first:
-                raise RuntimeError("chunk failed")
-            return real(*args)
+            def failing(*args):
+                with lock:
+                    calls.append(threading.get_ident())
+                    first = len(calls) == 1
+                if first:
+                    raise RuntimeError("chunk failed")
+                return real(*args)
 
-        monkeypatch.setattr(inr, "_eval_global_chunk", failing)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            eval_global_batch(model, lats, X)
-        assert set(threading.enumerate()) == before
-        # after the failure each other thread finishes at most one chunk
-        assert len(calls) <= workers
+            monkeypatch.setattr(inr, "_eval_global_chunk", failing)
+            before = set(threading.enumerate())
+            with diff.Tape() if record else contextlib.nullcontext() as tape:
+                lats = compute_latents(model, encode_t(model.encoder, img))
+                entries = list(tape.entries) if record else []
+                masks = list(tape.relu_masks) if record else []
+                with pytest.raises(RuntimeError, match="chunk failed"):
+                    eval_global_batch(model, lats, X)
+            assert set(threading.enumerate()) == before
+            # after the failure each other thread finishes at most one chunk
+            assert len(calls) <= workers
+            if record:  # no part of the failed call reaches the caller's tape
+                assert entries and tape.entries == entries
+                assert masks and len(tape.relu_masks) == len(masks)
+                assert all(a is b for a, b in zip(tape.relu_masks, masks))
 
     def _affinity_calls(self, monkeypatch, cpus, refuse=False):
         calls = []

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from equisr import data, parallel, training
+from equisr import data, inr, parallel, training
 from equisr.image import Image
 from equisr.inr import ModelConfig, build_model, super_resolve
 
@@ -96,15 +96,12 @@ class TestSameBitsForAnyWorkerCount:
             assert alive and max(alive) <= before + workers - 1
         assert all(np.array_equal(out, outs[0]) for out in outs[1:])
 
-    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
-    def test_train(self, monkeypatch, variant):
-        spec = data.DatasetSpec(kind="stripes", count=4, size=48, seed=3,
-                                scale_lo=2.0, scale_hi=4.0)
+    @staticmethod
+    def _assert_train_same_bits(monkeypatch, cfg, spec, **kw):
         runs = []
         for workers in (1, 2, 3):
             _pin_workers(monkeypatch, workers)
-            result = training.train(ModelConfig(variant=variant, blocks=1), spec, steps=2,
-                                    batch=2, patch=12, seed=5)
+            result = training.train(cfg, spec, **kw)
             runs.append(([loss for _, loss, _ in result.loss_rows],
                          {k: p.data for k, p in result.model.named_parameters().items()}))
         losses, params = runs[0]
@@ -112,3 +109,28 @@ class TestSameBitsForAnyWorkerCount:
             assert other_losses == losses
             assert other_params.keys() == params.keys()
             assert all(np.array_equal(other_params[k], params[k]) for k in params)
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    def test_train(self, monkeypatch, variant):
+        spec = data.DatasetSpec(kind="stripes", count=4, size=48, seed=3,
+                                scale_lo=2.0, scale_hi=4.0)
+        self._assert_train_same_bits(monkeypatch, ModelConfig(variant=variant, blocks=1), spec,
+                                     steps=2, batch=2, patch=12, seed=5)
+
+    @pytest.mark.parametrize("variant,chunks", [("liif", 4), ("ope", 7), ("lte", 5)])
+    def test_train_at_benchmark_shape(self, monkeypatch, variant, chunks):
+        # the train-steps workload's shape: each step's 4 x 24 x 24 queries
+        # are several taped INR chunks
+        spec = data.DatasetSpec(kind="stripes", count=8, size=96, seed=0,
+                                scale_lo=2.0, scale_hi=4.0)
+        sizes = []
+        real = inr._eval_global_chunk
+
+        def counting(model, lats, X, *rest):
+            sizes.append(X.shape[0])
+            return real(model, lats, X, *rest)
+
+        monkeypatch.setattr(inr, "_eval_global_chunk", counting)
+        self._assert_train_same_bits(monkeypatch, ModelConfig(variant=variant), spec,
+                                     steps=4, batch=4, patch=24)
+        assert len(sizes) == 3 * 4 * chunks and sum(sizes) == 3 * 4 * 4 * 24 * 24

@@ -10,7 +10,10 @@ every output bit-identical prints the same text for both:
 The outputs are:
   * `super_resolve` of one 16x16 image at scale 2.5 for liif/ope/lte x
     t in {1, 4, 16} x both evaluation modes x eps in {the config's, 0};
-  * a 4-step `train` per variant: its losses and its checkpoint bytes;
+  * per variant, a 4-step `train` (batch 4, patch 12) and a 2-step `train`
+    at the benchmark's train-steps shape (stripes of size 96, batch 4,
+    patch 24, whose INR queries are several chunks per step): their losses
+    and checkpoint bytes;
   * the CLI's manifest.csv (gen-data), loss.csv and ckpt.bin (train),
     eval-equiv CSV and scales.csv (--error-maps) on the default config,
     with train.steps cut to 4;
@@ -71,13 +74,17 @@ def train_lines(tmp: str):
     from equisr.inr import ModelConfig
     from equisr.training import save_checkpoint, train
 
-    data = DatasetSpec(kind="stripes", count=2, size=48)
+    runs = (("", DatasetSpec(kind="stripes", count=2, size=48), dict(steps=4)),
+            (".steps", DatasetSpec(kind="stripes", count=8, size=96, scale_lo=2.0, scale_hi=4.0),
+             dict(steps=2, batch=4, patch=24)))
     for variant in VARIANTS:
-        result = train(ModelConfig(variant=variant), data, steps=4)
-        losses = json.dumps([row[1] for row in result.loss_rows]).encode()
-        yield f"train.{variant}.losses", _digest(losses)
-        _, bin_path = save_checkpoint(os.path.join(tmp, f"ckpt_{variant}"), result.model)
-        yield f"train.{variant}.ckpt_bin", _file_digest(bin_path)
+        for label, data, kw in runs:
+            result = train(ModelConfig(variant=variant), data, **kw)
+            losses = json.dumps([row[1] for row in result.loss_rows]).encode()
+            yield f"train{label}.{variant}.losses", _digest(losses)
+            ckpt = os.path.join(tmp, f"ckpt{label}_{variant}")
+            _, bin_path = save_checkpoint(ckpt, result.model)
+            yield f"train{label}.{variant}.ckpt_bin", _file_digest(bin_path)
 
 
 def cli_lines(tmp: str):
