@@ -40,13 +40,13 @@ class CheckResult:
         return self.max_rel_err <= self.tol
 
 
-def _check(name, fn, inputs, seeds=(0, 1, 2), tol=GRAD_TOL, step=1e-5):
+def _check(name, fn, inputs):
     worst = 0.0
-    for seed in seeds:
+    for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         tensors = [diff.Tensor(make(rng)) for make in inputs]
-        worst = max(worst, diff.check_gradients(fn, tensors, step=step, seed=seed))
-    return CheckResult(name, worst, tol)
+        worst = max(worst, diff.check_gradients(fn, tensors, seed=seed))
+    return CheckResult(name, worst, GRAD_TOL)
 
 
 def _primitive_checks() -> list[CheckResult]:
@@ -64,10 +64,7 @@ def _primitive_checks() -> list[CheckResult]:
         ("mul", lambda a, b: diff.reduce_sum(diff.mul(a, b)), [n(5,), n(5,)]),
         ("matmul", lambda a, b: diff.reduce_sum(diff.sin(diff.matmul(a, b))),
          [n(3, 4), n(4, 2)]),
-        ("matmul.vec", lambda a, b: diff.reduce_sum(diff.matmul(a, b)), [n(3, 4), n(4,)]),
-        ("conv2d.valid", lambda x, k: diff.reduce_sum(diff.sin(diff.conv2d(x, k, pad="valid"))),
-         [n(6, 6, 2), n(3, 2, 3, 3)]),
-        ("conv2d.same", lambda x, k: diff.reduce_sum(diff.sin(diff.conv2d(x, k, pad="same"))),
+        ("conv2d", lambda x, k: diff.reduce_sum(diff.sin(diff.conv2d(x, k))),
          [n(5, 5, 2), n(2, 2, 3, 3)]),
         ("relu", lambda x: diff.reduce_sum(diff.mul(diff.relu(x), diff.relu(x))), [n(4, 4)]),
         ("sin", lambda x: diff.reduce_sum(diff.sin(x)), [n(7,)]),
@@ -77,7 +74,7 @@ def _primitive_checks() -> list[CheckResult]:
         ("sum.axes", lambda x: diff.reduce_sum(diff.sin(diff.reduce_sum(x, axes=1))),
          [n(3, 4, 2)]),
         ("scale", lambda x: diff.reduce_sum(diff.scale(diff.sin(x), 2.5)), [n(6,)]),
-        ("gather", lambda x: diff.reduce_sum(diff.sin(diff.gather(x, idx, axis=0))), [n(3, 4)]),
+        ("gather", lambda x: diff.reduce_sum(diff.sin(diff.gather(x, idx))), [n(3, 4)]),
         ("reshape", lambda x: diff.reduce_sum(diff.sin(diff.reshape(x, (6, 2)))), [n(3, 4)]),
         ("transpose", lambda x: diff.reduce_sum(diff.sin(diff.transpose(x, (1, 0, 2)))),
          [n(3, 4, 2)]),
@@ -108,11 +105,11 @@ def _filter_checks() -> list[CheckResult]:
 
     def lift(x, coeffs):
         x = diff.reshape(x, x.shape[:-1] + (1, x.shape[-1]))  # an image is a one-slot map
-        return diff.reduce_sum(diff.sin(group_conv_t(x, ParamFilter(coeffs), g4, pad="same")))
+        return diff.reduce_sum(diff.sin(group_conv_t(x, ParamFilter(coeffs), g4)))
 
     def gconv(group):
         return lambda x, coeffs: diff.reduce_sum(diff.sin(
-            group_conv_t(x, ParamFilter(coeffs), group, pad="valid")))
+            group_conv_t(x, ParamFilter(coeffs), group)))
 
     return [
         _check("filters.synthesize", synth, [lambda r: r.standard_normal((2, 1, 1, 5, 5))]),

@@ -16,12 +16,10 @@ import numpy as np
 from . import __version__, config
 from .data import atomic_write, csv_text, dataset_count, gen_synthetic, read_image, write_image
 from .errors import (
-    CheckpointError,
     ConfigError,
     DomainError,
     EquisrError,
     EvaluationError,
-    ParseError,
 )
 from .image import Image
 from .metrics import sweep_cells, sweep_csv
@@ -204,9 +202,6 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, CheckpointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

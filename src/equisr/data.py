@@ -180,10 +180,12 @@ def dataset_count(spec: DatasetSpec) -> int:
 
 def gen_synthetic(spec: DatasetSpec, index: int) -> Image:
     """Deterministic synthetic image for (spec.seed, index)."""
-    if index < 0 or index >= dataset_count(spec):
-        raise ConfigError(f"index {index} outside dataset of {dataset_count(spec)}")
-    if spec.kind == "file-dir":
-        return read_image(_file_dir_paths(spec)[index])
+    paths = _file_dir_paths(spec) if spec.kind == "file-dir" else None
+    count = spec.count if paths is None else len(paths)
+    if index < 0 or index >= count:
+        raise ConfigError(f"index {index} outside dataset of {count}")
+    if paths is not None:
+        return read_image(paths[index])
     rng = np.random.default_rng((spec.seed, index))
     if spec.kind == "shapes":
         return Image(_draw_shapes(rng, spec.size))

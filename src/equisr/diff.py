@@ -1,13 +1,15 @@
 """Minimal reverse-mode differentiation over dense tensors.
 
 A fixed catalogue of primitives (add, sub, mul, matmul, einsum, conv2d, relu,
-sin, cos, concat, sum, scale, gather, reshape, transpose) is enough to
-express every layer in this package.  Forward values are plain numpy arrays
-wrapped in `Tensor`; when a `Tape` is active and an input requires grad, the
-primitive records a backward closure on the tape.  `backward` replays the
+sin, cos, concat, sum, scale, gather, reshape, transpose), each in the one
+form the layers use (matmul of matrices, conv2d padded to the input size,
+gather of rows), expresses every layer in this package.  Forward values are
+numpy arrays in `Tensor`; when a `Tape` is active and an input requires grad,
+the primitive records a backward closure on the tape.  `backward` replays the
 tape once in reverse and accumulates gradients in that fixed order, so
-gradients are bit reproducible.  Backward closures return None for inputs
-that do not require grad, so constants cost no gradient work.
+gradients are bit reproducible.  Backward closures return input-shaped
+gradients, or None for inputs that do not require grad (constants cost no
+gradient work).
 
 Evaluation without an active tape records nothing and costs nothing beyond
 the numpy work itself.
@@ -178,18 +180,15 @@ def mul(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim > 2 or b.ndim > 2 or a.ndim == 0 or b.ndim == 0:
-        raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul takes 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        a2 = a.data.reshape(-1, a.shape[-1])  # a 1-D a acts as one row
-        b2 = b.data.reshape(b.shape[0], -1)  # a 1-D b acts as one column
-        g2 = g.reshape(a2.shape[0], b2.shape[1])
-        return ((g2 @ b2.T).reshape(a.shape) if a.requires_grad else None,
-                (a2.T @ g2).reshape(b.shape) if b.requires_grad else None)
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _finish(out, (a, b), bwd)
 
@@ -303,7 +302,6 @@ def reduce_sum(x, axes=None) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
-    shape = tuple(int(s) for s in np.atleast_1d(shape)) if not isinstance(shape, tuple) else shape
     out = Tensor(x.data.reshape(shape))
 
     def bwd(g):
@@ -327,25 +325,23 @@ def transpose(x, axes) -> Tensor:
     return _finish(out, (x,), bwd)
 
 
-def gather(x, index, axis: int = 0) -> Tensor:
-    """Take rows along `axis` with a 1-D integer index map."""
+def gather(x, index) -> Tensor:
+    """Take rows (along axis 0) with a 1-D integer index map."""
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     if index.ndim != 1:
         raise ShapeError(f"gather index map must be 1-D, got shape {index.shape}")
-    if index.size and (index.min() < 0 or index.max() >= x.shape[axis]):
+    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
         raise ShapeError("gather index out of range")
-    out = Tensor(np.take(x.data, index, axis=axis))
+    out = Tensor(np.take(x.data, index, axis=0))
 
     def bwd(g):
         # bincount adds the rows of g in index order, as np.add.at does (bit
         # for bit), without np.add.at's per-element dispatch
-        gm = np.moveaxis(g, axis, 0)
-        inner = int(np.prod(gm.shape[1:]))
+        inner = int(np.prod(g.shape[1:]))
         flat = (index[:, None] * inner + np.arange(inner)).ravel()
-        gx = np.bincount(flat, weights=gm.ravel(), minlength=x.shape[axis] * inner)
-        gx = gx.astype(g.dtype, copy=False).reshape((x.shape[axis],) + gm.shape[1:])
-        return (np.moveaxis(gx, 0, axis),)
+        gx = np.bincount(flat, weights=g.ravel(), minlength=x.size)
+        return (gx.astype(g.dtype, copy=False).reshape(x.shape),)
 
     return _finish(out, (x,), bwd)
 
@@ -360,14 +356,15 @@ def _spans(total: int, size: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, total)) for a in range(0, total, size)]
 
 
-def _correlate(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int, ph: int, pw: int,
+def _correlate(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
                cols: np.ndarray | None = None) -> np.ndarray:
-    """Correlation of x (b, h, w, c), zero-padded by ph and pw, with kmat (kh kw c, co),
-    in bands of output rows over all items.  Each band builds its slice of the
-    (b ho wo, kh kw c) im2col matrix within _CHUNK_BYTES, into `cols` if given."""
+    """Size-preserving correlation of x (b, h, w, c) with kmat (kh kw c, co), odd kh
+    and kw, in bands of output rows over all items.  Each band builds its slice of
+    the (b h w, kh kw c) im2col matrix within _CHUNK_BYTES, into `cols` if given."""
+    ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if ph or pw else x
-    nb, hp, wp, c = xp.shape
-    ho, wo, depth = hp - kh + 1, wp - kw + 1, kh * kw * c
+    nb, ho, wo, c = x.shape
+    depth = kh * kw * c
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     win = win.transpose(0, 1, 2, 4, 5, 3)  # (b, ho, wo, kh, kw, c)
     y = np.empty((nb * ho * wo, kmat.shape[1]))
@@ -385,14 +382,14 @@ def _correlate(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int, ph: int, pw: i
     return y.reshape(nb, ho, wo, -1)
 
 
-def conv2d(x, k, pad: str = "valid") -> Tensor:
-    """2-D correlation of x (h, w, c_in) with kernels k (c_out, c_in, kh, kw).
+def conv2d(x, k) -> Tensor:
+    """2-D correlation of x (h, w, c_in) with odd kernels k (c_out, c_in, kh, kw).
 
-    Stride 1; `pad` is "valid" or "same" (zero padding, odd kernels only).
-    An optional leading batch axis on x is carried through.  The input
-    gradient is the same banded product (_correlate) of the output gradient,
-    padded to full correlation, and the flipped, channel-swapped kernel; the
-    weight gradient runs in bands of im2col columns, kept when a tape records k.
+    Stride 1, zero padding to the input size.  An optional leading batch axis
+    on x is carried through.  The input gradient is the same banded product
+    (_correlate) of the output gradient and the flipped, channel-swapped
+    kernel; the weight gradient runs in bands of im2col columns, kept when a
+    tape records k.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if x.ndim not in (3, 4) or k.ndim != 4:
@@ -401,22 +398,14 @@ def conv2d(x, k, pad: str = "valid") -> Tensor:
     co, kci, kh, kw = k.shape
     if kci != ci:
         raise ShapeError(f"conv2d channel mismatch: input has {ci}, kernel expects {kci}")
-    if pad == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError("same padding requires odd kernel sizes")
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    elif pad == "valid":
-        ph = pw = 0
-        if h < kh or w < kw:
-            raise ShapeError(f"valid conv2d: input {h}x{w} smaller than kernel {kh}x{kw}")
-    else:
-        raise ContractError(f"unknown padding mode {pad!r}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"conv2d needs odd kernel sizes, got {kh}x{kw}")
 
     xd = x.data.reshape((-1, h, w, ci))
     depth = kh * kw * ci
-    rows = len(xd) * (h + 2 * ph - kh + 1) * (w + 2 * pw - kw + 1)
+    rows = len(xd) * h * w
     cols = np.empty((rows, depth)) if _STACKS.stack and k.requires_grad else None
-    y = _correlate(xd, k.data.transpose(2, 3, 1, 0).reshape(depth, co), kh, kw, ph, pw, cols)
+    y = _correlate(xd, k.data.transpose(2, 3, 1, 0).reshape(depth, co), kh, kw, cols)
     out = Tensor(y.reshape(x.shape[:-3] + y.shape[1:]))
 
     def bwd(g):
@@ -424,7 +413,7 @@ def conv2d(x, k, pad: str = "valid") -> Tensor:
         gx = gk = None
         if x.requires_grad:
             kf = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-            gx = _correlate(g4, kf, kh, kw, kh - 1 - ph, kw - 1 - pw).reshape(x.shape)
+            gx = _correlate(g4, kf, kh, kw).reshape(x.shape)
         if k.requires_grad:
             gt, gk = g4.reshape(rows, co).T, np.empty((co, depth))
             parallel.run_bands(_spans(depth, _BAND_COLS),
@@ -495,7 +484,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
                 continue
             acc = grads.get(t)
             if acc is None:
-                grads[t] = gi if gi.shape == t.shape else np.broadcast_to(gi, t.shape).copy()
+                grads[t] = gi
             else:
                 grads[t] = acc + gi
     return {

@@ -21,7 +21,7 @@ Synthesized taps (and the coefficients themselves) outside the disk of
 radius (p+1)/2 cells are zeroed so that rotated filters never lose mass off
 the corner of the grid; for p in {3, 5} this mask is all ones.
 
-Two layer types are built on top:
+Two size-preserving (zero-padded) layer types are built on top:
 
 * `lifting_conv` takes an image to a group feature map by convolving with
   every rotated copy of one filter (g_in = 1);
@@ -194,7 +194,7 @@ def _rotated_kernels(coeffs: Tensor, matrices: np.ndarray) -> Tensor:
     flat = diff.reshape(coeffs, (rows, p * p))
     rotated = diff.matmul(flat, diff.constant(_side_by_side(p, matrices.tobytes())))
     grids = diff.reshape(rotated, (rows * k, p * p))
-    kern = diff.gather(grids, _block_index(k, c_out, g_in, c_in), axis=0)
+    kern = diff.gather(grids, _block_index(k, c_out, g_in, c_in))
     return diff.reshape(kern, (k * c_out, g_in * c_in, p, p))
 
 
@@ -226,8 +226,8 @@ def group_kernel(f: ParamFilter, group: RotationGroup) -> Tensor:
 
 
 def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
-                 pad: str = "same", bias: Tensor | None = None) -> Tensor:
-    """Feature tensor ([b,] h, w, g_in, n_in) -> ([b,] h', w', t, n_out).
+                 bias: Tensor | None = None) -> Tensor:
+    """Feature tensor ([b,] h, w, g_in, n_in) -> ([b,] h, w, t, n_out).
 
     Output slot a sums, over input slots b, the convolution of slot b with
     the filter at group index (b - a) mod g_in spatially rotated by A_a.  A
@@ -241,7 +241,7 @@ def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
         raise ShapeError(f"group_conv: feature channels {x.shape[-1]} vs filter c_in {f.c_in}")
     kernel = lifting_kernel(f, group) if f.g_in == 1 else group_kernel(f, group)
     x_flat = diff.reshape(x, x.shape[:-2] + (f.g_in * f.c_in,))
-    y = diff.conv2d(x_flat, kernel, pad=pad)
+    y = diff.conv2d(x_flat, kernel)
     y = diff.reshape(y, y.shape[:-1] + (group.t, f.c_out))
     if bias is not None and diff.recording():
         y = diff.add(y, diff.reshape(bias, (1, 1, 1, f.c_out)))
@@ -260,14 +260,12 @@ def _feat_to_internal(f: GroupFeatureMap) -> np.ndarray:
     return np.ascontiguousarray(f.data.transpose(0, 1, 3, 2))
 
 
-def lifting_conv(img: Image, f: ParamFilter, group: RotationGroup,
-                 pad: str = "same") -> GroupFeatureMap:
-    y = group_conv_t(diff.constant(img.data[:, :, None, :]), f, group, pad=pad)
+def lifting_conv(img: Image, f: ParamFilter, group: RotationGroup) -> GroupFeatureMap:
+    y = group_conv_t(diff.constant(img.data[:, :, None, :]), f, group)
     return _feat_to_public(y.data)
 
 
-def group_conv(f_in: GroupFeatureMap, f: ParamFilter, group: RotationGroup,
-               pad: str = "same") -> GroupFeatureMap:
+def group_conv(f_in: GroupFeatureMap, f: ParamFilter, group: RotationGroup) -> GroupFeatureMap:
     x = diff.constant(_feat_to_internal(f_in))
-    y = group_conv_t(x, f, group, pad=pad)
+    y = group_conv_t(x, f, group)
     return _feat_to_public(y.data)

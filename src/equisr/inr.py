@@ -266,7 +266,7 @@ def compute_latents(model: INRModel, feat: Tensor) -> tuple[Tensor, ...]:
 
 def _gather_latents(lats: tuple[Tensor, ...], flat_idx: np.ndarray) -> tuple[Tensor, ...]:
     """The (Q, t, c) latent codes at flat indices into the ([B *] h * w) pixel table."""
-    return tuple(diff.gather(diff.reshape(x, (-1,) + x.shape[-2:]), flat_idx, axis=0)
+    return tuple(diff.gather(diff.reshape(x, (-1,) + x.shape[-2:]), flat_idx)
                  for x in lats)
 
 
@@ -286,7 +286,7 @@ def _cyclic_layer(u: Tensor, blocks: Tensor) -> Tensor:
     n_out = blocks.shape[1]
     slots = np.arange(t)
     table = (slots[:, None] - slots[None, :]) % t  # [a, b]
-    tied = diff.reshape(diff.gather(blocks, table.ravel(), axis=0), (t, t, n_out, n_in))
+    tied = diff.reshape(diff.gather(blocks, table.ravel()), (t, t, n_out, n_in))
     tied = diff.reshape(diff.transpose(tied, (0, 3, 1, 2)), (t * n_in, t * n_out))
     out = diff.matmul(diff.reshape(u, (q, t * n_in)), tied)
     return diff.reshape(out, (q, t, n_out))

@@ -173,6 +173,7 @@ class TestEvalEquiv:
     ("gen-data", '{"data": {"scale_range": [2, "x"]}}', "data.scale_range"),
     ("gen-data", '{"data": {"scale_range": 4}}', "data.scale_range"),
     ("gen-data", '{"data": {"seed": -3}}', "data.seed"),
+    ("gen-data", '{"model": {"t": 0}}', "model.t"),
     ("train", '{"data": {"count": true}}', "data.count"),
 ])
 def test_malformed_config_is_one_usage_error_naming_its_key(tmp_path, capsys, command, text,
@@ -256,6 +257,17 @@ class TestTrainAndSr:
         bad.write_text(json.dumps({"version": "equisr-ckpt-1"}))
         assert main(["sr", "--ckpt", str(bad), "--in", "x.ppm",
                      "--scale", "2", "--out", "y.ppm"]) == 3
+
+    def test_malformed_ppm_is_one_data_error(self, tmp_path, capsys):
+        ckpt, _ = self._sr_inputs(tmp_path)
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P6\n8 8\n255\n" + bytes(10))  # 10 of its 192 pixel bytes
+        out = tmp_path / "o.ppm"
+        assert main(["sr", "--ckpt", ckpt, "--in", str(bad), "--scale", "2",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "byte offset" in err
+        assert not out.exists()
 
 
 class TestAtomicOutputs:

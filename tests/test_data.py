@@ -1,5 +1,7 @@
 """Resampling, synthetic corpora, netpbm I/O, and patch sampling."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,27 @@ class TestGenSynthetic:
         spec = DatasetSpec(kind="shapes", count=2, size=16, scale_lo=1, scale_hi=2)
         with pytest.raises(ConfigError):
             gen_synthetic(spec, 5)
+
+    def test_file_dir_lists_the_directory_once_per_image(self, tmp_path, monkeypatch):
+        for i in (2, 0, 1):
+            write_image(str(tmp_path / f"i{i}.ppm"), Image(np.full((4, 4, 3), i / 4)))
+        (tmp_path / "notes.txt").write_text("not an image")
+        spec = DatasetSpec(kind="file-dir", path=str(tmp_path), scale_lo=1.0, scale_hi=1.0)
+        calls = []
+        real = os.listdir
+
+        def listdir(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        for i in range(3):  # images in sorted file-name order
+            img = gen_synthetic(spec, i)
+            assert np.array_equal(img.data, read_image(str(tmp_path / f"i{i}.ppm")).data)
+            assert calls == [str(tmp_path)] * (i + 1)
+        with pytest.raises(ConfigError):
+            gen_synthetic(spec, 3)
+        assert len(calls) == 4
 
 
 class TestNetpbm:

@@ -21,16 +21,17 @@ class TestPrimitives:
         assert not np.signbit(out.data[3])  # -0.0 maps to +0.0
 
     def test_matmul_identity(self):
-        v = np.array([3.0, -1.0, 2.5])
+        v = np.array([[3.0], [-1.0], [2.5]])
         out = diff.matmul(Tensor(np.eye(3)), Tensor(v))
         assert np.array_equal(out.data, v)
 
-    def test_conv2d_all_ones_valid(self):
+    def test_conv2d_all_ones_same(self):
         x = Tensor(np.ones((3, 3, 1)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        out = diff.conv2d(x, k, pad="valid")
-        assert out.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == 9.0  # sum of nine 1*1 products
+        out = diff.conv2d(x, k)
+        assert out.shape == (3, 3, 1)
+        # each output sums the 1*1 products of the taps inside the zero padding
+        assert np.array_equal(out.data[:, :, 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
 
     def test_conv2d_one_hot_kernel_is_shift(self):
         rng = np.random.default_rng(0)
@@ -38,17 +39,18 @@ class TestPrimitives:
         k = np.zeros((2, 2, 3, 3))
         k[0, 0, 0, 2] = 1.0  # output channel 0 reads input channel 0 at (r=0, c=2)
         k[1, 1, 1, 1] = 1.0  # output channel 1 reads input channel 1 centered
-        out = diff.conv2d(Tensor(x), Tensor(k), pad="valid")
-        assert np.array_equal(out.data[:, :, 0], x[0:4, 2:7, 0])
-        assert np.array_equal(out.data[:, :, 1], x[1:5, 1:6, 1])
+        out = diff.conv2d(Tensor(x), Tensor(k))
+        xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))  # one zero row and column on each side
+        assert np.array_equal(out.data[:, :, 0], xp[0:6, 2:9, 0])
+        assert np.array_equal(out.data[:, :, 1], x[:, :, 1])
 
     def test_conv2d_batch_matches_loop(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 6, 6, 2))
         k = rng.standard_normal((4, 2, 3, 3))
-        batched = diff.conv2d(Tensor(x), Tensor(k), pad="same")
+        batched = diff.conv2d(Tensor(x), Tensor(k))
         for i in range(3):
-            single = diff.conv2d(Tensor(x[i]), Tensor(k), pad="same")
+            single = diff.conv2d(Tensor(x[i]), Tensor(k))
             assert np.array_equal(batched.data[i], single.data)
 
     def test_shape_mismatch_raises(self):
@@ -56,12 +58,17 @@ class TestPrimitives:
             diff.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ShapeError):
             diff.conv2d(Tensor(np.ones((4, 4, 2))), Tensor(np.ones((1, 3, 3, 3))))
+        for kshape in ((1, 2, 2, 3), (1, 2, 3, 2)):  # an even side has no centre tap
+            with pytest.raises(ShapeError):
+                diff.conv2d(Tensor(np.ones((4, 4, 2))), Tensor(np.ones(kshape)))
+        with pytest.raises(ShapeError):  # a vector is a (n, 1) column
+            diff.matmul(Tensor(np.eye(3)), Tensor(np.ones(3)))
         with pytest.raises(ShapeError):
             diff.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
 
     def test_gather_and_transpose(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
-        out = diff.gather(x, np.array([2, 0]), axis=0)
+        out = diff.gather(x, np.array([2, 0]))
         assert np.array_equal(out.data, x.data[[2, 0]])
         tr = diff.transpose(x, (1, 0))
         assert np.array_equal(tr.data, x.data.T)
@@ -94,10 +101,10 @@ class TestPrimitives:
             diff.transpose(Tensor(np.ones((2, 3))), (0, 0))
 
 
-def _conv2d_input_grad_loop(xshape, k, g, pad):
+def _conv2d_input_grad_loop(xshape, k, g):
     """Input gradient of conv2d by the explicit kh x kw scatter of window grads."""
     co, ci, kh, kw = k.shape
-    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if pad == "same" else (0, 0)
+    ph, pw = kh // 2, kw // 2
     g4 = g if g.ndim == 4 else g[None]
     nb, ho, wo, _ = g4.shape
     h, w = xshape[-3], xshape[-2]
@@ -110,27 +117,26 @@ def _conv2d_input_grad_loop(xshape, k, g, pad):
     return gx if len(xshape) == 4 else gx[0]
 
 
-@pytest.mark.parametrize("pad", ["valid", "same"])
 @pytest.mark.parametrize("xshape", [(7, 6, 3), (2, 7, 6, 3)])
-def test_conv2d_input_grad_matches_loop_reference(pad, xshape):
+def test_conv2d_input_grad_matches_loop_reference(xshape):
     rng = np.random.default_rng(10)
     x = Tensor(rng.standard_normal(xshape), requires_grad=True)
     k = Tensor(rng.standard_normal((4, 3, 3, 5)), requires_grad=True)
     with Tape() as tape:
-        y = diff.conv2d(x, k, pad=pad)
+        y = diff.conv2d(x, k)
     g = rng.standard_normal(y.shape)
     (_, _, bwd), = tape.entries
     gx, _ = bwd(g)
-    ref = _conv2d_input_grad_loop(xshape, k.data, g, pad)
+    ref = _conv2d_input_grad_loop(xshape, k.data, g)
     assert gx.shape == ref.shape
     assert np.max(np.abs(gx - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def _conv2d_unbanded(x, k, g, pad):
+def _conv2d_unbanded(x, k, g):
     """Value and both gradients of conv2d, each from one whole im2col product."""
     xb = x if x.ndim == 4 else x[None]
     co, ci, kh, kw = k.shape
-    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if pad == "same" else (0, 0)
+    ph, pw = kh // 2, kw // 2
 
     def im2col(a):
         win = np.lib.stride_tricks.sliding_window_view(a, (kh, kw), axis=(1, 2))
@@ -141,7 +147,7 @@ def _conv2d_unbanded(x, k, g, pad):
     shape = (len(xb), xp.shape[1] - kh + 1, xp.shape[2] - kw + 1, co)
     y = (cols @ k.transpose(2, 3, 1, 0).reshape(-1, co)).reshape(shape)
     g4 = g.reshape(shape)
-    gp = np.pad(g4, ((0, 0), (kh - 1 - ph,) * 2, (kw - 1 - pw,) * 2, (0, 0)))
+    gp = np.pad(g4, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     gx = (im2col(gp) @ k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, ci)).reshape(xb.shape)
     gk = (g4.reshape(-1, co).T @ cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
     return (y, gx, gk) if x.ndim == 4 else (y[0], gx[0], gk)
@@ -151,7 +157,7 @@ class TestBandedConv2d:
     """conv2d's bands against the unbanded products, for any worker count."""
 
     @staticmethod
-    def _banded(monkeypatch, x, k, g, pad, workers):
+    def _banded(monkeypatch, x, k, g, workers):
         monkeypatch.setattr(diff.parallel, "_workers", lambda: workers)
         spans = []
         real = diff.parallel.run_bands
@@ -164,31 +170,31 @@ class TestBandedConv2d:
         monkeypatch.setattr(diff.parallel, "run_bands", recording)
         xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
         with Tape() as tape:
-            y = diff.conv2d(xt, kt, pad=pad)
+            y = diff.conv2d(xt, kt)
         (_, _, bwd), = tape.entries
         gx, gk = bwd(g)
         return (y.data, gx, gk), spans
 
     # band rows, band columns and shapes: the last row band and the last
     # column band are ragged, and batched inputs have bands across items
-    @pytest.mark.parametrize("pad,xshape,band_rows,band_cols", [
-        ("valid", (3, 7, 9, 4), 14, 5),  # 5 x 7 outputs: 2-row bands over 15 rows
-        ("same", (3, 6, 5, 4), 20, 8),  # 6 x 5 outputs: 4-row bands over 18 rows
-        ("same", (7, 9, 4), 27, 7),  # 7 x 9 outputs: 3-row bands over 7 rows
-        ("valid", (9, 6, 4), 8, 10),  # 7 x 4 outputs: 2-row bands over 7 rows
+    @pytest.mark.parametrize("xshape,band_rows,band_cols", [
+        ((3, 7, 9, 4), 14, 5),  # 7 x 9 outputs: 2-row bands over 21 rows
+        ((3, 6, 5, 4), 20, 8),  # 6 x 5 outputs: 4-row bands over 18 rows
+        ((7, 9, 4), 27, 7),  # 7 x 9 outputs: 3-row bands over 7 rows
+        ((9, 6, 4), 12, 10),  # 9 x 6 outputs: 2-row bands over 9 rows
     ])
-    def test_matches_unbanded(self, monkeypatch, pad, xshape, band_rows, band_cols):
+    def test_matches_unbanded(self, monkeypatch, xshape, band_rows, band_cols):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(xshape)
         k = rng.standard_normal((5, 4, 3, 3))
-        g = rng.standard_normal(diff.conv2d(Tensor(x), Tensor(k), pad=pad).shape)
-        ref = _conv2d_unbanded(x, k, g, pad)
+        g = rng.standard_normal(diff.conv2d(Tensor(x), Tensor(k)).shape)
+        ref = _conv2d_unbanded(x, k, g)
         ho, depth = ref[0].shape[-3], 3 * 3 * 4
         assert depth % band_cols
         monkeypatch.setattr(diff, "_BAND_ROWS", band_rows)
         monkeypatch.setattr(diff, "_BAND_COLS", band_cols)
         for workers in (1, 2, 3):
-            got, (forward, grad_x, grad_k) = self._banded(monkeypatch, x, k, g, pad, workers)
+            got, (forward, grad_x, grad_k) = self._banded(monkeypatch, x, k, g, workers)
             for a, b in zip(got, ref):
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -222,7 +228,7 @@ class TestBandedConv2d:
         x = np.random.default_rng(12).standard_normal((4, 24, 24, 8))
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="band failed"):
-            diff.conv2d(Tensor(x), Tensor(np.ones((8, 8, 3, 3))), pad="same")
+            diff.conv2d(Tensor(x), Tensor(np.ones((8, 8, 3, 3))))
         assert set(threading.enumerate()) == before
         # after the failure each other thread finishes at most one band
         assert len(calls) <= 3
@@ -235,14 +241,14 @@ class TestBandedConv2d:
         x = rng.standard_normal((64, 64, 32))
         k = rng.standard_normal((32, 32, 5, 5))
         whole = 64 * 64 * 32 * 25 * 8  # bytes of the (h w, kh kw ci) im2col matrix
-        diff.conv2d(Tensor(x), Tensor(k), pad="same")  # the process's one-time heap block
+        diff.conv2d(Tensor(x), Tensor(k))  # the process's one-time heap block
 
         def peak(record, k_grad):
             xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=k_grad)
             tracemalloc.start()
             try:
                 with Tape() if record else contextlib.nullcontext():
-                    diff.conv2d(xt, kt, pad="same")
+                    diff.conv2d(xt, kt)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -254,15 +260,15 @@ class TestBandedConv2d:
 
 def test_gather_backward_matches_add_at_bit_for_bit():
     rng = np.random.default_rng(11)
-    x = Tensor(rng.standard_normal((5, 4, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
     index = rng.integers(0, 4, size=40)  # many repeats
     with Tape() as tape:
-        y = diff.gather(x, index, axis=1)
+        y = diff.gather(x, index)
     g = rng.standard_normal(y.shape)
     (_, _, bwd), = tape.entries
     (gx,) = bwd(g)
     ref = np.zeros(x.shape)
-    np.add.at(np.moveaxis(ref, 1, 0), index, np.moveaxis(g, 1, 0))
+    np.add.at(ref, index, g)
     assert gx.dtype == ref.dtype and np.array_equal(gx, ref)
 
 
@@ -304,7 +310,7 @@ class TestBackward:
     def test_relu_net_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         W = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        x = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
         with Tape() as tape:
             loss = diff.reduce_sum(diff.relu(diff.matmul(W, x)))
         grads = backward(tape, loss)
@@ -392,11 +398,11 @@ class TestCheckGradients:
 
     def test_l1_patch_loss_through_conv_net(self):
         rng = np.random.default_rng(5)
-        target = rng.random((2, 2, 2))
+        target = rng.random((6, 6, 2))
 
         def fn(x, k1, k2):
-            y = diff.relu(diff.conv2d(x, k1, pad="valid"))
-            y = diff.conv2d(y, k2, pad="valid")
+            y = diff.relu(diff.conv2d(x, k1))
+            y = diff.conv2d(y, k2)
             return diff.reduce_sum(diff.absolute(diff.sub(y, diff.constant(target))))
 
         err = check_gradients(fn, [

@@ -134,7 +134,8 @@ def _group_kernel_ref(f, group):
     blocks = []
     for a in range(t):
         perm = np.array([(b - a) % t for b in range(t)], dtype=np.int64)
-        ga = diff.gather(f.coeffs, perm, axis=1)
+        by_slot = diff.transpose(f.coeffs, (1, 0, 2, 3, 4))  # its own inverse
+        ga = diff.transpose(diff.gather(by_slot, perm), (1, 0, 2, 3, 4))
         kern = _resample_ref(ga, f.p, resample_matrix(f.p, group.matrix(a)))
         blocks.append(diff.reshape(kern, (f.c_out, t * f.c_in, f.p, f.p)))
     return diff.concat(blocks, axis=0)
@@ -192,7 +193,7 @@ class TestLiftingConv:
         g = make_group(1)
         pf = make_param_filter(1, 1, 2, 3, rng=rng)
         img = Image(rng.random((6, 6, 2)))
-        out = lifting_conv(img, pf, g, pad="same")
+        out = lifting_conv(img, pf, g)
         assert out.t == 1
         expected = _naive_conv_same(img.data, pf.coeffs.data[0, 0])
         assert np.max(np.abs(out.data[:, :, 0, 0] - expected)) <= 1e-12
@@ -201,7 +202,7 @@ class TestLiftingConv:
         g = make_group(4)
         pf = make_param_filter(1, 1, 1, 5, data=np.full((1, 1, 1, 5, 5), 0.2))
         img = Image(np.random.default_rng(5).random((8, 8, 1)))
-        out = lifting_conv(img, pf, g, pad="same")
+        out = lifting_conv(img, pf, g)
         for k in range(1, 4):
             assert np.array_equal(out.data[:, :, :, 0], out.data[:, :, :, k])
 
@@ -212,10 +213,10 @@ class TestLiftingConv:
             rng = np.random.default_rng(seed)
             pf = make_param_filter(2, 1, 3, 5, rng=rng)
             img = Image(rng.random((9, 9, 3)))
-            base = lifting_conv(img, pf, g, pad="same")
+            base = lifting_conv(img, pf, g)
             for k in range(t):
                 rot_img = rotate_image(img, element_image_angle(g, k))
-                lhs = lifting_conv(rot_img, pf, g, pad="same")
+                lhs = lifting_conv(rot_img, pf, g)
                 rhs = rotate_feature(base, g, k)
                 assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-10
 
@@ -238,7 +239,7 @@ class TestGroupConv:
         pf = make_param_filter(1, 2, 1, 1, data=coeffs)
         x = np.zeros((1, 1, 2, 1))
         x[0, 0, 0, 0], x[0, 0, 1, 0] = h0, h1
-        out = group_conv_t(diff.constant(x), pf, g, pad="same").data[0, 0, :, 0]
+        out = group_conv_t(diff.constant(x), pf, g).data[0, 0, :, 0]
         # slot 0: W^0 h0 + W^1 h1; slot 1: W^1 h0 + W^0 h1
         assert np.allclose(out, [w0 * h0 + w1 * h1, w1 * h0 + w0 * h1], atol=1e-15)
 
@@ -251,7 +252,7 @@ class TestGroupConv:
         pf = make_param_filter(2, 4, 2, p, data=coeffs)
         rng = np.random.default_rng(7)
         f = GroupFeatureMap(rng.random((6, 6, 2, 4)))
-        out = group_conv(f, pf, g, pad="same")
+        out = group_conv(f, pf, g)
         assert np.max(np.abs(out.data - f.data)) <= 1e-12
 
     @pytest.mark.parametrize("t", [1, 2, 4])
@@ -261,9 +262,9 @@ class TestGroupConv:
             rng = np.random.default_rng(100 + seed)
             pf = make_param_filter(3, t, 2, 5, rng=rng)
             f = GroupFeatureMap(rng.random((8, 8, 2, t)))
-            base = group_conv(f, pf, g, pad="same")
+            base = group_conv(f, pf, g)
             for k in range(t):
-                lhs = group_conv(rotate_feature(f, g, k), pf, g, pad="same")
+                lhs = group_conv(rotate_feature(f, g, k), pf, g)
                 rhs = rotate_feature(base, g, k)
                 assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-10
 
@@ -288,7 +289,7 @@ class TestGroupConv:
         pf = make_param_filter(2, 2, 2, 3, rng=np.random.default_rng(8))
         f = GroupFeatureMap(np.zeros((4, 4, 2, 4)))
         with pytest.raises(GroupError):
-            group_conv(f, pf, make_group(4), pad="same")
+            group_conv(f, pf, make_group(4))
 
 
 def _band_limited(rng, h, cycles=5.0):
@@ -313,8 +314,8 @@ def test_p8_layer_equivariance_improves_with_resolution():
             rng = np.random.default_rng(seed)
             pf = make_param_filter(2, 1, 1, 5, rng=rng)
             img = Image(_band_limited(rng, h, cycles=4.0)[:, :, None])
-            base = lifting_conv(img, pf, g, pad="same")
-            lhs = lifting_conv(rotate_image(img, np.pi / 4), pf, g, pad="same")
+            base = lifting_conv(img, pf, g)
+            lhs = lifting_conv(rotate_image(img, np.pi / 4), pf, g)
             rhs = rotate_feature(base, g, k45)
             mask = disk_mask(h, margin_cells=3.0)
             diff_ = (lhs.data - rhs.data)[mask]
