@@ -96,7 +96,7 @@ def load_config(path: str) -> dict:
     doc = _merge(_DEFAULTS, doc, "")
     _check_run_values(doc)
     _check_patch_fits(doc["train"]["patch"], dataset_spec(doc))
-    model_config(doc)
+    model_config(doc)  # checked here for every command, built where one is used
     return doc
 
 
