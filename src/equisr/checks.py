@@ -1,30 +1,26 @@
 """Finite-difference gradient suite covering every primitive and layer.
 
-Each check builds a small scalar-valued function, runs the central-difference
-comparison from `diff.check_gradients` at three seeds, and reports the worst
-relative error against the 1e-4 tolerance.  The CLI `gradcheck` command exits
-nonzero if any check fails.
+Each check builds a small scalar-valued function of some Tensors -- new
+ones, or parameters a model holds -- writes each of three seeds' standard
+normal draws into them, and runs `diff.check_gradients`, which perturbs
+them in place at its one fixed step over every coordinate.  It reports the
+worst relative error against the 1e-4 tolerance.  The whole-loss cases
+differentiate `training.step_loss`, the loss `train()` minimizes.  The CLI
+`gradcheck` command exits nonzero if any check fails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diff
-from .encoder import EncoderParams, encode_t
+from .encoder import encode_t
 from .filters import ParamFilter, group_conv_t, synthesize_kernel
 from .groups import make_group
-from .inr import (
-    INRModel,
-    ModelConfig,
-    _eval_local_batch,
-    build_model,
-    compute_latents,
-    eval_global_batch,
-)
-from .training import l1_loss
+from .inr import ModelConfig, _eval_local_batch, build_model
+from .training import step_loss
 
 GRAD_TOL = 1e-4
 
@@ -40,19 +36,24 @@ class CheckResult:
         return self.max_rel_err <= self.tol
 
 
-def _check(name, fn, inputs):
+def _tensor(*shape) -> diff.Tensor:
+    return diff.Tensor(np.zeros(shape))
+
+
+def _check(name, fn, inputs, scale=1.0):
+    """Worst error over seeds 0, 1, 2; each writes standard normal draws
+    times `scale` into the input Tensors."""
     worst = 0.0
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        tensors = [diff.Tensor(make(rng)) for make in inputs]
-        worst = max(worst, diff.check_gradients(fn, tensors, seed=seed))
+        for t in inputs:
+            t.data[...] = rng.standard_normal(t.shape) * scale
+        worst = max(worst, diff.check_gradients(fn, inputs))
     return CheckResult(name, worst, GRAD_TOL)
 
 
 def _primitive_checks() -> list[CheckResult]:
-    def n(*s):
-        return lambda rng: rng.standard_normal(s)
-
+    n = _tensor
     idx = np.array([2, 0, 1, 0])
     cases = [
         ("add", lambda a, b: diff.reduce_sum(diff.mul(diff.add(a, b), diff.add(a, b))),
@@ -112,14 +113,11 @@ def _filter_checks() -> list[CheckResult]:
             group_conv_t(x, ParamFilter(coeffs), group)))
 
     return [
-        _check("filters.synthesize", synth, [lambda r: r.standard_normal((2, 1, 1, 5, 5))]),
-        _check("filters.lifting_conv", lift, [lambda r: r.standard_normal((6, 6, 3)),
-                                              lambda r: r.standard_normal((2, 1, 3, 3, 3))]),
-        _check("filters.group_conv", gconv(g2), [lambda r: r.standard_normal((5, 5, 2, 2)),
-                                                 lambda r: r.standard_normal((2, 2, 2, 3, 3))]),
+        _check("filters.synthesize", synth, [_tensor(2, 1, 1, 5, 5)]),
+        _check("filters.lifting_conv", lift, [_tensor(6, 6, 3), _tensor(2, 1, 3, 3, 3)]),
+        _check("filters.group_conv", gconv(g2), [_tensor(5, 5, 2, 2), _tensor(2, 2, 2, 3, 3)]),
         # t = 2 and t = 4 resample by masked permutations, t = 8 interpolates
-        _check("filters.group_conv.t8", gconv(g8), [lambda r: r.standard_normal((4, 4, 8, 1)),
-                                                    lambda r: r.standard_normal((2, 8, 1, 3, 3))]),
+        _check("filters.group_conv.t8", gconv(g8), [_tensor(4, 4, 8, 1), _tensor(2, 8, 1, 3, 3)]),
     ]
 
 
@@ -135,58 +133,45 @@ def _layer_checks() -> list[CheckResult]:
             def local(amp, freq, _m=model):
                 return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, (amp, freq), x_loc)))
 
-            inputs = [lambda r: r.standard_normal((3, cfg.t, 2 * cfg.K)),
-                      lambda r: r.standard_normal((3, cfg.t, 2 * cfg.K))]
+            inputs = [_tensor(3, cfg.t, 2 * cfg.K), _tensor(3, cfg.t, 2 * cfg.K)]
         else:
             n_lat = cfg.n if variant == "liif" else 3 * (2 * cfg.k_max + 1) ** 2
 
             def local(latq, _m=model):
                 return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, (latq,), x_loc)))
 
-            inputs = [lambda r, nl=n_lat: r.standard_normal((3, cfg.t, nl))]
+            inputs = [_tensor(3, cfg.t, n_lat)]
         out.append(_check(f"inr.local.{variant}", local, inputs))
     return out
 
 
 def _composite_checks() -> list[CheckResult]:
-    cfg = ModelConfig(variant="liif", t=2, n=2, blocks=1, p=3, width=4,
-                      psi_widths=(4,), eps=1e-7)
-    model = build_model(cfg, seed=0)
     rng = np.random.default_rng(5)
-    img = rng.random((6, 6, 3))
+    lr = rng.random((1, 6, 6, 3))
     coords = rng.uniform(-0.9, 0.9, size=(8, 2))
     targets = rng.random((8, 3))
-
-    def swap_encoder(head_w, block_w) -> EncoderParams:
-        filters = dict(model.encoder.filters)
-        filters["head"] = ParamFilter(head_w)
-        filters["block0.conv0"] = ParamFilter(block_w)
-        return EncoderParams(model.encoder.cfg, model.encoder.group,
-                             filters, model.encoder.biases)
-
-    def encoder_loss(head_w, block_w):
-        feat = encode_t(swap_encoder(head_w, block_w), diff.constant(img))
-        return diff.reduce_sum(diff.sin(feat))
-
-    def pipeline_loss(head_w, w_in, psi0_w):
-        enc = swap_encoder(head_w, model.encoder.filters["block0.conv0"].coeffs)
-        psi = [(psi0_w, model.inr.psi[0][1])] + model.inr.psi[1:]
-        inr = replace(model.inr, W_in=w_in, psi=psi)
-        m2 = INRModel(cfg, model.group, enc, inr)
-        feat = encode_t(enc, diff.constant(img))
-        lats = compute_latents(m2, feat)
-        pred = eval_global_batch(m2, lats, coords)
-        return l1_loss(pred, targets)
-
     scale = 0.4  # keep pre-activations away from systematic kinks
+
+    def check(name, variant, fn, *names):
+        """Check `fn` of a new model over the parameters it holds as `names`."""
+        model = build_model(ModelConfig(variant=variant, t=2, n=2, blocks=1, p=3, width=4,
+                                        psi_widths=(4,), k_max=1, K=2, eps=1e-7), seed=0)
+        held = model.named_parameters()
+        return _check(name, lambda *_: fn(model), [held[k] for k in names], scale)
+
+    def encoder_loss(model):
+        return diff.reduce_sum(diff.sin(encode_t(model.encoder, diff.constant(lr[0]))))
+
+    def pipeline_loss(model):
+        return step_loss(model, lr, coords, targets)
+
     return [
-        _check("encoder.encode", encoder_loss,
-               [lambda r: r.standard_normal((2, 1, 3, 3, 3)) * scale,
-                lambda r: r.standard_normal((2, 2, 2, 3, 3)) * scale]),
-        _check("pipeline.l1", pipeline_loss,
-               [lambda r: r.standard_normal((2, 1, 3, 3, 3)) * scale,
-                lambda r: r.standard_normal((cfg.t, cfg.width, cfg.n + 2)) * scale,
-                lambda r: r.standard_normal((cfg.psi_widths[0], cfg.width)) * scale]),
+        check("encoder.encode", "liif", encoder_loss, "enc.head.w", "enc.block0.conv0.w"),
+        check("pipeline.l1", "liif", pipeline_loss, "enc.head.w", "inr.W_in", "inr.psi0.w"),
+        check("pipeline.l1.ope", "ope", pipeline_loss,
+              "enc.head.w", "inr.ope_head.w", "inr.ope_head.b"),
+        check("pipeline.l1.lte", "lte", pipeline_loss,
+              "enc.head.w", "inr.amp_head.w", "inr.freq_head.w", "inr.W_out1"),
     ]
 
 

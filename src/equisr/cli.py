@@ -115,9 +115,9 @@ def _cmd_eval_equiv(args) -> int:
     if args.error_maps:
         os.makedirs(args.error_maps, exist_ok=True)
         side_rows = []
-        per_angle = len(ev["scales"]) * len(ev["resolutions"])  # cells run angle-major
-        for i, (_, _, _, scale, res, entries) in enumerate(cells):
-            angle_deg = angles_deg[i // per_angle]
+        degrees = dict(zip(angles, angles_deg))  # as the config spells each angle
+        for _, _, angle, scale, res, entries in cells:
+            angle_deg = degrees[angle]
             for seed, entry in zip(ev["seeds"], entries):
                 emap = entry.err_map.data
                 peak = float(emap.max())

@@ -309,14 +309,16 @@ def sample_patch_pairs(spec: DatasetSpec, patch: int, batch: int, seed) -> list[
     HR cell centers with their ground-truth values.
     """
     s_lo, s_hi = spec.scale_lo, spec.scale_hi
-    count = dataset_count(spec)
+    paths = _file_dir_paths(spec) if spec.kind == "file-dir" else None
+    count = spec.count if paths is None else len(paths)
     max_side = int(np.floor(patch * s_hi + 0.5))
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(batch):
         s = rng.uniform(s_lo, s_hi)
         hs = int(np.floor(patch * s + 0.5))
-        img = gen_synthetic(spec, int(rng.integers(count)))
+        i = int(rng.integers(count))
+        img = gen_synthetic(spec, i) if paths is None else read_image(paths[i])
         if max_side > img.h or max_side > img.w:
             raise ConfigError(
                 f"patch {patch} at scale {s_hi} needs images of side >= {max_side}, "

@@ -95,8 +95,3 @@ def encode(params: EncoderParams, img: Image) -> GroupFeatureMap:
         raise ShapeError(f"encoder expects {params.cfg.c_in} channels, image has {img.c}")
     y = encode_t(params, diff.constant(img.data))
     return _feat_to_public(y.data)
-
-
-def count_weight_params(params: EncoderParams) -> int:
-    """Number of convolution weight coefficients (biases excluded)."""
-    return sum(pf.coeffs.size for pf in params.filters.values())

@@ -35,12 +35,6 @@ class RotationGroup:
     t: int
     matrices: np.ndarray  # (t, 2, 2)
 
-    def compose(self, k: int, j: int) -> int:
-        return (k + j) % self.t
-
-    def inverse(self, k: int) -> int:
-        return (self.t - k) % self.t
-
     def matrix(self, k: int) -> np.ndarray:
         return self.matrices[k % self.t]
 

@@ -81,7 +81,6 @@ class EquivEntry:
 
 @dataclass(frozen=True)
 class EquivReport:
-    entries: tuple[EquivEntry, ...]
     nmse_mean: float
     nmse_std: float
     nmae_mean: float
@@ -94,7 +93,7 @@ def aggregate(entries) -> EquivReport:
     ns = np.array([e.nmse for e in entries])
     na = np.array([e.nmae for e in entries])
     std = (lambda v: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0)
-    return EquivReport(entries, float(ns.mean()), std(ns), float(na.mean()), std(na))
+    return EquivReport(float(ns.mean()), std(ns), float(na.mean()), std(na))
 
 
 def _auto_mask(angle: float, hr_h: int, hr_w: int, lr_h: int) -> np.ndarray | None:

@@ -83,6 +83,16 @@ def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return diff.scale(diff.reduce_sum(diff.absolute(d)), 1.0 / d.size)
 
 
+def step_loss(model: INRModel, lr: np.ndarray, coords: np.ndarray,
+              targets: np.ndarray) -> Tensor:
+    """The L1 loss of one training step: LR patches (B, h, w, c_in) and
+    their queries, B * q coordinates item-major, with their targets."""
+    feat = encode_t(model.encoder, diff.constant(lr))
+    lats = compute_latents(model, feat)
+    # every item has q queries, so the one mean is the mean of the per-item means
+    return l1_loss(eval_global_batch(model, lats, coords), targets)
+
+
 @dataclass
 class TrainResult:
     model: INRModel
@@ -104,14 +114,9 @@ def train(cfg: ModelConfig, data: DatasetSpec, steps: int, lr: float = 1e-4,
         lr_t = lr * 0.5 ** (step // decay_steps)
         pairs = sample_patch_pairs(data, patch, batch, seed=(seed, step))
         with Tape() as tape:
-            lr_stack = np.stack([pair.lr.data for pair in pairs])
-            feat = encode_t(model.encoder, diff.constant(lr_stack))
-            lats = compute_latents(model, feat)
-            # every item has patch^2 queries, so the one mean is the mean
-            # of the per-item means
-            coords = np.concatenate([pair.coords for pair in pairs])
-            pred = eval_global_batch(model, lats, coords)
-            loss = l1_loss(pred, np.concatenate([pair.targets for pair in pairs]))
+            loss = step_loss(model, np.stack([pair.lr.data for pair in pairs]),
+                             np.concatenate([pair.coords for pair in pairs]),
+                             np.concatenate([pair.targets for pair in pairs]))
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
             raise EvaluationError(f"non-finite loss at step {step}")

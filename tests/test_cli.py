@@ -112,6 +112,26 @@ class TestEvalEquiv:
         for name in os.listdir(expected_dir):
             assert (maps_dir / name).read_bytes() == (expected_dir / name).read_bytes(), name
 
+    def test_error_map_names_follow_each_cells_own_angle(self, tmp_path, monkeypatch):
+        # the maps do not depend on the order in which sweep_cells yields cells
+        cfg = _write_config(tmp_path, {
+            "model": {"t": 2, "encoder": {"blocks": 1, "n": 2, "p": 3}},
+            "eval": {"angles_deg": [180.0, 45], "scales": [2.0, 2.5], "resolutions": [8],
+                     "seeds": [0], "eps": 0.0}})
+        real = cli.sweep_cells
+        a, b = tmp_path / "angle-major", tmp_path / "reversed"
+        assert main(["eval-equiv", "--config", cfg, "--out", str(tmp_path / "a.csv"),
+                     "--error-maps", str(a)]) == 0
+        monkeypatch.setattr(cli, "sweep_cells", lambda *args, **kw: list(real(*args, **kw))[::-1])
+        assert main(["eval-equiv", "--config", cfg, "--out", str(tmp_path / "b.csv"),
+                     "--error-maps", str(b)]) == 0
+        names = sorted(os.listdir(a))
+        assert names == sorted(os.listdir(b)) and len(names) == 5
+        for name in names[:-1]:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        rows = [sorted((d / "scales.csv").read_text().splitlines()) for d in (a, b)]
+        assert rows[0] == rows[1]
+
     def test_defaults_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
         # chunk boundaries must not follow the thread count: liif's products
         # round differently per chunk size

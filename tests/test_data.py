@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from equisr import data
 from equisr.data import (
     DatasetSpec,
     bicubic_resize,
@@ -252,3 +253,25 @@ class TestPatchSampling:
         assert dataset_count(spec) == 2
         img = gen_synthetic(spec, 0)
         assert (img.h, img.w, img.c) == (8, 8, 3)
+
+    def test_file_dir_sampling_lists_once_and_reads_images_by_index(self, tmp_path,
+                                                                    monkeypatch):
+        # images of whole 1/255 steps read back bit-exactly
+        rng = np.random.default_rng(8)
+        imgs = [Image(rng.integers(0, 256, (30, 30, 3)) / 255.0) for _ in range(3)]
+        for i, img in enumerate(imgs):
+            write_image(str(tmp_path / f"i{i}.ppm"), img)
+        spec = DatasetSpec(kind="file-dir", path=str(tmp_path), scale_lo=1.5, scale_hi=2.5)
+        calls = []
+        real = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: calls.append(path) or real(path))
+        pairs = sample_patch_pairs(spec, 12, 8, seed=3)
+        assert calls == [str(tmp_path)]
+        # the same draws against an in-memory corpus of those images, in name order
+        monkeypatch.setattr(data, "gen_synthetic", lambda _spec, i: imgs[i])
+        stand_in = DatasetSpec(kind="stripes", count=3, scale_lo=1.5, scale_hi=2.5)
+        for got, want in zip(pairs, sample_patch_pairs(stand_in, 12, 8, seed=3), strict=True):
+            assert np.array_equal(got.hr.data, want.hr.data)
+            assert np.array_equal(got.lr.data, want.lr.data)
+            assert np.array_equal(got.coords, want.coords)
+            assert np.array_equal(got.targets, want.targets)

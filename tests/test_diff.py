@@ -419,24 +419,56 @@ class TestCheckGradients:
         err = check_gradients(lambda v: diff.reduce_sum(diff.relu(v)), [x])
         assert err <= 1e-9
 
-    def test_step_bounds_enforced(self):
-        with pytest.raises(ContractError):
-            check_gradients(lambda x: diff.reduce_sum(x), [Tensor(np.ones(2))], step=1e-2)
-
     def test_non_finite_forward_raises(self):
         big = Tensor(np.array([1e308]))
         with np.errstate(over="ignore"):
             with pytest.raises(EvaluationError):
                 check_gradients(lambda x: diff.mul(x, x), [big])
 
-    def test_sampled_subset_above_cap(self):
+    def test_checks_held_tensors_in_place_and_restores_them(self):
+        # fn reads the tensors it closes over, as a loss reads a model's parameters
         rng = np.random.default_rng(6)
-        err = check_gradients(
-            lambda x: diff.reduce_sum(diff.sin(x)),
-            [Tensor(rng.standard_normal(64))],
-            max_coords=16, seed=1,
-        )
-        assert err <= 1e-8
+        w, b = Tensor(rng.standard_normal((3, 4))), diff.parameter(rng.standard_normal(4))
+        before = [(t.data.copy(), t.requires_grad) for t in (w, b)]
+        seen = []
+
+        def fn(*_):
+            seen.append((w.data.copy(), b.data.copy()))
+            return diff.reduce_sum(diff.sin(diff.add(w, b)))
+
+        assert check_gradients(fn, [w, b]) <= 1e-8
+        assert len(seen) == 1 + 2 * (12 + 4)  # every coordinate, no subset
+        assert np.abs(seen[1][0] - before[0][0]).max() == pytest.approx(1e-5)
+        for t, (data, flag) in zip((w, b), before):
+            assert np.array_equal(t.data, data) and t.requires_grad is flag
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 2, 7])
+    def test_inputs_restored_when_fn_raises(self, fail_at):
+        x, y = Tensor(np.arange(3.0)), diff.parameter(np.ones((2, 2)))
+        data_x, data_y = x.data, y.data
+        before = [x.data.copy(), y.data.copy()]
+        calls = []
+
+        def fn(a, b):
+            if len(calls) == fail_at:  # 0: the taped pass, then the side evaluations
+                raise RuntimeError("boom")
+            calls.append(1)
+            return diff.add(diff.reduce_sum(a), diff.reduce_sum(diff.mul(b, b)))
+
+        with pytest.raises(RuntimeError):
+            check_gradients(fn, [x, y])
+        assert x.data is data_x and y.data is data_y
+        assert np.array_equal(x.data, before[0]) and np.array_equal(y.data, before[1])
+        assert x.requires_grad is False and y.requires_grad is True
+
+    def test_non_contiguous_input_raises(self):
+        base = np.arange(6.0).reshape(2, 3)
+        x = Tensor(base.T)  # a view: a perturbation of a ravelled copy would be lost
+        assert not x.data.flags.c_contiguous
+        with pytest.raises(ContractError):
+            check_gradients(lambda v: diff.reduce_sum(diff.mul(v, v)), [x])
+        assert np.array_equal(base, np.arange(6.0).reshape(2, 3))
+        assert x.requires_grad is False
 
 
 def test_every_primitive_passes_fd_suite():

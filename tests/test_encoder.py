@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from equisr.encoder import build_encoder, count_weight_params, encode
+from equisr.encoder import build_encoder, encode
 from equisr.groups import element_image_angle, make_group, rotate_feature, rotate_image
 from equisr.image import Image
 from equisr.inr import ModelConfig
@@ -15,7 +15,7 @@ class TestBuild:
         params = build_encoder(cfg, seed=0)
         # head + two block convs + tail, 3x3 kernels
         expected = 3 * 8 * 9 + 2 * (8 * 8 * 9) + 8 * 8 * 9
-        assert count_weight_params(params) == expected
+        assert sum(pf.coeffs.size for pf in params.filters.values()) == expected
 
     def test_channel_budget_bookkeeping(self):
         eq = build_encoder(ModelConfig(t=4, blocks=1, n=2, p=3), seed=0)

@@ -41,13 +41,13 @@ class TestMakeGroup:
     @pytest.mark.parametrize("t", [1, 2, 4, 8, 16])
     def test_index_arithmetic_matches_matrices(self, t):
         g = make_group(t)
-        assert np.allclose(g.matrix(0), np.eye(2), atol=1e-12)
+        assert np.allclose(g.matrices[0], np.eye(2), atol=1e-12)
         for k in range(t):
-            assert np.allclose(np.linalg.inv(g.matrix(k)), g.matrix(g.inverse(k)),
+            assert np.allclose(np.linalg.inv(g.matrices[k]), g.matrices[(t - k) % t],
                                atol=1e-12)
             for j in range(t):
-                assert np.allclose(g.matrix(k) @ g.matrix(j),
-                                   g.matrix(g.compose(k, j)), atol=1e-12)
+                assert np.allclose(g.matrices[k] @ g.matrices[j],
+                                   g.matrices[(k + j) % t], atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 3, 4, 8, 16])
     def test_orthogonal_determinant_one(self, t):

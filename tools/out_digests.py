@@ -17,6 +17,8 @@ The outputs are:
   * the CLI's manifest.csv (gen-data), loss.csv and ckpt.bin (train),
     eval-equiv CSV and scales.csv (--error-maps) on the default config,
     with train.steps cut to 4;
+  * loss.csv and ckpt.bin of a 2-step `train` on that gen-data corpus read
+    as a file-dir corpus (`cli.file-dir.*`);
   * every gradcheck case's `max_rel_err`.
 `OPENBLAS_NUM_THREADS` is 1 unless it is set: some products round
 differently at other thread counts.
@@ -110,6 +112,18 @@ def cli_lines(tmp: str):
                        ("eval-equiv.csv", sweep),
                        ("scales.csv", os.path.join(maps, "scales.csv"))):
         yield f"cli.{name}", _file_digest(path)
+    # a 2-step train on the gen-data corpus, read back as a file-dir corpus
+    doc["data"].update(kind="file-dir", path=corpus)
+    doc["train"]["steps"] = 2
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    run = os.path.join(tmp, "run-file-dir")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", "--config", cfg, "--out", run])
+    if code:
+        raise SystemExit(f"train on the file-dir corpus failed: exit code {code}")
+    for name in ("loss.csv", "ckpt.bin"):
+        yield f"cli.file-dir.{name}", _file_digest(os.path.join(run, name))
 
 
 def gradcheck_lines():
