@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .errors import EquisrError  # noqa: F401
 from .image import Image  # noqa: F401
 from .groups import (  # noqa: F401
-    GroupFeatureMap,
     RotationGroup,
     make_group,
     rotate_feature,

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__, config
-from .data import atomic_write, csv_text, dataset_count, gen_synthetic, read_image, write_image
+from .data import atomic_write, corpus_images, csv_text, read_image, write_image
 from .errors import (
     ConfigError,
     DomainError,
@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"equisr {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("gen-data", parents=[], help="materialize a synthetic corpus as PPM files")
+    d = sub.add_parser("gen-data", parents=[], help="materialize a corpus as PPM/PGM files")
     d.add_argument("--config", required=True, help="run config JSON (data section used)")
     d.add_argument("--out", required=True, help="output directory")
 
@@ -83,10 +83,11 @@ def _cmd_gen_data(args) -> int:
     spec = config.dataset_spec(doc)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for i in range(dataset_count(spec)):
-        name = f"img_{i:05d}.ppm"
-        write_image(os.path.join(args.out, name), gen_synthetic(spec, i))
-        rows.append((i, name, spec.kind, spec.size, spec.seed))
+    for i, img in enumerate(corpus_images(spec)):
+        name = f"img_{i:05d}." + ("pgm" if img.c == 1 else "ppm")
+        write_image(os.path.join(args.out, name), img)
+        size = img.h if img.h == img.w else f"{img.w}x{img.h}"
+        rows.append((i, name, spec.kind, size, spec.seed))
     text = csv_text("index,file,kind,size,seed", rows)
     atomic_write(os.path.join(args.out, "manifest.csv"), text.encode())
     print(f"wrote {len(rows)} images + manifest.csv to {args.out}")

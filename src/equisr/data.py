@@ -17,6 +17,7 @@ import functools
 import math
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +177,13 @@ def dataset_count(spec: DatasetSpec) -> int:
     if spec.kind == "file-dir":
         return len(_file_dir_paths(spec))
     return spec.count
+
+
+def corpus_images(spec: DatasetSpec) -> Iterator[Image]:
+    """Every image of the corpus in index order; a file-dir is listed once."""
+    if spec.kind == "file-dir":
+        return (read_image(path) for path in _file_dir_paths(spec))
+    return (gen_synthetic(spec, i) for i in range(spec.count))
 
 
 def gen_synthetic(spec: DatasetSpec, index: int) -> Image:

@@ -23,14 +23,8 @@ import numpy as np
 from . import diff
 from .diff import Tensor
 from .errors import ShapeError
-from .filters import (
-    ParamFilter,
-    group_conv_t,
-    make_param_filter,
-    _feat_to_public,
-)
-from .groups import GroupFeatureMap, RotationGroup, make_group
-from .image import Image
+from .filters import ParamFilter, group_conv_t, make_param_filter
+from .groups import RotationGroup, make_group
 
 if TYPE_CHECKING:  # inr imports this module
     from .inr import ModelConfig
@@ -72,6 +66,8 @@ def build_encoder(cfg: ModelConfig, seed: int = 0) -> EncoderParams:
 
 def encode_t(params: EncoderParams, x: Tensor) -> Tensor:
     """Image tensor ([b,] h, w, c_in) -> feature tensor ([b,] h, w, t, n)."""
+    if x.shape[-1] != params.cfg.c_in:
+        raise ShapeError(f"encoder expects {params.cfg.c_in} channels, image has {x.shape[-1]}")
 
     def conv(name: str, y: Tensor) -> Tensor:
         return group_conv_t(y, params.filters[name], params.group,
@@ -87,11 +83,3 @@ def encode_t(params: EncoderParams, x: Tensor) -> Tensor:
         y = diff.add(y, r)
     y = conv("tail", y)
     return diff.add(y, head)
-
-
-def encode(params: EncoderParams, img: Image) -> GroupFeatureMap:
-    """Encode an image into an h x w x n x t group feature map."""
-    if img.c != params.cfg.c_in:
-        raise ShapeError(f"encoder expects {params.cfg.c_in} channels, image has {img.c}")
-    y = encode_t(params, diff.constant(img.data))
-    return _feat_to_public(y.data)

@@ -21,15 +21,12 @@ Synthesized taps (and the coefficients themselves) outside the disk of
 radius (p+1)/2 cells are zeroed so that rotated filters never lose mass off
 the corner of the grid; for p in {3, 5} this mask is all ones.
 
-Two size-preserving (zero-padded) layer types are built on top:
-
-* `lifting_conv` takes an image to a group feature map by convolving with
-  every rotated copy of one filter (g_in = 1);
-* `group_conv` maps group features to group features, pairing spatial
-  rotation with a cyclic shift of the filter's own group index (g_in = t).
-  With p = 1 it degenerates to the equivariant pointwise (1x1) layer.
-
-Both are the same code: an image is a group feature map with one slot.
+One size-preserving (zero-padded) layer is built on top: `group_conv_t`
+maps ([b,] h, w, g_in, n) group features to ([b,] h, w, t, n_out).  With
+g_in = 1 it is the lifting convolution (an image is a feature map with one
+slot) by every rotated copy of one filter; with g_in = t it is the group
+convolution, pairing spatial rotation with a cyclic shift of the filter's
+own group index, and with p = 1 the equivariant pointwise (1x1) layer.
 """
 
 from __future__ import annotations
@@ -42,8 +39,7 @@ import numpy as np
 from . import diff
 from .diff import Tensor
 from .errors import GroupError, MatrixError, ShapeError
-from .groups import GroupFeatureMap, RotationGroup
-from .image import Image
+from .groups import RotationGroup
 
 
 def phi_bic(y):
@@ -204,7 +200,7 @@ def synthesize_kernel(f: ParamFilter, A: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution layers (internal tensor layout: features are (h, w, t, n))
+# convolution layers (features are ([b,] h, w, t, n) arrays)
 # ---------------------------------------------------------------------------
 
 def lifting_kernel(f: ParamFilter, group: RotationGroup) -> Tensor:
@@ -238,7 +234,7 @@ def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
     if x.ndim not in (4, 5) or x.shape[-2] != f.g_in:
         raise GroupError(f"feature tensor {x.shape} does not match filter g_in {f.g_in}")
     if x.shape[-1] != f.c_in:
-        raise ShapeError(f"group_conv: feature channels {x.shape[-1]} vs filter c_in {f.c_in}")
+        raise ShapeError(f"group_conv_t: feature channels {x.shape[-1]} vs filter c_in {f.c_in}")
     kernel = lifting_kernel(f, group) if f.g_in == 1 else group_kernel(f, group)
     x_flat = diff.reshape(x, x.shape[:-2] + (f.g_in * f.c_in,))
     y = diff.conv2d(x_flat, kernel)
@@ -248,24 +244,3 @@ def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
     elif bias is not None:
         y.data += bias.data  # conv2d's fresh output: no second full array
     return y
-
-
-# public wrappers on the h x w x n x t container types
-
-def _feat_to_public(data: np.ndarray) -> GroupFeatureMap:
-    return GroupFeatureMap(np.ascontiguousarray(data.transpose(0, 1, 3, 2)))
-
-
-def _feat_to_internal(f: GroupFeatureMap) -> np.ndarray:
-    return np.ascontiguousarray(f.data.transpose(0, 1, 3, 2))
-
-
-def lifting_conv(img: Image, f: ParamFilter, group: RotationGroup) -> GroupFeatureMap:
-    y = group_conv_t(diff.constant(img.data[:, :, None, :]), f, group)
-    return _feat_to_public(y.data)
-
-
-def group_conv(f_in: GroupFeatureMap, f: ParamFilter, group: RotationGroup) -> GroupFeatureMap:
-    x = diff.constant(_feat_to_internal(f_in))
-    y = group_conv_t(x, f, group)
-    return _feat_to_public(y.data)

@@ -10,9 +10,9 @@ by f -> f(A_k^{-1} x), the element k rotates the picture clockwise by
 2*pi*k/t; in the counter-clockwise-positive angle convention used by
 `rotate_image` this is an angle of -2*pi*k/t (see `element_image_angle`).
 
-A group feature map stacks t feature images along a trailing group axis;
+A group feature map is an (h, w, t, n) array, t slots of n channels each;
 rotating it combines the spatial rotation of every slot with a cyclic shift
-of the slot index.
+of the slot axis.
 """
 
 from __future__ import annotations
@@ -110,48 +110,18 @@ def rotate_image(img: Image, angle: float) -> Image:
     return Image(_rotate_array(img.data, float(angle)))
 
 
-@dataclass(frozen=True)
-class GroupFeatureMap:
-    """h x w x n x t feature tensor; the 4th axis indexes group elements."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 4:
-            raise ShapeError(f"feature data must be h x w x n x t, got {arr.shape}")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def h(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def w(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def t(self) -> int:
-        return self.data.shape[3]
-
-
-def rotate_feature(f: GroupFeatureMap, group: RotationGroup, k: int) -> GroupFeatureMap:
-    """Apply group element k to a feature map.
+def rotate_feature(f: np.ndarray, group: RotationGroup, k: int) -> np.ndarray:
+    """Apply group element k to an (h, w, t, n) feature array.
 
     Output slot j holds the spatially rotated input slot (j - k) mod t; the
     spatial rotation is element k's image action (exact permutation for
     quarter turns, bilinear otherwise).
     """
-    if f.t != group.t:
-        raise ShapeError(f"feature has t={f.t} but group has t={group.t}")
+    if f.ndim != 4 or f.shape[2] != group.t:
+        raise ShapeError(f"feature array {f.shape} is not h x w x t x n with t={group.t}")
     if not 0 <= k < group.t:
         raise GroupIndexError(f"group index {k} outside [0, {group.t})")
     perm = [(j - k) % group.t for j in range(group.t)]
-    shifted = f.data[:, :, :, perm]
-    h, w, n, t = shifted.shape
-    rotated = _rotate_array(shifted.reshape(h, w, n * t), element_image_angle(group, k))
-    return GroupFeatureMap(rotated.reshape(h, w, n, t))
+    h, w, t, n = f.shape
+    rotated = _rotate_array(f[:, :, perm].reshape(h, w, t * n), element_image_angle(group, k))
+    return rotated.reshape(h, w, t, n)

@@ -1,8 +1,8 @@
 """Rotation-equivariant implicit neural representation layers and models.
 
-The INR maps one latent code (one pixel of a group feature map, an n x t
-matrix F with one column per group slot) plus a local coordinate to a pixel
-value, through three layer types:
+The INR maps one latent code (the paper's n x t matrix F, one column per
+group slot: the transpose of one pixel of an (h, w, t, n) feature array)
+plus a local coordinate to a pixel value, through three layer types:
 
 * input layer:   H(x, B) = sum_A phi(W_in^{B^{-1}A}, F^A, A^{-1} x);
 * intermediate:  H'(x, A) = sum_B W^{A^{-1}B} . H(x, B);
@@ -41,8 +41,8 @@ from . import diff, parallel
 from .diff import Tensor
 from .encoder import EncoderParams, build_encoder, encode_t
 from .errors import ConfigError, DomainError, ShapeError
-from .filters import ParamFilter, group_conv_t, make_param_filter, _feat_to_internal
-from .groups import GroupFeatureMap, RotationGroup, _is_int, _is_real, make_group
+from .filters import ParamFilter, group_conv_t, make_param_filter
+from .groups import RotationGroup, _is_int, _is_real, make_group
 from .image import Image, cell_position, pixel_coords
 from .parallel import _CHUNK_BYTES
 
@@ -583,12 +583,11 @@ def eval_local(latent, x_local, params: INRParams) -> np.ndarray:
     return _eval_local_batch(params, lat, X).data[0]
 
 
-def eval_global(model: INRModel, F: GroupFeatureMap, x, *,
+def eval_global(model: INRModel, feat: np.ndarray, x, *,
                 eps: float | None = None) -> np.ndarray:
-    """Evaluate the assembled continuous function at one coordinate."""
+    """Evaluate the continuous function of an (h, w, t, n) feature array at one point."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(x) > 1.0):
         raise DomainError(f"query {x} outside [-1, 1]^2")
-    feat = diff.constant(_feat_to_internal(F))
-    lats = compute_latents(model, feat)
+    lats = compute_latents(model, diff.constant(feat))
     return eval_global_batch(model, lats, x[None, :], eps=eps).data[0]

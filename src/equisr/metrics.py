@@ -161,7 +161,8 @@ def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0
     `model_cfgs` is a list of (name, ModelConfig); `t_values` optionally
     re-runs each config at several group orders with the channel budget
     held fixed.  When `model` is given (a trained checkpoint), it is used
-    as-is for every grid point and seeds only vary the test image.
+    as-is for every grid point and seeds only vary the test image; it has
+    one group order, so `t_values` must then be None (else ConfigError).
 
     Cells are (name, run_cfg, angle, scale, resolution, entries) in that
     row order, entries in seed order; grids must be non-empty.  Each loop
@@ -174,6 +175,8 @@ def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0
         if not grid:
             raise ConfigError(f"sweep grid {grid_name!r} is empty")
     _check_mask(mask)
+    if model is not None and t_values:
+        raise ConfigError(f"t_values {t_values} need a model per group order, not a given model")
     if data is None:
         data = DatasetSpec(kind="shapes", count=1, size=64)
     for name, cfg in model_cfgs:

@@ -23,7 +23,7 @@ from . import diff
 from .data import DatasetSpec, atomic_write, csv_text, sample_patch_pairs
 from .diff import Tape, Tensor, backward
 from .encoder import encode_t
-from .errors import CheckpointError, ContractError, EvaluationError
+from .errors import CheckpointError, ContractError, EvaluationError, ShapeError
 from .inr import (
     INRModel,
     ModelConfig,
@@ -113,6 +113,9 @@ def train(cfg: ModelConfig, data: DatasetSpec, steps: int, lr: float = 1e-4,
     for step in range(steps):
         lr_t = lr * 0.5 ** (step // decay_steps)
         pairs = sample_patch_pairs(data, patch, batch, seed=(seed, step))
+        for pair in pairs:  # np.stack below needs one channel count
+            if pair.lr.c != cfg.c_in:
+                raise ShapeError(f"corpus image has {pair.lr.c} channels, model expects {cfg.c_in}")
         with Tape() as tape:
             loss = step_loss(model, np.stack([pair.lr.data for pair in pairs]),
                              np.concatenate([pair.coords for pair in pairs]),

@@ -54,6 +54,28 @@ class TestGenData:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+    def test_file_dir_copy_lists_once_and_keeps_each_images_size_and_format(
+            self, tmp_path, monkeypatch):
+        src = tmp_path / "src"
+        src.mkdir()
+        rng = np.random.default_rng(0)
+        gray = Image(rng.integers(0, 256, (20, 30, 1)) / 255.0)
+        rgb = Image(rng.integers(0, 256, (16, 16, 3)) / 255.0)
+        write_image(str(src / "a.pgm"), gray)
+        write_image(str(src / "b.ppm"), rgb)
+        cfg = _write_config(tmp_path, {"data": {"kind": "file-dir", "path": str(src)}})
+        calls = []
+        real = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: calls.append(path) or real(path))
+        out = tmp_path / "corpus"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == [str(src)]
+        assert (out / "manifest.csv").read_text().split("\n")[2:] == [
+            "0,img_00000.pgm,file-dir,30x20,0", "1,img_00001.ppm,file-dir,16,0", ""]
+        assert (out / "img_00000.pgm").read_bytes() == (src / "a.pgm").read_bytes()
+        assert (out / "img_00001.ppm").read_bytes() == (src / "b.ppm").read_bytes()
+
+
 class TestEvalEquiv:
     def test_equivariant_model_quarter_turn(self, tmp_path):
         cfg = _write_config(tmp_path, {
@@ -228,6 +250,20 @@ class TestTrainAndSr:
         row = result.read_text().strip().split("\n")[2].split(",")
         assert float(row[7]) <= 1e-6
 
+    def test_train_on_mixed_channel_corpus_is_one_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(0)
+        write_image(str(corpus / "a.pgm"), Image(rng.random((20, 30, 1))))
+        write_image(str(corpus / "b.ppm"), Image(rng.random((16, 16, 3))))
+        cfg = _write_config(tmp_path, {"data": {"kind": "file-dir", "path": str(corpus)},
+                                       "train": {"steps": 1, "patch": 4}})
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: corpus image has 1 channels, model expects 3\n"
+        assert not out.exists()
+
     def test_sr_shape_contract(self, tmp_path):
         model = build_model(ModelConfig(variant="liif", t=2, n=2, blocks=1, p=3,
                                         width=8, psi_widths=(8,)), seed=0)
@@ -287,6 +323,18 @@ class TestTrainAndSr:
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "byte offset" in err
+        assert not out.exists()
+
+
+    def test_sr_grayscale_into_rgb_model_is_one_data_error(self, tmp_path, capsys):
+        ckpt, _ = self._sr_inputs(tmp_path)
+        gray = tmp_path / "gray.pgm"
+        write_image(str(gray), Image(np.full((8, 8, 1), 0.5)))
+        out = tmp_path / "o.ppm"
+        assert main(["sr", "--ckpt", ckpt, "--in", str(gray), "--scale", "2",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: encoder expects 3 channels, image has 1\n"
         assert not out.exists()
 
 

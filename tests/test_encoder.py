@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from equisr.encoder import build_encoder, encode
+from equisr import diff
+from equisr.encoder import build_encoder, encode_t
+from equisr.errors import ShapeError
 from equisr.groups import element_image_angle, make_group, rotate_feature, rotate_image
 from equisr.image import Image
 from equisr.inr import ModelConfig
@@ -20,9 +22,9 @@ class TestBuild:
     def test_channel_budget_bookkeeping(self):
         eq = build_encoder(ModelConfig(t=4, blocks=1, n=2, p=3), seed=0)
         plain = build_encoder(ModelConfig(t=1, blocks=1, n=8, p=3), seed=0)
-        img = Image(np.random.default_rng(0).random((6, 6, 3)))
-        f_eq, f_plain = encode(eq, img), encode(plain, img)
-        assert f_eq.n * f_eq.t == f_plain.n * f_plain.t == 8
+        img = diff.constant(np.random.default_rng(0).random((6, 6, 3)))
+        f_eq, f_plain = encode_t(eq, img), encode_t(plain, img)
+        assert f_eq.shape[2] * f_eq.shape[3] == f_plain.shape[2] * f_plain.shape[3] == 8
 
     def test_same_seed_bit_identical(self):
         cfg = ModelConfig(t=4, blocks=2, n=4, p=5)
@@ -43,13 +45,19 @@ class TestEncode:
         params = build_encoder(ModelConfig(t=4, blocks=2, n=4, p=3), seed=3)
         assert len(params.biases) == len(params.filters)
         assert all(not b.data.any() for b in params.biases.values())
-        out = encode(params, Image(np.zeros((8, 8, 3))))
-        assert np.array_equal(out.data, np.zeros_like(out.data))
+        out = encode_t(params, diff.constant(np.zeros((8, 8, 3)))).data
+        assert np.array_equal(out, np.zeros_like(out))
 
     def test_output_spatial_size_preserved(self):
         params = build_encoder(ModelConfig(t=2, blocks=1, n=4, p=5), seed=0)
-        out = encode(params, Image(np.random.default_rng(1).random((10, 10, 3))))
-        assert (out.h, out.w, out.n, out.t) == (10, 10, 4, 2)
+        out = encode_t(params, diff.constant(np.random.default_rng(1).random((10, 10, 3))))
+        assert out.shape == (10, 10, 2, 4)
+
+    @pytest.mark.parametrize("c", [1, 4])
+    def test_channel_count_checked(self, c):
+        params = build_encoder(ModelConfig(t=2, blocks=1, n=4, p=3), seed=0)
+        with pytest.raises(ShapeError, match=f"encoder expects 3 channels, image has {c}"):
+            encode_t(params, diff.constant(np.zeros((2, 6, 6, c))))
 
     @pytest.mark.parametrize("blocks", [1, 2, 4])
     def test_equivariant_encoder_exact_p4(self, blocks):
@@ -57,20 +65,20 @@ class TestEncode:
         cfg = ModelConfig(t=4, blocks=blocks, n=4, p=5)
         params = build_encoder(cfg, seed=blocks)
         img = Image(np.random.default_rng(blocks).random((12, 12, 3)))
-        base = encode(params, img)
+        base = encode_t(params, diff.constant(img.data)).data
         for k in range(4):
             rot = rotate_image(img, element_image_angle(g, k))
-            lhs = encode(params, rot)
+            lhs = encode_t(params, diff.constant(rot.data)).data
             rhs = rotate_feature(base, g, k)
-            denom = np.linalg.norm(rhs.data)
-            assert np.linalg.norm(lhs.data - rhs.data) / denom <= 1e-9
+            denom = np.linalg.norm(rhs)
+            assert np.linalg.norm(lhs - rhs) / denom <= 1e-9
 
     def test_plain_encoder_is_not_equivariant(self):
         params = build_encoder(ModelConfig(t=1, blocks=4, n=32, p=5),
                                seed=5)
         img = Image(np.random.default_rng(5).random((16, 16, 3)))
-        base = encode(params, img)
-        lhs = encode(params, rotate_image(img, np.pi / 2))
-        rhs = rotate_image(Image(base.data[:, :, :, 0]), np.pi / 2)
-        err = np.linalg.norm(lhs.data[:, :, :, 0] - rhs.data) / np.linalg.norm(rhs.data)
+        base = encode_t(params, diff.constant(img.data)).data
+        lhs = encode_t(params, diff.constant(rotate_image(img, np.pi / 2).data)).data
+        rhs = rotate_image(Image(base[:, :, 0]), np.pi / 2)
+        err = np.linalg.norm(lhs[:, :, 0] - rhs.data) / np.linalg.norm(rhs.data)
         assert err >= 0.1

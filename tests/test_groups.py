@@ -5,7 +5,6 @@ import pytest
 
 from equisr.errors import GroupIndexError, InvalidOrderError, ShapeError
 from equisr.groups import (
-    GroupFeatureMap,
     element_image_angle,
     make_group,
     rotate_feature,
@@ -102,11 +101,11 @@ class TestRotateImage:
 
 def _brute_force_rotate_feature(data, group, k):
     """Index-chase reference: output slot j = element-k action on slot (j-k)%t."""
-    h, w, n, t = data.shape
+    h, w, t, n = data.shape
     out = np.zeros_like(data)
     for j in range(t):
-        src = data[:, :, :, (j - k) % t]
-        out[:, :, :, j] = rotate_image(Image(src), element_image_angle(group, k)).data
+        src = data[:, :, (j - k) % t]
+        out[:, :, j] = rotate_image(Image(src), element_image_angle(group, k)).data
     return out
 
 
@@ -114,31 +113,31 @@ class TestRotateFeature:
     def test_t1_equals_rotate_image(self):
         g = make_group(1)
         rng = np.random.default_rng(2)
-        f = GroupFeatureMap(rng.random((6, 6, 3, 1)))
+        f = rng.random((6, 6, 1, 3))
         out = rotate_feature(f, g, 0)
-        assert np.array_equal(out.data, f.data)
+        assert np.array_equal(out, f)
 
     def test_one_hot_pixel_lands_in_shifted_slot(self):
         g = make_group(4)
-        data = np.zeros((4, 4, 1, 4))
+        data = np.zeros((4, 4, 4, 1))
         data[1, 2, 0, 0] = 1.0
-        out = rotate_feature(GroupFeatureMap(data), g, 1)
-        assert np.array_equal(out.data, _brute_force_rotate_feature(data, g, 1))
+        out = rotate_feature(data, g, 1)
+        assert np.array_equal(out, _brute_force_rotate_feature(data, g, 1))
         # exactly one nonzero, in slot 1: element 1 rotates clockwise, so
         # pixel (i, j) = (1, 2) moves to (j, h-1-i) = (2, 2)
-        nz = np.argwhere(out.data != 0.0)
-        assert nz.tolist() == [[2, 2, 0, 1]]
+        nz = np.argwhere(out != 0.0)
+        assert nz.tolist() == [[2, 2, 1, 0]]
 
     @pytest.mark.parametrize("t", [2, 4])
     def test_action_composition_exact_right_angles(self, t):
         g = make_group(t)
         rng = np.random.default_rng(3)
-        f = GroupFeatureMap(rng.random((6, 6, 2, t)))
+        f = rng.random((6, 6, t, 2))
         for k in range(t):
             for j in range(t):
                 once = rotate_feature(f, g, (j + k) % t)
                 twice = rotate_feature(rotate_feature(f, g, k), g, j)
-                assert np.array_equal(once.data, twice.data)
+                assert np.array_equal(once, twice)
 
     def test_action_composition_interpolated_affine(self):
         # bilinear interpolation reproduces affine fields exactly, so the
@@ -147,30 +146,32 @@ class TestRotateFeature:
         g = make_group(t)
         xy = pixel_coords(h, h)
         base = 0.3 + 0.2 * xy[:, :, 0] - 0.5 * xy[:, :, 1]
-        f = GroupFeatureMap(np.stack([base * (s + 1) for s in range(t)], axis=-1)[:, :, None, :])
+        f = np.stack([base * (s + 1) for s in range(t)], axis=-1)[:, :, :, None]
         mask = disk_mask(h, margin_cells=3.0)
         for k, j in [(1, 1), (1, 3), (3, 5), (7, 2)]:
             once = rotate_feature(f, g, (j + k) % t)
             twice = rotate_feature(rotate_feature(f, g, k), g, j)
-            err = np.abs(once.data - twice.data)[mask]
+            err = np.abs(once - twice)[mask]
             assert err.max() <= 1e-10
 
     def test_matches_brute_force_random(self):
         g = make_group(4)
         rng = np.random.default_rng(4)
-        data = rng.random((5, 5, 3, 4))
+        data = rng.random((5, 5, 4, 3))
         for k in range(4):
-            out = rotate_feature(GroupFeatureMap(data), g, k)
-            assert np.allclose(out.data, _brute_force_rotate_feature(data, g, k),
+            out = rotate_feature(data, g, k)
+            assert np.allclose(out, _brute_force_rotate_feature(data, g, k),
                                atol=0, rtol=0)
 
     def test_bad_index_raises(self):
         g = make_group(4)
-        f = GroupFeatureMap(np.zeros((4, 4, 1, 4)))
+        f = np.zeros((4, 4, 4, 1))
         with pytest.raises(GroupIndexError):
             rotate_feature(f, g, 4)
 
     def test_group_order_mismatch_raises(self):
-        f = GroupFeatureMap(np.zeros((4, 4, 1, 4)))
+        f = np.zeros((4, 4, 4, 1))
         with pytest.raises(ShapeError):
             rotate_feature(f, make_group(2), 1)
+        with pytest.raises(ShapeError):  # not an h x w x t x n array
+            rotate_feature(f[0], make_group(4), 1)

@@ -239,15 +239,25 @@ class TestSweepOnePass:
         model = build_model(self._cfgs()[0][1], seed=3) if given_model else None
         for name in calls:
             monkeypatch.setattr(metrics, name, counted(name))
-        t_values, scales, resolutions, seeds = [2, 4], [2.0, 2.7], [8, 12], [0, 1]
+        # a given model has one group order, so it is swept at that one (T = 1)
+        t_values = None if given_model else [2, 4]
+        scales, resolutions, seeds = [2.0, 2.7], [8, 12], [0, 1]
         angles = self.ANGLES[:3]
         csv = sweep(self._cfgs()[:1], angles, scales, resolutions, t_values=t_values,
                     seeds=seeds, data=self.DATA, model=model)
-        T, S, R, N, A = len(t_values), len(scales), len(resolutions), len(seeds), len(angles)
+        T = len(t_values) if t_values else 1
+        S, R, N, A = len(scales), len(resolutions), len(seeds), len(angles)
         assert len(csv.strip().split("\n")) == 2 + T * A * S * R
         assert calls["super_resolve"] == T * S * R * N * (1 + A)
         assert calls["build_model"] == (0 if given_model else T * N)
         assert calls["sweep_image"] == T * R * N
+
+    def test_given_model_with_t_values_rejected(self):
+        # the rows would be labelled with each t but all measured on the one model
+        model = build_model(self._cfgs()[0][1], seed=3)
+        with pytest.raises(ConfigError, match="t_values"):
+            sweep(self._cfgs()[:1], [np.pi / 2], [2.0], [8], t_values=[2, 8],
+                  data=self.DATA, model=model)
 
 
 class TestAdam:

@@ -38,7 +38,7 @@ from equisr.inr import (
     parameter_count,
     super_resolve,
 )
-from equisr.encoder import encode, encode_t
+from equisr.encoder import encode_t
 from equisr.metrics import nmse
 from equisr.training import train
 
@@ -349,17 +349,17 @@ class TestEvalGlobal:
     def test_query_at_pixel_center_nearest(self):
         model = self._model()
         img = Image(np.random.default_rng(1).random((8, 8, 3)))
-        feat = encode(model.encoder, img)
+        feat = encode_t(model.encoder, diff.constant(img.data)).data
         # pixel (2, 3) center
         x = np.array([-1.0 + 3.5 * (2.0 / 8), 1.0 - 2.5 * (2.0 / 8)])
         got = eval_global(_in_mode(model, "nearest"), feat, x)
-        expected = eval_local(feat.data[2, 3], np.zeros(2), model.inr)
+        expected = eval_local(feat[2, 3].T, np.zeros(2), model.inr)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_ensemble_at_center_with_zero_eps_matches_nearest(self):
         model = self._model()
         img = Image(np.random.default_rng(2).random((8, 8, 3)))
-        feat = encode(model.encoder, img)
+        feat = encode_t(model.encoder, diff.constant(img.data)).data
         x = np.array([-1.0 + 4.5 * (2.0 / 8), 1.0 - 3.5 * (2.0 / 8)])
         a = eval_global(_in_mode(model, "ensemble"), feat, x, eps=0.0)
         b = eval_global(_in_mode(model, "nearest"), feat, x)
@@ -379,22 +379,22 @@ class TestEvalGlobal:
     def test_nearest_tie_on_cell_edge_shares_both_latents(self):
         model = self._model()
         img = Image(np.random.default_rng(4).random((8, 8, 3)))
-        feat = encode(model.encoder, img)
+        feat = encode_t(model.encoder, diff.constant(img.data)).data
         # on the edge between columns 2 and 3 of row 2
         x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 2.5 * (2.0 / 8)])
         got = eval_global(_in_mode(model, "nearest"), feat, x)
-        expected = (eval_local(feat.data[2, 2], np.array([1.0, 0.0]), model.inr)
-                    + eval_local(feat.data[2, 3], np.array([-1.0, 0.0]), model.inr)) / 2
+        expected = (eval_local(feat[2, 2].T, np.array([1.0, 0.0]), model.inr)
+                    + eval_local(feat[2, 3].T, np.array([-1.0, 0.0]), model.inr)) / 2
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_nearest_tie_on_cell_corner_shares_all_four_latents(self):
         model = self._model()
         img = Image(np.random.default_rng(5).random((8, 8, 3)))
-        feat = encode(model.encoder, img)
+        feat = encode_t(model.encoder, diff.constant(img.data)).data
         # the corner shared by rows 2, 3 and columns 2, 3
         x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 3 * (2.0 / 8)])
         got = eval_global(_in_mode(model, "nearest"), feat, x)
-        expected = sum(eval_local(feat.data[i, j], np.array([1.0 - 2 * (j - 2), 2 * (i - 2) - 1.0]),
+        expected = sum(eval_local(feat[i, j].T, np.array([1.0 - 2 * (j - 2), 2 * (i - 2) - 1.0]),
                                   model.inr)
                        for i in (2, 3) for j in (2, 3)) / 4
         assert np.max(np.abs(got - expected)) <= 1e-12
@@ -405,10 +405,10 @@ class TestEvalGlobal:
         # is 0, and the query must still get its own latent's value
         model = self._model()
         img = Image(np.random.default_rng(6).random((8, 8, 3)))
-        feat = encode(model.encoder, img)
+        feat = encode_t(model.encoder, diff.constant(img.data)).data
         x = np.array([-1.0 + (j + 0.5) * (2.0 / 8), 1.0 - (i + 0.5) * (2.0 / 8)])
         got = eval_global(_in_mode(model, "ensemble"), feat, x, eps=0.0)
-        expected = eval_local(feat.data[i, j], np.zeros(2), model.inr)
+        expected = eval_local(feat[i, j].T, np.zeros(2), model.inr)
         assert np.all(np.isfinite(got)) and np.max(np.abs(got - expected)) <= 1e-12
 
     def test_nearest_evaluates_one_latent_per_query_off_ties(self, monkeypatch):
@@ -436,7 +436,7 @@ class TestEvalGlobal:
     def test_value_continuous_across_cell_boundary(self):
         model = self._model()
         img = Image(np.random.default_rng(3).random((8, 8, 3)))
-        feat = encode(model.encoder, img)
+        feat = encode_t(model.encoder, diff.constant(img.data)).data
         x_boundary = -1.0 + 3 * (2.0 / 8)
         y = 1.0 - 2.7 * (2.0 / 8)
         h = 1e-9
@@ -447,7 +447,7 @@ class TestEvalGlobal:
     def test_query_outside_domain_rejected(self):
         model = self._model()
         img = Image(np.zeros((4, 4, 3)))
-        feat = encode(model.encoder, img)
+        feat = encode_t(model.encoder, diff.constant(img.data)).data
         with pytest.raises(DomainError):
             eval_global(model, feat, np.array([1.5, 0.0]))
 

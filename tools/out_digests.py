@@ -19,6 +19,8 @@ The outputs are:
     with train.steps cut to 4;
   * loss.csv and ckpt.bin of a 2-step `train` on that gen-data corpus read
     as a file-dir corpus (`cli.file-dir.*`);
+  * the gen-data manifest.csv of a file-dir corpus holding one 30x20 PGM and
+    one 24x16 PPM (`cli.file-dir.manifest.csv`);
   * every gradcheck case's `max_rel_err`.
 `OPENBLAS_NUM_THREADS` is 1 unless it is set: some products round
 differently at other thread counts.
@@ -90,8 +92,12 @@ def train_lines(tmp: str):
 
 
 def cli_lines(tmp: str):
+    import numpy as np
+
     from equisr import config
     from equisr.cli import main
+    from equisr.data import write_image
+    from equisr.image import Image
 
     doc = config.defaults()
     doc["train"]["steps"] = 4
@@ -124,6 +130,20 @@ def cli_lines(tmp: str):
         raise SystemExit(f"train on the file-dir corpus failed: exit code {code}")
     for name in ("loss.csv", "ckpt.bin"):
         yield f"cli.file-dir.{name}", _file_digest(os.path.join(run, name))
+    # gen-data copying a file-dir corpus of one PGM and one non-square PPM
+    mixed, copy = os.path.join(tmp, "mixed"), os.path.join(tmp, "mixed-copy")
+    os.makedirs(mixed)
+    rng = np.random.default_rng(0)
+    write_image(os.path.join(mixed, "a.pgm"), Image(rng.integers(0, 256, (20, 30, 1)) / 255.0))
+    write_image(os.path.join(mixed, "b.ppm"), Image(rng.integers(0, 256, (16, 24, 3)) / 255.0))
+    doc["data"]["path"] = mixed
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["gen-data", "--config", cfg, "--out", copy])
+    if code:
+        raise SystemExit(f"gen-data on the file-dir corpus failed: exit code {code}")
+    yield "cli.file-dir.manifest.csv", _file_digest(os.path.join(copy, "manifest.csv"))
 
 
 def gradcheck_lines():
