@@ -152,9 +152,9 @@ def _composite_checks() -> list[CheckResult]:
     targets = rng.random((8, 3))
     scale = 0.4  # keep pre-activations away from systematic kinks
 
-    def check(name, variant, fn, *names):
+    def check(name, variant, fn, *names, t=2):
         """Check `fn` of a new model over the parameters it holds as `names`."""
-        model = build_model(ModelConfig(variant=variant, t=2, n=2, blocks=1, p=3, width=4,
+        model = build_model(ModelConfig(variant=variant, t=t, n=2, blocks=1, p=3, width=4,
                                         psi_widths=(4,), k_max=1, K=2, eps=1e-7), seed=0)
         held = model.named_parameters()
         return _check(name, lambda *_: fn(model), [held[k] for k in names], scale)
@@ -170,6 +170,9 @@ def _composite_checks() -> list[CheckResult]:
         check("pipeline.l1", "liif", pipeline_loss, "enc.head.w", "inr.W_in", "inr.psi0.w"),
         check("pipeline.l1.ope", "ope", pipeline_loss,
               "enc.head.w", "inr.ope_head.w", "inr.ope_head.b"),
+        # ope's slot fold only flips signs at t = 2; at t = 4 it also swaps axes
+        check("pipeline.l1.ope.t4", "ope", pipeline_loss,
+              "enc.head.w", "inr.ope_head.w", "inr.ope_head.b", t=4),
         check("pipeline.l1.lte", "lte", pipeline_loss,
               "enc.head.w", "inr.amp_head.w", "inr.freq_head.w", "inr.W_out1"),
     ]

@@ -173,12 +173,6 @@ def _file_dir_paths(spec: DatasetSpec) -> list[str]:
     return [os.path.join(spec.path, f) for f in names]
 
 
-def dataset_count(spec: DatasetSpec) -> int:
-    if spec.kind == "file-dir":
-        return len(_file_dir_paths(spec))
-    return spec.count
-
-
 def corpus_images(spec: DatasetSpec) -> Iterator[Image]:
     """Every image of the corpus in index order; a file-dir is listed once."""
     if spec.kind == "file-dir":

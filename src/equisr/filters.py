@@ -236,11 +236,17 @@ def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
     if x.shape[-1] != f.c_in:
         raise ShapeError(f"group_conv_t: feature channels {x.shape[-1]} vs filter c_in {f.c_in}")
     kernel = lifting_kernel(f, group) if f.g_in == 1 else group_kernel(f, group)
-    x_flat = diff.reshape(x, x.shape[:-2] + (f.g_in * f.c_in,))
-    y = diff.conv2d(x_flat, kernel)
-    y = diff.reshape(y, y.shape[:-1] + (group.t, f.c_out))
+    return slot_conv(x, kernel, group.t, bias)
+
+
+def slot_conv(x: Tensor, kernel: Tensor, slots: int, bias: Tensor | None = None) -> Tensor:
+    """Feature tensor ([b,] h, w, g, n) by an assembled (slots c_out, g n, p, p)
+    kernel -> ([b,] h, w, slots, c_out), plus an optional per-channel `bias`
+    (c_out,) shared by the slots."""
+    y = diff.conv2d(diff.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],)), kernel)
+    y = diff.reshape(y, y.shape[:-1] + (slots, kernel.shape[0] // slots))
     if bias is not None and diff.recording():
-        y = diff.add(y, diff.reshape(bias, (1, 1, 1, f.c_out)))
+        y = diff.add(y, diff.reshape(bias, (1, 1, 1, bias.shape[0])))
     elif bias is not None:
         y.data += bias.data  # conv2d's fresh output: no second full array
     return y

@@ -35,9 +35,6 @@ class RotationGroup:
     t: int
     matrices: np.ndarray  # (t, 2, 2)
 
-    def matrix(self, k: int) -> np.ndarray:
-        return self.matrices[k % self.t]
-
 
 def _is_int(v) -> bool:
     """The package's integer rule (group orders, model and data configs): a bool is not one."""

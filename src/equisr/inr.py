@@ -21,7 +21,9 @@ Three phi variants are provided:
 where P is the orthonormal 2-D Fourier basis on [-1, 1]^2 and the LTE
 amplitude/frequency pair comes from two pointwise equivariant heads on the
 encoder output.  The non-equivariant baselines are the same code paths with
-t = 1.
+t = 1.  ope's input sum is linear in F, so for groups of signed permutation
+matrices (t in {1, 2, 4}) its latent head emits the sum itself, one slot
+per pixel (see compute_latents).
 
 Local coordinates are offsets from the chosen latent's pixel center rescaled
 so one LR cell spans [-1, 1].  The global function evaluates, per query, the
@@ -37,11 +39,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import diff, parallel
+from . import diff, filters, parallel
 from .diff import Tensor
 from .encoder import EncoderParams, build_encoder, encode_t
 from .errors import ConfigError, DomainError, ShapeError
-from .filters import ParamFilter, group_conv_t, make_param_filter
+from .filters import ParamFilter, group_conv_t, make_param_filter, slot_conv
 from .groups import RotationGroup, _is_int, _is_real, make_group
 from .image import Image, cell_position, pixel_coords
 from .parallel import _CHUNK_BYTES
@@ -172,6 +174,33 @@ def ope_basis(x: np.ndarray, k_max: int) -> np.ndarray:
     return (axis_values(x[:, 0])[:, :, None] * axis_values(x[:, 1])[:, None, :]).reshape(q, d * d)
 
 
+def _ope_rotations(group: RotationGroup, k_max: int) -> np.ndarray | None:
+    """Signed permutations R (t, kb, kb) with ope_basis(A_a^{-1} x) = R[a]
+    ope_basis(x) exactly, or None unless every group matrix is a signed
+    permutation (t in {1, 2, 4}), the one test of whether ope folds its slots.
+
+    Then (A_a^{-1} x)_d = sign_d x_{axis_d}: under u -> -u an axis factor
+    keeps its constant and cosines and flips its sines, and a swap of the
+    axes transposes the tensor product.
+    """
+    inv = np.transpose(group.matrices, (0, 2, 1))  # A^{-1} = A^T
+    size = np.abs(inv)
+    if not (np.all(np.isin(inv, (-1.0, 0.0, 1.0)))
+            and np.all(size.sum(axis=1) == 1) and np.all(size.sum(axis=2) == 1)):
+        return None
+    d = 2 * k_max + 1
+    sine = (np.arange(d) > 0) & (np.arange(d) % 2 == 0)
+    j0, j1 = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")  # entry j0 d + j1
+    R = np.zeros((group.t, d * d, d * d))
+    for a in range(group.t):
+        axis = np.argmax(size[a], axis=1)
+        sign = inv[a, [0, 1], axis]
+        src = j0 * d + j1 if axis[0] == 0 else j1 * d + j0
+        flips = np.where(sine[j0], sign[0], 1.0) * np.where(sine[j1], sign[1], 1.0)
+        R[a, (j0 * d + j1).ravel(), src.ravel()] = flips.ravel()
+    return R
+
+
 def _mlp_init(rng, widths: list[int]) -> list[tuple[Tensor, Tensor]]:
     layers = []
     for n_in, n_out in zip(widths[:-1], widths[1:]):
@@ -253,19 +282,40 @@ def parameter_count(cfg: ModelConfig) -> int:
 def compute_latents(model: INRModel, feat: Tensor) -> tuple[Tensor, ...]:
     """Turn encoder features ([B,] h, w, t, n) into the variant's latent codes.
 
-    The codes are a tuple of ([B,] h, w, t, c) tensors: (feat,) for liif,
-    (coeffs,) for ope and (amp, freq) for lte.  With the leading axis they
-    hold the latents of B items; without it, of one.
+    The codes are a tuple of ([B,] h, w, s, c) tensors of s slots: (feat,)
+    for liif, (coeffs,) for ope and (amp, freq) for lte.  With the leading
+    axis they hold the latents of B items; without it, of one.  s is t,
+    except for ope when every group matrix is a signed permutation: then
+    ope's code is its one-slot group sum (see _folded_ope_code).
     """
     if model.cfg.variant == "liif":
         return (feat,)
+    if model.cfg.variant == "ope":
+        rotations = _ope_rotations(model.group, model.cfg.k_max)
+        if rotations is not None:
+            return (_folded_ope_code(model, feat, rotations),)
     # the heads are ope_head, or amp_head then freq_head
     return tuple(group_conv_t(feat, pf, model.group, bias=model.inr.head_biases[name])
                  for name, pf in model.inr.heads.items())
 
 
+def _folded_ope_code(model: INRModel, feat: Tensor, R: np.ndarray) -> Tensor:
+    """ope's code G = sum_a F^a R[a] ([B,] h, w, 1, c kb), for which G P(x) =
+    sum_a F^a P(A_a^{-1} x): one 1x1 convolution by the head kernel folded
+    over its t output slots, W = sum_a K_a R[a], with bias b sum_a R[a]."""
+    cfg = model.cfg
+    t, c, kb = cfg.t, cfg.out_channels, R.shape[1]
+    kernel = filters.group_kernel(model.inr.heads["ope_head"], model.group)
+    kernel = diff.einsum("akl,ackj->clj", diff.constant(R),
+                         diff.reshape(kernel, (t, c, kb, t * cfg.n)))
+    bias = diff.reshape(model.inr.head_biases["ope_head"], (c, kb))
+    bias = diff.matmul(bias, diff.constant(R.sum(axis=0)))
+    return slot_conv(feat, diff.reshape(kernel, (c * kb, t * cfg.n, 1, 1)), 1,
+                     diff.reshape(bias, (c * kb,)))
+
+
 def _gather_latents(lats: tuple[Tensor, ...], flat_idx: np.ndarray) -> tuple[Tensor, ...]:
-    """The (Q, t, c) latent codes at flat indices into the ([B *] h * w) pixel table."""
+    """The (Q, s, c) latent codes at flat indices into the ([B *] h * w) pixel table."""
     return tuple(diff.gather(diff.reshape(x, (-1,) + x.shape[-2:]), flat_idx)
                  for x in lats)
 
@@ -307,12 +357,14 @@ def _apply_psi(psi: list[tuple[Tensor, Tensor]], z: Tensor) -> Tensor:
 
 
 def _input_sum_ope(params: INRParams, coeffs: Tensor, X: np.ndarray) -> Tensor:
-    """sum_A (F^A)^T P(A^{-1} x); H(x, B) is this value for every B."""
+    """sum_A (F^A)^T P(A^{-1} x) of t-slot codes, or G^T P(x) of folded
+    one-slot codes (see compute_latents); H(x, B) is this value for every B."""
     cfg = params.cfg
-    q, t, kb = X.shape[0], cfg.t, (2 * cfg.k_max + 1) ** 2
-    basis = ope_basis(lift_coordinate(X, params.group).reshape(q * t, 2), cfg.k_max)
-    coeffs = diff.reshape(coeffs, (q, t, cfg.out_channels, kb))
-    return diff.einsum("qtck,qtk->qc", coeffs, diff.constant(basis.reshape(q, t, kb)))
+    q, s, kb = X.shape[0], coeffs.shape[1], (2 * cfg.k_max + 1) ** 2
+    x = lift_coordinate(X, params.group) if s == cfg.t else X
+    basis = ope_basis(x.reshape(q * s, 2), cfg.k_max)
+    coeffs = diff.reshape(coeffs, (q, s, cfg.out_channels, kb))
+    return diff.einsum("qtck,qtk->qc", coeffs, diff.constant(basis.reshape(q, s, kb)))
 
 
 def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray,
@@ -447,16 +499,19 @@ def _eval_global_chunk(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
 
 def _query_bytes(cfg: ModelConfig) -> int:
     """Upper estimate of the bytes one query's assembly temporaries hold at once."""
+    slots = cfg.t
     if cfg.variant == "liif":
         slot = 2 * (cfg.n + 2) + 4 * cfg.width  # codes, [F; x], cyclic layer outputs
     elif cfg.variant == "ope":
         kb = (2 * cfg.k_max + 1) ** 2
         slot = cfg.out_channels * kb + 3 * kb  # coefficients, basis and its factors
+        if _ope_rotations(make_group(cfg.t), cfg.k_max) is not None:
+            slots = 1  # compute_latents folds the slots
     else:  # lte: amplitudes, frequencies, angles, cos, sin, waves
         slot = 12 * cfg.K
-    # per local evaluation: the group slots, then the t-free output head
+    # per local evaluation: the code's slots, then the t-free output head
     # (W_out1 and psi layers, two arrays each), outputs, offsets and weights
-    floats = cfg.t * slot + 2 * (cfg.width + sum(cfg.psi_widths)) + 2 * cfg.out_channels + 8
+    floats = slots * slot + 2 * (cfg.width + sum(cfg.psi_widths)) + 2 * cfg.out_channels + 8
     return _EVALS[cfg.mode] * 8 * floats
 
 

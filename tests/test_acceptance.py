@@ -177,7 +177,7 @@ def test_criterion_5_layer_exactness():
                     perm = [(b - k) % t for b in range(t)]
                     # line 1: input layer intertwines shift with rotation
                     lhs = input_layer(shift(latent, k), x, params)
-                    rot = input_layer(latent, g.matrix(k).T @ x, params)
+                    rot = input_layer(latent, g.matrices[k % g.t].T @ x, params)
                     worst = max(worst, float(np.max(np.abs(lhs - rot[perm]))))
                     # line 2: intermediate layer commutes with the slot shift
                     lhs2 = intermediate_layer(base_h[perm], w_mid)
@@ -209,7 +209,7 @@ def test_criterion_7_filter_parametrization_exactness():
             pf = make_param_filter(2, 1, 2, p, rng=np.random.default_rng(seed))
             k_id = synthesize_kernel(pf, np.eye(2)).data
             worst_id = max(worst_id, float(np.max(np.abs(k_id - pf.coeffs.data))))
-            k_rot = synthesize_kernel(pf, g.matrix(1)).data
+            k_rot = synthesize_kernel(pf, g.matrices[1]).data
             expected = np.rot90(pf.coeffs.data, -1, axes=(3, 4))
             worst_rot = max(worst_rot, float(np.max(np.abs(k_rot - expected))))
     ok = worst_id <= 1e-12 and worst_rot <= 1e-12

@@ -9,7 +9,7 @@ from equisr import data
 from equisr.data import (
     DatasetSpec,
     bicubic_resize,
-    dataset_count,
+    corpus_images,
     gen_synthetic,
     read_image,
     sample_patch_pairs,
@@ -250,7 +250,7 @@ class TestPatchSampling:
                         Image(rng.integers(0, 256, (8, 8, 3)) / 255.0))
         spec = DatasetSpec(kind="file-dir", path=str(tmp_path),
                            scale_lo=1.0, scale_hi=1.0)
-        assert dataset_count(spec) == 2
+        assert len(list(corpus_images(spec))) == 2
         img = gen_synthetic(spec, 0)
         assert (img.h, img.w, img.c) == (8, 8, 3)
 

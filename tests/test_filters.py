@@ -69,7 +69,7 @@ class TestBasisAndSynthesis:
         rng = np.random.default_rng(1)
         pf = make_param_filter(1, 1, 1, p, rng=rng)
         g = make_group(4)
-        kern = synthesize_kernel(pf, g.matrix(1)).data[0, 0, 0]
+        kern = synthesize_kernel(pf, g.matrices[1]).data[0, 0, 0]
         # element 1 acts clockwise on the plane, i.e. rot90(-1) on the grid
         assert np.max(np.abs(kern - np.rot90(pf.coeffs.data[0, 0, 0], -1))) <= 1e-12
 
@@ -120,7 +120,7 @@ def _lifting_kernel_ref(f, group):
     """Per-slot reference: one resample per rotation, concatenated."""
     blocks = []
     for k in range(group.t):
-        kern = _resample_ref(f.coeffs, f.p, resample_matrix(f.p, group.matrix(k)))
+        kern = _resample_ref(f.coeffs, f.p, resample_matrix(f.p, group.matrices[k % group.t]))
         blocks.append(diff.reshape(kern, (f.c_out, f.c_in, f.p, f.p)))
     return diff.concat(blocks, axis=0)
 
@@ -133,7 +133,7 @@ def _group_kernel_ref(f, group):
         perm = np.array([(b - a) % t for b in range(t)], dtype=np.int64)
         by_slot = diff.transpose(f.coeffs, (1, 0, 2, 3, 4))  # its own inverse
         ga = diff.transpose(diff.gather(by_slot, perm), (1, 0, 2, 3, 4))
-        kern = _resample_ref(ga, f.p, resample_matrix(f.p, group.matrix(a)))
+        kern = _resample_ref(ga, f.p, resample_matrix(f.p, group.matrices[a % group.t]))
         blocks.append(diff.reshape(kern, (f.c_out, t * f.c_in, f.p, f.p)))
     return diff.concat(blocks, axis=0)
 

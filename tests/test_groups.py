@@ -16,17 +16,17 @@ from equisr.image import Image, disk_mask, pixel_coords
 class TestMakeGroup:
     def test_quarter_turn_matrix(self):
         g = make_group(4)
-        assert np.allclose(g.matrix(1), [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
+        assert np.allclose(g.matrices[1], [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
 
     def test_order_one_is_identity(self):
         g = make_group(1)
         assert g.t == 1
-        assert np.array_equal(g.matrix(0), np.eye(2))
+        assert np.array_equal(g.matrices[0], np.eye(2))
 
     def test_t8_entries(self):
         g = make_group(8)
         r = np.sqrt(2.0) / 2.0
-        assert np.allclose(g.matrix(1), [[r, r], [-r, r]], atol=1e-12)
+        assert np.allclose(g.matrices[1], [[r, r], [-r, r]], atol=1e-12)
 
     def test_zero_order_rejected(self):
         with pytest.raises(InvalidOrderError):
@@ -52,7 +52,7 @@ class TestMakeGroup:
     def test_orthogonal_determinant_one(self, t):
         g = make_group(t)
         for k in range(t):
-            A = g.matrix(k)
+            A = g.matrices[k % g.t]
             assert np.max(np.abs(A.T @ A - np.eye(2))) <= 1e-12
             assert abs(np.linalg.det(A) - 1.0) <= 1e-12
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from equisr import config, diff, inr, parallel
 from equisr.data import DatasetSpec
 from equisr.errors import ConfigError, DomainError, ShapeError
+from equisr.filters import group_conv_t
 from equisr.groups import make_group, rotate_image
 from equisr.image import Image, cell_position, pixel_coords
 from equisr.inr import (
@@ -141,7 +142,7 @@ class TestInputLayer:
             base = input_layer(latent, x, params)
             for k in range(t):
                 lhs = input_layer(_shift(latent, k, t), x, params)
-                rot = input_layer(latent, g.matrix(k).T @ x, params)
+                rot = input_layer(latent, g.matrices[k % g.t].T @ x, params)
                 rhs = rot[[(b - k) % t for b in range(t)]]
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -214,7 +215,7 @@ def _closed_form_oracle(cfg, params, group, latent, x):
     if cfg.variant == "liif":
         acc = np.zeros(params.W_out1.shape[0])
         for a in range(t):
-            xa = group.matrix(a).T @ x
+            xa = group.matrices[a % group.t].T @ x
             v = np.concatenate([latent[:, a], xa])
             for b in range(t):
                 acc += params.W_out1.data @ (params.W_in.data[(a - b) % t] @ v)
@@ -223,13 +224,13 @@ def _closed_form_oracle(cfg, params, group, latent, x):
         kb = (2 * cfg.k_max + 1) ** 2
         acc = np.zeros(3)
         for a in range(t):
-            p_vec = ope_basis((group.matrix(a).T @ x)[None, :], cfg.k_max)[0]
+            p_vec = ope_basis((group.matrices[a % group.t].T @ x)[None, :], cfg.k_max)[0]
             acc += latent[:, a].reshape(3, kb) @ p_vec
         return acc
     amp, freq = latent
     acc = np.zeros(2 * cfg.K)
     for a in range(t):
-        xa = group.matrix(a).T @ x
+        xa = group.matrices[a % group.t].T @ x
         ang = np.pi * (freq[:, :, a] @ xa)
         acc += amp[:, a] * np.concatenate([np.cos(ang), np.sin(ang)])
     return run_psi(t * (params.W_out1.data @ acc))
@@ -260,10 +261,10 @@ class TestEvalLocal:
             base = eval_local(latent, x, params)
             for k in range(4):
                 fwd = eval_local(_shift(latent, k, 4), x, params)
-                rot = eval_local(latent, g.matrix(k).T @ x, params)
+                rot = eval_local(latent, g.matrices[k % g.t].T @ x, params)
                 assert np.max(np.abs(fwd - rot)) <= 1e-11
                 inv = eval_local(_shift(latent, (4 - k) % 4, 4),
-                                 g.matrix(k).T @ x, params)
+                                 g.matrices[k % g.t].T @ x, params)
                 assert np.max(np.abs(inv - base)) <= 1e-11
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
@@ -339,6 +340,76 @@ class TestOpeBasis:
         P = ope_basis(pts, k_max=2)
         assert P.shape == (10, 25)
         assert np.array_equal(P[:, 0], np.ones(10))
+
+
+class TestOpeFold:
+    """For right-angle groups ope's latent head emits the group sum of its
+    slot coefficients, one slot per pixel; other groups keep t slots."""
+
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    @pytest.mark.parametrize("k_max", [1, 3])
+    def test_rotations_are_exact(self, t, k_max):
+        g = make_group(t)
+        R = inr._ope_rotations(g, k_max)
+        assert np.all(np.isin(R, (-1.0, 0.0, 1.0)))
+        assert np.all(np.abs(R).sum(axis=1) == 1) and np.all(np.abs(R).sum(axis=2) == 1)
+        grid = np.array([[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
+        x = np.concatenate([np.random.default_rng(t).uniform(-1.0, 1.0, (500, 2)), grid])
+        lifted = lift_coordinate(x, g)
+        for k in range(t):
+            assert np.array_equal(ope_basis(lifted[:, k], k_max), ope_basis(x, k_max) @ R[k].T)
+
+    @pytest.mark.parametrize("t", [3, 8, 16])
+    def test_no_rotations_off_right_angles(self, t):
+        assert inr._ope_rotations(make_group(t), 3) is None
+
+    @staticmethod
+    def _per_slot(model, feat):
+        head = model.inr.heads["ope_head"]
+        return (group_conv_t(feat, head, model.group, bias=model.inr.head_biases["ope_head"]),)
+
+    @staticmethod
+    def _run(model, img, X, latents):
+        """Outputs and parameter gradients of a weighted sum of them."""
+        with diff.Tape() as tape:
+            lats = latents(model, encode_t(model.encoder, diff.constant(img)))
+            out = eval_global_batch(model, lats, X)
+            weights = np.random.default_rng(9).standard_normal(out.shape)
+            loss = diff.reduce_sum(diff.mul(out, diff.constant(weights)))
+        grads = diff.backward(tape, loss)
+        params = model.named_parameters().values()
+        return lats[0].shape, out.data, [grads[p].data for p in params if p in grads]
+
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
+    @pytest.mark.parametrize("items", [0, 2])
+    def test_folded_code_matches_per_slot_assembly(self, t, mode, items):
+        model = build_model(_small_cfg("ope", t, mode=mode, k_max=3), seed=t)
+        img = np.random.default_rng(t).random((items, 9, 9, 3) if items else (9, 9, 3))
+        X = np.random.default_rng(1).uniform(-1.0, 1.0, (max(items, 1) * 300, 2))
+        shape, out, grads = self._run(model, img, X, compute_latents)
+        ref_shape, ref_out, ref_grads = self._run(model, img, X, self._per_slot)
+        assert shape[-2:] == (1, 3 * 49) and ref_shape[-2:] == (t, 3 * 49)
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+        assert len(grads) == len(ref_grads) == len(model.named_parameters())
+        for g, r in zip(grads, ref_grads):
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("t", [8, 16])
+    def test_other_groups_keep_per_slot_codes(self, t):
+        model = build_model(_small_cfg("ope", t, n=2), seed=0)
+        img = np.random.default_rng(0).random((7, 7, 3))
+        X = np.random.default_rng(1).uniform(-1.0, 1.0, (200, 2))
+        shape, out, grads = self._run(model, img, X, compute_latents)
+        ref_shape, ref_out, ref_grads = self._run(model, img, X, self._per_slot)
+        assert shape == ref_shape and shape[-2] == t
+        assert np.array_equal(out, ref_out)
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+    def test_chunk_plan_counts_the_code_slots(self):
+        one = inr._query_bytes(ModelConfig(variant="ope", t=1))
+        assert all(inr._query_bytes(ModelConfig(variant="ope", t=t)) == one for t in (2, 4))
+        assert inr._query_bytes(ModelConfig(variant="ope", t=8)) > one
 
 
 class TestEvalGlobal:

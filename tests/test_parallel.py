@@ -117,7 +117,7 @@ class TestSameBitsForAnyWorkerCount:
         self._assert_train_same_bits(monkeypatch, ModelConfig(variant=variant, blocks=1), spec,
                                      steps=2, batch=2, patch=12, seed=5)
 
-    @pytest.mark.parametrize("variant,chunks", [("liif", 4), ("ope", 7), ("lte", 5)])
+    @pytest.mark.parametrize("variant,chunks", [("liif", 4), ("ope", 3), ("lte", 5)])
     def test_train_at_benchmark_shape(self, monkeypatch, variant, chunks):
         # the train-steps workload's shape: each step's 4 x 24 x 24 queries
         # are several taped INR chunks

@@ -9,7 +9,7 @@ every output bit-identical prints the same text for both:
 
 The outputs are:
   * `super_resolve` of one 16x16 image at scale 2.5 for liif/ope/lte x
-    t in {1, 4, 16} x both evaluation modes x eps in {the config's, 0};
+    t in {1, 2, 4, 16} x both evaluation modes x eps in {the config's, 0};
   * per variant, a 4-step `train` (batch 4, patch 12) and a 2-step `train`
     at the benchmark's train-steps shape (stripes of size 96, batch 4,
     patch 24, whose INR queries are several chunks per step): their losses
@@ -65,7 +65,7 @@ def sr_lines():
 
     img = Image(np.random.default_rng(0).random((16, 16, 3)))
     for variant in VARIANTS:
-        for t in (1, 4, 16):
+        for t in (1, 2, 4, 16):
             for mode in ("ensemble", "nearest"):
                 model = build_model(ModelConfig(variant=variant, t=t, mode=mode), seed=0)
                 for label, eps in (("cfg", None), ("0", 0.0)):
