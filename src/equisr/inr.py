@@ -1,12 +1,16 @@
 """Rotation-equivariant implicit neural representation layers and models.
 
-The INR maps one latent code (the paper's n x t matrix F, one column per
-group slot: the transpose of one pixel of an (h, w, t, n) feature array)
-plus a local coordinate to a pixel value, through three layer types:
+The INR maps one latent code F plus a local coordinate to a pixel value.
+F is one pixel of an (h, w, t, n) feature array, a (t, n) matrix whose row
+F^A belongs to group slot A (the paper writes its n x t transpose).  Three
+layer types, each run on Q queries stacked along a leading axis:
 
-* input layer:   H(x, B) = sum_A phi(W_in^{B^{-1}A}, F^A, A^{-1} x);
-* intermediate:  H'(x, A) = sum_B W^{A^{-1}B} . H(x, B);
-* output layer:  f(x) = psi(sum_A W_out1 . H(x, A)).
+* input layer:   H(x, B) = sum_A phi(W_in^{B^{-1}A}, F^A, A^{-1} x)
+  (_input_stage);
+* intermediate:  H'(x, A) = sum_B W^{A^{-1}B} . H(x, B)  (_cyclic_layer);
+* output layer:  f(x) = psi(sum_A W_out1 . H(x, A))  (_output_head).
+
+_eval_local_batch chains them; SR and training evaluate nothing else.
 
 Cyclic weight sharing (indices B^{-1}A resp. A^{-1}B) makes every layer
 commute with "cyclically shift the group axis, rotate the coordinate", so a
@@ -497,16 +501,14 @@ def _eval_global_chunk(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
     return diff.reduce_sum(diff.reshape(diff.gather(preds, slot), (4, q, -1)), axes=0)
 
 
-def _query_bytes(cfg: ModelConfig) -> int:
-    """Upper estimate of the bytes one query's assembly temporaries hold at once."""
-    slots = cfg.t
+def _query_bytes(cfg: ModelConfig, slots: int) -> int:
+    """Upper estimate of the bytes one query's assembly temporaries hold at
+    once, for latent codes of `slots` slots (t, or 1 for ope's folded code)."""
     if cfg.variant == "liif":
         slot = 2 * (cfg.n + 2) + 4 * cfg.width  # codes, [F; x], cyclic layer outputs
     elif cfg.variant == "ope":
         kb = (2 * cfg.k_max + 1) ** 2
         slot = cfg.out_channels * kb + 3 * kb  # coefficients, basis and its factors
-        if _ope_rotations(make_group(cfg.t), cfg.k_max) is not None:
-            slots = 1  # compute_latents folds the slots
     else:  # lte: amplitudes, frequencies, angles, cos, sin, waves
         slot = 12 * cfg.K
     # per local evaluation: the code's slots, then the t-free output head
@@ -540,7 +542,7 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, 
     q, items = X.shape[0], (lats[0].shape[0] if lats[0].ndim == 5 else 1)
     if q % items:
         raise ShapeError(f"{q} queries do not split evenly over {items} latent items")
-    rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg))
+    rows = max(1, _CHUNK_BYTES // _query_bytes(model.cfg, lats[0].shape[-2]))
     chunks = max(1, -(-q // rows))
     cuts = [q * i // chunks for i in range(chunks + 1)]
     taped = diff.recording()
@@ -590,59 +592,15 @@ def super_resolve(model: INRModel, img: Image, scale: float, *,
     return Image(out.data.reshape(h_out, w_out, model.cfg.out_channels))
 
 
-# ---------------------------------------------------------------------------
-# per-pixel public layer API (thin wrappers over the batched cores)
-# ---------------------------------------------------------------------------
-
-def _latent_to_batch(latent, variant: str) -> tuple[Tensor, ...]:
-    if variant == "lte":
-        amp, freq = latent
-        amp = np.asarray(amp, dtype=np.float64)  # (2K, t)
-        freq = np.asarray(freq, dtype=np.float64)  # (K, 2, t)
-        t = amp.shape[-1]
-        lat_a = diff.constant(np.ascontiguousarray(amp.T)[None, :, :])  # (1, t, 2K)
-        lat_f = diff.constant(np.moveaxis(freq, -1, 0).reshape(t, -1)[None, :, :])
-        return (lat_a, lat_f)
-    lat = np.asarray(latent, dtype=np.float64)  # (n, t)
-    return (diff.constant(np.ascontiguousarray(lat.T)[None, :, :]),)
-
-
-def input_layer(latent, x, params: INRParams) -> np.ndarray:
-    """H(x, B) for all B as a (t, width) array.
-
-    `latent` is an (n, t) slot-column matrix, or an (amp (2K, t),
-    freq (K, 2, t)) pair for the lte variant.
-    """
-    X = np.asarray(x, dtype=np.float64)[None, :]
-    h = _input_stage(params, _latent_to_batch(latent, params.cfg.variant), X).data[0]
-    return h if h.ndim == 2 else np.tile(h, (params.cfg.t, 1))  # constant in B
-
-
-def intermediate_layer(H: np.ndarray, W) -> np.ndarray:
-    """Apply the cyclic-sharing linear layer to H (t, m_in) -> (t, m_out)."""
-    Wt = W if isinstance(W, Tensor) else diff.constant(np.asarray(W, dtype=np.float64))
-    out = _cyclic_layer(diff.constant(np.asarray(H)[None]), Wt)
-    return out.data[0]
-
-
-def output_layer(Hhat: np.ndarray, W_out1, psi=None) -> np.ndarray:
-    """Collapse the group axis with the shared matrix, then apply psi."""
-    z = diff.reduce_sum(diff.constant(np.asarray(Hhat)[None]), axes=1)
-    return _output_head(W_out1, psi or [], z).data[0]
-
-
-def eval_local(latent, x_local, params: INRParams) -> np.ndarray:
-    """One latent code's local function at one normalized offset."""
-    lat = _latent_to_batch(latent, params.cfg.variant)
-    X = np.asarray(x_local, dtype=np.float64)[None, :]
-    return _eval_local_batch(params, lat, X).data[0]
-
-
 def eval_global(model: INRModel, feat: np.ndarray, x, *,
                 eps: float | None = None) -> np.ndarray:
-    """Evaluate the continuous function of an (h, w, t, n) feature array at one point."""
+    """Evaluate the continuous function of an (h, w, t, n) feature array at one
+    point x of [-1, 1]^2 (a 2-vector, else ShapeError; outside or non-finite,
+    DomainError)."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > 1.0):
-        raise DomainError(f"query {x} outside [-1, 1]^2")
+    if x.shape != (2,):
+        raise ShapeError(f"a query is one 2-vector, got shape {x.shape}")
+    if not np.all(np.abs(x) <= 1.0):  # also false for NaN
+        raise DomainError(f"query {x} is not a finite point of [-1, 1]^2")
     lats = compute_latents(model, diff.constant(feat))
     return eval_global_batch(model, lats, x[None, :], eps=eps).data[0]

@@ -5,13 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equisr import __version__, metrics
+from equisr import __version__, diff, metrics
 from equisr.data import DatasetSpec
 from equisr.diff import Tensor
 from equisr.errors import CheckpointError, ConfigError, EvaluationError, MetricError
 from equisr.groups import rotate_image
-from equisr.image import Image
+from equisr.image import Image, pixel_coords
 from equisr.inr import ModelConfig, build_model, super_resolve
 from equisr.metrics import (
     SWEEP_HEADER,
@@ -31,6 +33,7 @@ from equisr.training import (
     load_checkpoint,
     loss_log_csv,
     save_checkpoint,
+    step_loss,
     train,
 )
 
@@ -342,6 +345,48 @@ class TestTrain:
         res = train(cfg, data, steps=3, batch=1, patch=12, seed=1)
         assert [row[0] for row in res.loss_rows] == [0, 1, 2]
         assert res.state.step == 3
+
+
+class TestTrainingInvariance:
+    """With eps = 0 a training step's loss and gradients do not change when
+    the whole batch turns by a group rotation: the taped path (chunks, splice,
+    backward) is p2/p4 exact as serving is."""
+
+    @staticmethod
+    def _step(model, lr, coords, targets):
+        with diff.Tape() as tape:
+            loss = step_loss(model, lr, coords, targets)
+        grads = diff.backward(tape, loss)
+        return float(loss.data), [grads[p].data for p in model.named_parameters().values()]
+
+    @settings(max_examples=60)
+    @given(variant=st.sampled_from(["liif", "ope", "lte"]),
+           turn=st.sampled_from([(2, 2), (4, 1), (4, 2), (4, 3)]),  # (t, quarter turns)
+           batch=st.sampled_from([1, 2]), mode=st.sampled_from(["ensemble", "nearest"]),
+           h=st.integers(3, 7), scale=st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+           seed=st.integers(0, 2**16))
+    def test_rotated_batch_gives_same_loss_and_gradients(self, variant, turn, batch, mode, h,
+                                                         scale, seed):
+        # not scale 1: there every query sits on its latent's center, where
+        # lte's frequency head has an exact gradient of 0 and a computed one
+        # of pure roundoff, which no relative bound can compare
+        t, quarters = turn
+        cfg = ModelConfig(variant=variant, t=t, n=4, blocks=1, p=3, width=8, psi_widths=(8,),
+                          K=3, k_max=1, eps=0.0, mode=mode)
+        model = build_model(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        hr = round(h * scale)
+        lr = rng.random((batch, h, h, 3))
+        coords = np.tile(pixel_coords(hr).reshape(-1, 2), (batch, 1))
+        targets = rng.random((coords.shape[0], 3))
+        loss, grads = self._step(model, lr, coords, targets)
+        # np.rot90 turns each patch counter-clockwise; its queries turn with it
+        quarter = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), quarters)
+        turned_lr = np.ascontiguousarray(np.rot90(lr, quarters, axes=(1, 2)))
+        turned_loss, turned_grads = self._step(model, turned_lr, coords @ quarter.T, targets)
+        assert abs(turned_loss - loss) <= 1e-12 * abs(loss)
+        for g, r in zip(turned_grads, grads):
+            assert np.max(np.abs(g - r)) <= 1e-9 * np.max(np.abs(r))
 
 
 class TestCheckpoint:

@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,19 +23,17 @@ from equisr.image import Image, cell_position, pixel_coords
 from equisr.inr import (
     INRModel,
     ModelConfig,
+    _cyclic_layer,
     _eval_local_batch,
-    _latent_to_batch,
+    _input_stage,
+    _output_head,
     build_inr,
     build_model,
     compute_latents,
     eval_global,
     eval_global_batch,
-    eval_local,
-    input_layer,
-    intermediate_layer,
     lift_coordinate,
     ope_basis,
-    output_layer,
     output_size,
     parameter_count,
     super_resolve,
@@ -47,20 +46,46 @@ from equisr.training import train
 def _shift(latent, k, t):
     """Cyclic slot shift matching the feature-map rotation law."""
     perm = [(j - k) % t for j in range(t)]
-    if isinstance(latent, tuple):
-        amp, freq = latent
-        return amp[:, perm], freq[:, :, perm]
-    return latent[:, perm]
+    return tuple(x[perm] for x in latent)
 
 
 def _random_latent(rng, cfg):
+    """One pixel's latent codes in the served (t, c) layout: (feat,), (coeffs,)
+    or lte's (amp, freq), whose freq row holds K (x, y) pairs."""
     t = cfg.t
     if cfg.variant == "lte":
-        return (rng.standard_normal((2 * cfg.K, t)), rng.standard_normal((cfg.K, 2, t)))
+        return (rng.standard_normal((t, 2 * cfg.K)), rng.standard_normal((t, 2 * cfg.K)))
     if cfg.variant == "ope":
-        n = 3 * (2 * cfg.k_max + 1) ** 2
-        return rng.standard_normal((n, t))
-    return rng.standard_normal((cfg.n, t))
+        return (rng.standard_normal((t, 3 * (2 * cfg.k_max + 1) ** 2)),)
+    return (rng.standard_normal((t, cfg.n)),)
+
+
+def _rows(latent):
+    """The codes of one pixel as a Q = 1 batch of the batched stages."""
+    return tuple(diff.constant(x[None]) for x in latent)
+
+
+def _input_h(params, latent, x):
+    """H(x, B) for every B, (t, width), from _input_stage; ope's and lte's H,
+    constant in B, is one row tiled t times."""
+    h = _input_stage(params, _rows(latent), x[None]).data[0]
+    return h if h.ndim == 2 else np.tile(h, (params.cfg.t, 1))
+
+
+def _mid(h, W):
+    """The cyclic intermediate layer of one H (t, m_in) -> (t, m_out)."""
+    return _cyclic_layer(diff.constant(h[None]), diff.constant(W)).data[0]
+
+
+def _out(h, W_out1, psi=()):
+    """The output layer of one H (t, m): the group sum, then _output_head."""
+    z = diff.reduce_sum(diff.constant(h[None]), axes=1)
+    return _output_head(diff.constant(W_out1), list(psi), z).data[0]
+
+
+def _local(params, latent, x):
+    """One pixel's local function at one normalized offset x, as SR runs it."""
+    return _eval_local_batch(params, _rows(latent), x[None]).data[0]
 
 
 def _small_cfg(variant, t, **kw):
@@ -109,10 +134,10 @@ class TestInputLayer:
         cfg = _small_cfg("liif", 1)
         params = build_inr(cfg, make_group(1), np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        latent = rng.standard_normal((cfg.n, 1))
+        latent = (rng.standard_normal((1, cfg.n)),)
         x = rng.standard_normal(2)
-        h = input_layer(latent, x, params)
-        direct = params.W_in.data[0] @ np.concatenate([latent[:, 0], x])
+        h = _input_h(params, latent, x)
+        direct = params.W_in.data[0] @ np.concatenate([latent[0][0], x])
         assert np.max(np.abs(h[0] - direct)) <= 1e-14
 
     def test_t2_scalar_hand_expansion(self):
@@ -121,9 +146,9 @@ class TestInputLayer:
         params = build_inr(cfg, make_group(2), np.random.default_rng(0))
         params.W_in.data[0] = [[1.0, 2.0, 3.0]]
         params.W_in.data[1] = [[10.0, 20.0, 30.0]]
-        latent = np.array([[5.0, 7.0]])
+        latent = (np.array([[5.0], [7.0]]),)
         x = np.array([0.5, -0.25])
-        h = input_layer(latent, x, params)
+        h = _input_h(params, latent, x)
         #4-term expansion over (A, B) with A_1 = -I:
         #   H(x,0) = W0.[5, .5, -.25] + W1.[7, -.5, .25] = 5.25 + 67.5
         #   H(x,1) = W1.[5, .5, -.25] + W0.[7, -.5, .25] = 52.5 + 6.75
@@ -139,10 +164,9 @@ class TestInputLayer:
             rng = np.random.default_rng(100 + seed)
             latent = _random_latent(rng, cfg)
             x = rng.uniform(-1, 1, size=2)
-            base = input_layer(latent, x, params)
             for k in range(t):
-                lhs = input_layer(_shift(latent, k, t), x, params)
-                rot = input_layer(latent, g.matrices[k % g.t].T @ x, params)
+                lhs = _input_h(params, _shift(latent, k, t), x)
+                rot = _input_h(params, latent, g.matrices[k % g.t].T @ x)
                 rhs = rot[[(b - k) % t for b in range(t)]]
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -153,13 +177,13 @@ class TestIntermediateLayer:
         W = np.zeros((t, m, m))
         W[0] = np.eye(m)
         h = np.random.default_rng(0).standard_normal((t, m))
-        assert np.array_equal(intermediate_layer(h, W), h)
+        assert np.array_equal(_mid(h, W), h)
 
     def test_t2_hand_example(self):
         a, b = 2.0, -3.0
         W = np.array([[[a]], [[b]]])
         h = np.array([[5.0], [7.0]])
-        out = intermediate_layer(h, W)
+        out = _mid(h, W)
         assert np.allclose(out.ravel(), [a * 5 + b * 7, b * 5 + a * 7], atol=1e-15)
 
     @pytest.mark.parametrize("t", [2, 4, 8])
@@ -167,10 +191,10 @@ class TestIntermediateLayer:
         rng = np.random.default_rng(3)
         W = rng.standard_normal((t, 5, 5))
         h = rng.standard_normal((t, 5))
-        base = intermediate_layer(h, W)
+        base = _mid(h, W)
         for k in range(t):
             perm = [(j - k) % t for j in range(t)]
-            lhs = intermediate_layer(h[perm], W)
+            lhs = _mid(h[perm], W)
             assert np.max(np.abs(lhs - base[perm])) <= 1e-13
 
 
@@ -178,7 +202,7 @@ class TestOutputLayer:
     def test_average_with_identity_psi(self):
         t, m = 4, 3
         h = np.random.default_rng(4).standard_normal((t, m))
-        out = output_layer(h, np.eye(m) / t)
+        out = _out(h, np.eye(m) / t)
         assert np.max(np.abs(out - h.mean(axis=0))) <= 1e-14
 
     def test_constant_rows_scale_by_t(self):
@@ -186,7 +210,7 @@ class TestOutputLayer:
         row = np.array([1.5, -0.5])
         h = np.tile(row, (t, 1))
         w1 = np.array([[2.0, 0.0], [1.0, 1.0]])
-        out = output_layer(h, w1)
+        out = _out(h, w1)
         assert np.allclose(out, t * (w1 @ row), atol=1e-13)
 
     @pytest.mark.parametrize("t", [2, 4, 8])
@@ -195,10 +219,10 @@ class TestOutputLayer:
         h = rng.standard_normal((t, 6))
         w1 = rng.standard_normal((3, 6))
         psi = [(diff.constant(rng.standard_normal((2, 3))), diff.constant(rng.standard_normal(2)))]
-        base = output_layer(h, w1, psi)
+        base = _out(h, w1, psi)
         for k in range(t):
             perm = [(j - k) % t for j in range(t)]
-            assert np.max(np.abs(output_layer(h[perm], w1, psi) - base)) <= 1e-12
+            assert np.max(np.abs(_out(h[perm], w1, psi) - base)) <= 1e-12
 
 
 def _closed_form_oracle(cfg, params, group, latent, x):
@@ -213,26 +237,28 @@ def _closed_form_oracle(cfg, params, group, latent, x):
         return z
 
     if cfg.variant == "liif":
+        (feat,) = latent
         acc = np.zeros(params.W_out1.shape[0])
         for a in range(t):
             xa = group.matrices[a % group.t].T @ x
-            v = np.concatenate([latent[:, a], xa])
+            v = np.concatenate([feat[a], xa])
             for b in range(t):
                 acc += params.W_out1.data @ (params.W_in.data[(a - b) % t] @ v)
         return run_psi(acc)
     if cfg.variant == "ope":
+        (coeffs,) = latent
         kb = (2 * cfg.k_max + 1) ** 2
         acc = np.zeros(3)
         for a in range(t):
             p_vec = ope_basis((group.matrices[a % group.t].T @ x)[None, :], cfg.k_max)[0]
-            acc += latent[:, a].reshape(3, kb) @ p_vec
+            acc += coeffs[a].reshape(3, kb) @ p_vec
         return acc
     amp, freq = latent
     acc = np.zeros(2 * cfg.K)
     for a in range(t):
         xa = group.matrices[a % group.t].T @ x
-        ang = np.pi * (freq[:, :, a] @ xa)
-        acc += amp[:, a] * np.concatenate([np.cos(ang), np.sin(ang)])
+        ang = np.pi * (freq[a].reshape(cfg.K, 2) @ xa)
+        acc += amp[a] * np.concatenate([np.cos(ang), np.sin(ang)])
     return run_psi(t * (params.W_out1.data @ acc))
 
 
@@ -242,8 +268,8 @@ class TestEvalLocal:
         params = build_inr(cfg, make_group(4), np.random.default_rng(0))
         for p in params.named_parameters().values():
             p.data[...] = 0.0
-        latent = np.random.default_rng(1).standard_normal((cfg.n, 4))
-        out = eval_local(latent, np.array([0.3, 0.4]), params)
+        latent = (np.random.default_rng(1).standard_normal((4, cfg.n)),)
+        out = _local(params, latent, np.array([0.3, 0.4]))
         assert np.array_equal(out, np.zeros(3))
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
@@ -258,13 +284,12 @@ class TestEvalLocal:
             rng = np.random.default_rng(50 + seed)
             latent = _random_latent(rng, cfg)
             x = rng.uniform(-1, 1, size=2)
-            base = eval_local(latent, x, params)
+            base = _local(params, latent, x)
             for k in range(4):
-                fwd = eval_local(_shift(latent, k, 4), x, params)
-                rot = eval_local(latent, g.matrices[k % g.t].T @ x, params)
+                fwd = _local(params, _shift(latent, k, 4), x)
+                rot = _local(params, latent, g.matrices[k % g.t].T @ x)
                 assert np.max(np.abs(fwd - rot)) <= 1e-11
-                inv = eval_local(_shift(latent, (4 - k) % 4, 4),
-                                 g.matrices[k % g.t].T @ x, params)
+                inv = _local(params, _shift(latent, (4 - k) % 4, 4), g.matrices[k % g.t].T @ x)
                 assert np.max(np.abs(inv - base)) <= 1e-11
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
@@ -275,7 +300,7 @@ class TestEvalLocal:
         rng = np.random.default_rng(8)
         latent = _random_latent(rng, cfg)
         x = rng.uniform(-1, 1, size=2)
-        got = eval_local(latent, x, params)
+        got = _local(params, latent, x)
         expected = _closed_form_oracle(cfg, params, g, latent, x)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -289,32 +314,11 @@ class TestEvalLocal:
         rng = np.random.default_rng(20 + t)
         latents = [_random_latent(rng, cfg) for _ in range(5)]
         X = rng.uniform(-1, 1, size=(5, 2))
-        per_query = [_latent_to_batch(lat, variant) for lat in latents]
-        batch = tuple(diff.constant(np.concatenate([x.data for x in parts]))
-                      for parts in zip(*per_query))
+        batch = tuple(diff.constant(np.stack(parts)) for parts in zip(*latents))
         got = _eval_local_batch(params, batch, X).data
         for q in range(5):
             expected = _closed_form_oracle(cfg, params, g, latents[q], X[q])
             assert np.max(np.abs(got[q] - expected)) <= 1e-12
-
-    @pytest.mark.parametrize("variant,t", [("liif", 1), ("liif", 2), ("liif", 4), ("liif", 8),
-                                           ("lte", 1), ("lte", 2), ("lte", 4), ("lte", 8)])
-    def test_layer_api_is_the_served_local_function(self, variant, t):
-        # input_layer and output_layer run eval_local's own stages: liif
-        # (L = 0) bit for bit; lte's head scales one slot by t where the
-        # layer API sums t equal slots
-        cfg = _small_cfg(variant, t)
-        params = build_inr(cfg, make_group(t), np.random.default_rng(t))
-        rng = np.random.default_rng(40 + t)
-        for _ in range(3):
-            latent = _random_latent(rng, cfg)
-            x = rng.uniform(-1, 1, size=2)
-            got = output_layer(input_layer(latent, x, params), params.W_out1, params.psi)
-            want = eval_local(latent, x, params)
-            if variant == "liif":
-                assert np.array_equal(got, want)
-            else:
-                assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_intermediate_layer_parameter_share(self):
         # a cyclic-sharing layer stores t blocks of m*m, a dense layer on the
@@ -407,9 +411,12 @@ class TestOpeFold:
         assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
     def test_chunk_plan_counts_the_code_slots(self):
-        one = inr._query_bytes(ModelConfig(variant="ope", t=1))
-        assert all(inr._query_bytes(ModelConfig(variant="ope", t=t)) == one for t in (2, 4))
-        assert inr._query_bytes(ModelConfig(variant="ope", t=8)) > one
+        def plan(t):
+            return _plan_bytes(build_model(ModelConfig(variant="ope", t=t)))
+
+        one = plan(1)
+        assert all(plan(t) == one for t in (2, 4))
+        assert plan(8) > one
 
 
 class TestEvalGlobal:
@@ -424,7 +431,7 @@ class TestEvalGlobal:
         # pixel (2, 3) center
         x = np.array([-1.0 + 3.5 * (2.0 / 8), 1.0 - 2.5 * (2.0 / 8)])
         got = eval_global(_in_mode(model, "nearest"), feat, x)
-        expected = eval_local(feat[2, 3].T, np.zeros(2), model.inr)
+        expected = _local(model.inr, (feat[2, 3],), np.zeros(2))
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_ensemble_at_center_with_zero_eps_matches_nearest(self):
@@ -454,8 +461,8 @@ class TestEvalGlobal:
         # on the edge between columns 2 and 3 of row 2
         x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 2.5 * (2.0 / 8)])
         got = eval_global(_in_mode(model, "nearest"), feat, x)
-        expected = (eval_local(feat[2, 2].T, np.array([1.0, 0.0]), model.inr)
-                    + eval_local(feat[2, 3].T, np.array([-1.0, 0.0]), model.inr)) / 2
+        expected = (_local(model.inr, (feat[2, 2],), np.array([1.0, 0.0]))
+                    + _local(model.inr, (feat[2, 3],), np.array([-1.0, 0.0]))) / 2
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_nearest_tie_on_cell_corner_shares_all_four_latents(self):
@@ -465,8 +472,8 @@ class TestEvalGlobal:
         # the corner shared by rows 2, 3 and columns 2, 3
         x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 3 * (2.0 / 8)])
         got = eval_global(_in_mode(model, "nearest"), feat, x)
-        expected = sum(eval_local(feat[i, j].T, np.array([1.0 - 2 * (j - 2), 2 * (i - 2) - 1.0]),
-                                  model.inr)
+        expected = sum(_local(model.inr, (feat[i, j],),
+                              np.array([1.0 - 2 * (j - 2), 2 * (i - 2) - 1.0]))
                        for i in (2, 3) for j in (2, 3)) / 4
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -479,7 +486,7 @@ class TestEvalGlobal:
         feat = encode_t(model.encoder, diff.constant(img.data)).data
         x = np.array([-1.0 + (j + 0.5) * (2.0 / 8), 1.0 - (i + 0.5) * (2.0 / 8)])
         got = eval_global(_in_mode(model, "ensemble"), feat, x, eps=0.0)
-        expected = eval_local(feat[i, j].T, np.zeros(2), model.inr)
+        expected = _local(model.inr, (feat[i, j],), np.zeros(2))
         assert np.all(np.isfinite(got)) and np.max(np.abs(got - expected)) <= 1e-12
 
     def test_nearest_evaluates_one_latent_per_query_off_ties(self, monkeypatch):
@@ -521,6 +528,22 @@ class TestEvalGlobal:
         feat = encode_t(model.encoder, diff.constant(img.data)).data
         with pytest.raises(DomainError):
             eval_global(model, feat, np.array([1.5, 0.0]))
+
+    @pytest.mark.parametrize("x,error", [
+        ([np.nan, 0.0], DomainError), ([0.0, np.inf], DomainError), ([-np.inf, np.nan], DomainError),
+        ([0.1, 0.2, 0.3], ShapeError), ([[0.1, 0.2]], ShapeError), (0.5, ShapeError),
+    ])
+    def test_malformed_query_rejected_before_any_work(self, monkeypatch, x, error):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a malformed query reached the latent heads")
+
+        model = self._model()
+        feat = encode_t(model.encoder, diff.constant(np.zeros((4, 4, 3)))).data
+        monkeypatch.setattr(inr, "compute_latents", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            with pytest.raises(error):
+                eval_global(model, feat, x)
 
 
 class TestSuperResolve:
@@ -641,6 +664,13 @@ def _latents(cfg, side, seed=0):
     return model, compute_latents(model, encode_t(model.encoder, diff.constant(img)))
 
 
+def _plan_bytes(model):
+    """Bytes per query of eval_global_batch's chunk plan for the codes that
+    compute_latents gives the model."""
+    lats = _latents_of(model, np.zeros((4, 4, model.cfg.c_in)))
+    return inr._query_bytes(model.cfg, lats[0].shape[-2])
+
+
 def _chunk_sizes(monkeypatch):
     sizes = []
     real = inr._eval_global_chunk
@@ -674,7 +704,7 @@ class TestStreamedAssembly:
         X = np.random.default_rng(1).uniform(-1.0, 1.0, (1003, 2))
         whole = eval_global_batch(model, lats, X).data
         rows = 97  # 1003 = 10 * 97 + 33 queries, for any number of workers
-        monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * inr._query_bytes(model.cfg))
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * _plan_bytes(model))
         for workers in (1, 2, 3):
             _pin_workers(monkeypatch, workers)
             sizes = _chunk_sizes(monkeypatch)
@@ -688,7 +718,7 @@ class TestStreamedAssembly:
         # a training item's 24 x 24 queries are 6 chunks of 96 at a 97-row
         # budget, whether or not a tape records
         model, lats = _latents(ModelConfig(variant=variant, blocks=1), 6)
-        monkeypatch.setattr(inr, "_CHUNK_BYTES", 97 * inr._query_bytes(model.cfg))
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", 97 * _plan_bytes(model))
         _pin_workers(monkeypatch, 2)
         for q, chunks in ((24 * 24, [96] * 6), (1003, [91] * 9 + [92] * 2)):
             X = np.random.default_rng(2).uniform(-1.0, 1.0, (q, 2))
@@ -789,7 +819,7 @@ class TestBatchedAssembly:
                     for img, X_item in zip(imgs, np.split(X, 3))]
         # 300 queries in 5 chunks of 60: boundaries 60, 120, 180 and 240 fall
         # inside items, whose boundaries are 100 and 200
-        monkeypatch.setattr(inr, "_CHUNK_BYTES", 70 * inr._query_bytes(model.cfg))
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", 70 * _plan_bytes(model))
         _pin_workers(monkeypatch, 2)
         sizes = _chunk_sizes(monkeypatch)
         out = eval_global_batch(model, _latents_of(model, imgs), X).data
@@ -822,7 +852,7 @@ class TestParallelAssembly:
 
     @staticmethod
     def _budget(monkeypatch, model, rows, workers):
-        monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * inr._query_bytes(model.cfg))
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", rows * _plan_bytes(model))
         _pin_workers(monkeypatch, workers)
 
     def _meeting_threads(self, monkeypatch, workers):

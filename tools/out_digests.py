@@ -1,5 +1,8 @@
 """Print one `name sha256` line per output of the package, to show bit identity.
 
+It also prints one `chunks.*` line per query-chunk plan, to show that a change
+leaves the plans alone.
+
 Run it on two source trees and compare the lines; a refactor that keeps
 every output bit-identical prints the same text for both:
 
@@ -21,7 +24,11 @@ The outputs are:
     as a file-dir corpus (`cli.file-dir.*`);
   * the gen-data manifest.csv of a file-dir corpus holding one 30x20 PGM and
     one 24x16 PPM (`cli.file-dir.manifest.csv`);
-  * every gradcheck case's `max_rel_err`.
+  * every gradcheck case's `max_rel_err`;
+  * the query chunks `inr.eval_global_batch` cuts for one 64x64 -> 256x256
+    `super_resolve` per variant x t in {1, 4, 16} x both evaluation modes,
+    as `chunks.<variant>.t<t>.<mode> <size>x<count> ...` (each chunk size
+    and how many chunks have it), seen by wrapping `inr._eval_global_chunk`.
 `OPENBLAS_NUM_THREADS` is 1 unless it is set: some products round
 differently at other thread counts.
 """
@@ -71,6 +78,38 @@ def sr_lines():
                 for label, eps in (("cfg", None), ("0", 0.0)):
                     out = super_resolve(model, img, 2.5, eps=eps)
                     yield f"sr.{variant}.t{t}.{mode}.eps{label}", _array_digest(out.data)
+
+
+def chunk_lines():
+    import collections
+
+    import numpy as np
+
+    from equisr import inr
+    from equisr.image import Image
+    from equisr.inr import ModelConfig, build_model, super_resolve
+
+    img = Image(np.random.default_rng(0).random((64, 64, 3)))
+    real = inr._eval_global_chunk
+    sizes = []
+
+    def counting(model, lats, X, *rest):
+        sizes.append(X.shape[0])
+        return real(model, lats, X, *rest)
+
+    inr._eval_global_chunk = counting
+    try:
+        for variant in VARIANTS:
+            for t in (1, 4, 16):
+                for mode in ("ensemble", "nearest"):
+                    sizes.clear()
+                    super_resolve(build_model(ModelConfig(variant=variant, t=t, mode=mode)),
+                                  img, 4.0)
+                    plan = sorted(collections.Counter(sizes).items())
+                    yield (f"chunks.{variant}.t{t}.{mode}",
+                           " ".join(f"{size}x{count}" for size, count in plan))
+    finally:
+        inr._eval_global_chunk = real
 
 
 def train_lines(tmp: str):
@@ -159,7 +198,8 @@ def main(argv: list[str]) -> int:
         return 1
     sys.path.insert(0, os.path.abspath(argv[0]))
     with tempfile.TemporaryDirectory() as tmp:
-        for lines in (sr_lines(), train_lines(tmp), cli_lines(tmp), gradcheck_lines()):
+        for lines in (sr_lines(), train_lines(tmp), cli_lines(tmp), gradcheck_lines(),
+                      chunk_lines()):
             for name, digest in lines:
                 print(name, digest, flush=True)
     return 0
