@@ -131,14 +131,14 @@ def _layer_checks() -> list[CheckResult]:
 
         if variant == "lte":
             def local(amp, freq, _m=model):
-                return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, (amp, freq), x_loc)))
+                return diff.reduce_sum(diff.sin(_eval_local_batch(_m, (amp, freq), x_loc)))
 
             inputs = [_tensor(3, cfg.t, 2 * cfg.K), _tensor(3, cfg.t, 2 * cfg.K)]
         else:
             n_lat = cfg.n if variant == "liif" else 3 * (2 * cfg.k_max + 1) ** 2
 
             def local(latq, _m=model):
-                return diff.reduce_sum(diff.sin(_eval_local_batch(_m.inr, (latq,), x_loc)))
+                return diff.reduce_sum(diff.sin(_eval_local_batch(_m, (latq,), x_loc)))
 
             inputs = [_tensor(3, cfg.t, n_lat)]
         out.append(_check(f"inr.local.{variant}", local, inputs))
@@ -160,7 +160,7 @@ def _composite_checks() -> list[CheckResult]:
         return _check(name, lambda *_: fn(model), [held[k] for k in names], scale)
 
     def encoder_loss(model):
-        return diff.reduce_sum(diff.sin(encode_t(model.encoder, diff.constant(lr[0]))))
+        return diff.reduce_sum(diff.sin(encode_t(model, diff.constant(lr[0]))))
 
     def pipeline_loss(model):
         return step_loss(model, lr, coords, targets)

@@ -154,7 +154,8 @@ def _check_patch_fits(patch: int, data: DatasetSpec) -> None:
 
 def model_config(doc: dict) -> ModelConfig:
     """The model section as a ModelConfig, its values unchanged: ModelConfig's
-    checks are the only ones, and a failing field is reported by its key."""
+    checks are the only ones, and a failing field is reported by its key (a
+    model too large only as a whole, see inr.MAX_PARAMETERS, as "model")."""
     m = doc["model"]
     enc, head = m["encoder"], m["inr"]
     widths = head["widths"]
@@ -174,12 +175,20 @@ def model_config(doc: dict) -> ModelConfig:
         "eps": ("model.inr.eps", head["eps"]),
         "mode": ("model.inr.mode", head["mode"]),
     }
+    # each field alone in the smallest model of the section's variant, so an
+    # error names its key and a model too large only as a whole is "model"
+    smallest = dict(t=1, blocks=1, n=1, p=1, width=1, psi_widths=(), k_max=0, K=1)
     for name, (key, value) in fields.items():
         try:
-            ModelConfig(**{name: value})  # each field alone, so the error names its key
+            ModelConfig(**{**smallest, name: value})
         except ConfigError as e:
             raise ConfigError(f"{key}: {e}") from None
-    return ModelConfig(**{name: value for name, (_, value) in fields.items()})
+        if name == "variant":
+            smallest["variant"] = value
+    try:
+        return ModelConfig(**{name: value for name, (_, value) in fields.items()})
+    except ConfigError as e:
+        raise ConfigError(f"model: {e}") from None
 
 
 def dataset_spec(doc: dict) -> DatasetSpec:

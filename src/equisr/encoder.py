@@ -24,16 +24,13 @@ from . import diff
 from .diff import Tensor
 from .errors import ShapeError
 from .filters import ParamFilter, group_conv_t, make_param_filter
-from .groups import RotationGroup, make_group
 
 if TYPE_CHECKING:  # inr imports this module
-    from .inr import ModelConfig
+    from .inr import INRModel, ModelConfig
 
 
 @dataclass
 class EncoderParams:
-    cfg: ModelConfig
-    group: RotationGroup
     filters: dict[str, ParamFilter]
     biases: dict[str, Tensor]
 
@@ -47,7 +44,6 @@ def build_encoder(cfg: ModelConfig, seed: int = 0) -> EncoderParams:
     """Initialize the encoder of model `cfg`: He-uniform fan-in scaled
     weights (seeded) and zero biases."""
     rng = np.random.default_rng(seed)
-    group = make_group(cfg.t)
     t, n, p = cfg.t, cfg.n, cfg.p
     filters: dict[str, ParamFilter] = {}
     biases: dict[str, Tensor] = {}
@@ -61,22 +57,23 @@ def build_encoder(cfg: ModelConfig, seed: int = 0) -> EncoderParams:
         add_conv(f"block{b}.conv0", t, n, n)
         add_conv(f"block{b}.conv1", t, n, n)
     add_conv("tail", t, n, n)
-    return EncoderParams(cfg, group, filters, biases)
+    return EncoderParams(filters, biases)
 
 
-def encode_t(params: EncoderParams, x: Tensor) -> Tensor:
-    """Image tensor ([b,] h, w, c_in) -> feature tensor ([b,] h, w, t, n)."""
-    if x.shape[-1] != params.cfg.c_in:
-        raise ShapeError(f"encoder expects {params.cfg.c_in} channels, image has {x.shape[-1]}")
+def encode_t(model: INRModel, x: Tensor) -> Tensor:
+    """Image tensor ([b,] h, w, c_in) -> feature tensor ([b,] h, w, t, n) of
+    the model's encoder."""
+    cfg, enc = model.cfg, model.encoder
+    if x.shape[-1] != cfg.c_in:
+        raise ShapeError(f"encoder expects {cfg.c_in} channels, image has {x.shape[-1]}")
 
     def conv(name: str, y: Tensor) -> Tensor:
-        return group_conv_t(y, params.filters[name], params.group,
-                            bias=params.biases[name])
+        return group_conv_t(y, enc.filters[name], model.group, bias=enc.biases[name])
 
     # the head is a lifting convolution: an image is a one-slot feature map
     head = conv("head", diff.reshape(x, x.shape[:-1] + (1, x.shape[-1])))
     y = head
-    for b in range(params.cfg.blocks):
+    for b in range(cfg.blocks):
         r = conv(f"block{b}.conv0", y)
         r = diff.relu(r)
         r = conv(f"block{b}.conv1", r)

@@ -57,6 +57,10 @@ from .parallel import _CHUNK_BYTES
 # values, about 64 bytes per output pixel (1.1 GB at the limit).
 MAX_OUTPUT_PIXELS = 1 << 24
 
+# Most parameters a ModelConfig may describe, in floats (1 GiB of float64);
+# Adam's moments and the gradients each hold as much again while training.
+MAX_PARAMETERS = 1 << 27
+
 # Local evaluations per query the chunk budget plans for, per mode.
 _EVALS = {"ensemble": 4, "nearest": 1}
 
@@ -118,18 +122,16 @@ class ModelConfig:
             raise ConfigError(f"eps must be finite and non-negative, got {self.eps!r}")
         if self.variant in ("ope", "lte") and self.L != 0:
             raise ConfigError(f"{self.variant} uses no intermediate layers (L = 0)")
-
-    @property
-    def out_channels(self) -> int:
-        return self.c_in
+        count = parameter_count(self)
+        if count > MAX_PARAMETERS:
+            raise ConfigError(f"the model would hold {count} parameters, more than the "
+                              f"limit of {MAX_PARAMETERS} (1 GiB of float64)")
 
 
 @dataclass
 class INRParams:
     """Learnable state of the INR head (variant-dependent subset used)."""
 
-    cfg: ModelConfig
-    group: RotationGroup
     W_in: Tensor | None = None  # (t, m, n+2) input-layer blocks
     W_mid: list[Tensor] = field(default_factory=list)  # each (t, m, m)
     W_out1: Tensor | None = None  # (m, m) for liif, (m, 2K) for lte
@@ -216,10 +218,9 @@ def _mlp_init(rng, widths: list[int]) -> list[tuple[Tensor, Tensor]]:
     return layers
 
 
-def build_inr(cfg: ModelConfig, group: RotationGroup,
-              rng: np.random.Generator) -> INRParams:
-    t, n, m, n0 = cfg.t, cfg.n, cfg.width, cfg.out_channels
-    params = INRParams(cfg, group)
+def build_inr(cfg: ModelConfig, rng: np.random.Generator) -> INRParams:
+    t, n, m, n0 = cfg.t, cfg.n, cfg.width, cfg.c_in
+    params = INRParams()
     if cfg.variant == "liif":
         bound = np.sqrt(6.0 / (t * (n + 2)))
         params.W_in = diff.parameter(rng.uniform(-bound, bound, size=(t, m, n + 2)))
@@ -259,10 +260,9 @@ class INRModel:
 
 def build_model(cfg: ModelConfig, seed: int = 0) -> INRModel:
     """Build a model with seeded He-uniform initialization (bit reproducible)."""
-    group = make_group(cfg.t)
     enc = build_encoder(cfg, seed=seed)
-    inr = build_inr(cfg, group, np.random.default_rng((seed, 1)))
-    return INRModel(cfg, group, enc, inr)
+    inr = build_inr(cfg, np.random.default_rng((seed, 1)))
+    return INRModel(cfg, make_group(cfg.t), enc, inr)
 
 
 def parameter_count(cfg: ModelConfig) -> int:
@@ -308,7 +308,7 @@ def _folded_ope_code(model: INRModel, feat: Tensor, R: np.ndarray) -> Tensor:
     sum_a F^a P(A_a^{-1} x): one 1x1 convolution by the head kernel folded
     over its t output slots, W = sum_a K_a R[a], with bias b sum_a R[a]."""
     cfg = model.cfg
-    t, c, kb = cfg.t, cfg.out_channels, R.shape[1]
+    t, c, kb = cfg.t, cfg.c_in, R.shape[1]
     kernel = filters.group_kernel(model.inr.heads["ope_head"], model.group)
     kernel = diff.einsum("akl,ackj->clj", diff.constant(R),
                          diff.reshape(kernel, (t, c, kb, t * cfg.n)))
@@ -346,32 +346,24 @@ def _cyclic_layer(u: Tensor, blocks: Tensor) -> Tensor:
     return diff.reshape(out, (q, t, n_out))
 
 
-def _input_layer_liif(params: INRParams, F_q: Tensor, X: np.ndarray) -> Tensor:
+def _input_layer_liif(model: INRModel, F_q: Tensor, X: np.ndarray) -> Tensor:
     """H(x, B) = sum_A W_in^{B^{-1}A} . [F^A; A^{-1}x]  ->  (Q, t, m)."""
-    xrot = diff.constant(lift_coordinate(X, params.group))  # (Q, t, 2)
-    return _cyclic_layer(diff.concat([F_q, xrot], axis=2), params.W_in)
+    xrot = diff.constant(lift_coordinate(X, model.group))  # (Q, t, 2)
+    return _cyclic_layer(diff.concat([F_q, xrot], axis=2), model.inr.W_in)
 
 
-def _apply_psi(psi: list[tuple[Tensor, Tensor]], z: Tensor) -> Tensor:
-    for i, (w, b) in enumerate(psi):
-        z = diff.add(diff.matmul(z, diff.transpose(w, (1, 0))), diff.reshape(b, (1, w.shape[0])))
-        if i + 1 < len(psi):
-            z = diff.relu(z)
-    return z
-
-
-def _input_sum_ope(params: INRParams, coeffs: Tensor, X: np.ndarray) -> Tensor:
+def _input_sum_ope(model: INRModel, coeffs: Tensor, X: np.ndarray) -> Tensor:
     """sum_A (F^A)^T P(A^{-1} x) of t-slot codes, or G^T P(x) of folded
     one-slot codes (see compute_latents); H(x, B) is this value for every B."""
-    cfg = params.cfg
+    cfg = model.cfg
     q, s, kb = X.shape[0], coeffs.shape[1], (2 * cfg.k_max + 1) ** 2
-    x = lift_coordinate(X, params.group) if s == cfg.t else X
+    x = lift_coordinate(X, model.group) if s == cfg.t else X
     basis = ope_basis(x.reshape(q * s, 2), cfg.k_max)
-    coeffs = diff.reshape(coeffs, (q, s, cfg.out_channels, kb))
+    coeffs = diff.reshape(coeffs, (q, s, cfg.c_in, kb))
     return diff.einsum("qtck,qtk->qc", coeffs, diff.constant(basis.reshape(q, s, kb)))
 
 
-def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray,
+def _input_sum_lte(model: INRModel, amp: Tensor, freq: Tensor, X: np.ndarray,
                    waves32: bool = False) -> Tensor:
     """sum_A Fa^A (*) [cos(pi Ff^A A^{-1}x); sin(pi Ff^A A^{-1}x)] -> (Q, 2K).
 
@@ -379,9 +371,9 @@ def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray,
     [-pi, pi] as a - 2 pi rint(a / 2 pi), and float32 cos and sin of that
     float32 value fill one (Q, t, 2K) float64 buffer for the amplitude sum.
     """
-    cfg = params.cfg
+    cfg = model.cfg
     q, t = X.shape[0], cfg.t
-    xrot = diff.constant(np.pi * lift_coordinate(X, params.group))  # (Q, t, 2)
+    xrot = diff.constant(np.pi * lift_coordinate(X, model.group))  # (Q, t, 2)
     ang = diff.einsum("qtkd,qtd->qtk", diff.reshape(freq, (q, t, cfg.K, 2)), xrot)
     if not waves32:
         waves = diff.concat([diff.cos(ang), diff.sin(ang)], axis=2)
@@ -399,44 +391,50 @@ def _input_sum_lte(params: INRParams, amp: Tensor, freq: Tensor, X: np.ndarray,
     return diff.constant(np.einsum("qtk,qtk->qk", amp.data, waves))
 
 
-def _input_stage(params: INRParams, lat_q: tuple[Tensor, ...], X: np.ndarray,
+def _input_stage(model: INRModel, lat_q: tuple[Tensor, ...], X: np.ndarray,
                  waves32: bool = False) -> Tensor:
     """The input layer of Q latent codes (Q, t, c) at Q offsets: H (Q, t, m) for
     liif; for ope and lte, whose H is constant in B, its one value, (Q, n0)
     resp. (Q, 2K).  waves32 as in _input_sum_lte."""
-    if params.cfg.variant == "liif":
-        return _input_layer_liif(params, *lat_q, X)
-    if params.cfg.variant == "ope":
-        return _input_sum_ope(params, *lat_q, X)
-    return _input_sum_lte(params, *lat_q, X, waves32)
+    if model.cfg.variant == "liif":
+        return _input_layer_liif(model, *lat_q, X)
+    if model.cfg.variant == "ope":
+        return _input_sum_ope(model, *lat_q, X)
+    return _input_sum_lte(model, *lat_q, X, waves32)
 
 
-def _output_head(W_out1, psi, z: Tensor) -> Tensor:
-    """psi(z . W_out1^T) for the group sum z (Q, m) of the last H layer."""
-    return _apply_psi(psi, diff.matmul(z, diff.transpose(W_out1, (1, 0))))
+def _output_head(W_out1: Tensor, psi: list[tuple[Tensor, Tensor]], z: Tensor) -> Tensor:
+    """psi(z . W_out1^T) for the group sum z (Q, m) of the last H layer; psi's
+    layers (W (out, in), b) have a relu between each two."""
+    z = diff.matmul(z, diff.transpose(W_out1, (1, 0)))
+    for i, (w, b) in enumerate(psi):
+        if i:
+            z = diff.relu(z)
+        z = diff.add(diff.matmul(z, diff.transpose(w, (1, 0))), diff.reshape(b, (1, w.shape[0])))
+    return z
 
 
-def _eval_local_batch(params: INRParams, lat_q: tuple[Tensor, ...], X: np.ndarray,
+def _eval_local_batch(model: INRModel, lat_q: tuple[Tensor, ...], X: np.ndarray,
                       waves32: bool = False) -> Tensor:
     """Local functions of Q latent codes (Q, t, c) at Q normalized offsets -> (Q, n0).
 
     waves32 selects lte's float32 waves (see _input_sum_lte); the other
     variants ignore it.
     """
-    cfg = params.cfg
-    h = _input_stage(params, lat_q, X, waves32)
+    cfg, inr = model.cfg, model.inr
+    h = _input_stage(model, lat_q, X, waves32)
     if cfg.variant == "ope":
         # ope's output layer is fixed, W_out1 = (1/t) I and identity psi, so
         # it is the plain average over the t identical H slots
         return h
     if cfg.variant == "lte":
         # the group sum of the t equal H slots, as one scaling (exact for t a power of 2)
-        return _output_head(params.W_out1, params.psi, diff.scale(h, cfg.t))
+        return _output_head(inr.W_out1, inr.psi, diff.scale(h, cfg.t))
     if cfg.L > 0:
         h = diff.relu(h)
-    for w_mid in params.W_mid:
+    for w_mid in inr.W_mid:
         h = diff.relu(_cyclic_layer(h, w_mid))
-    return _output_head(params.W_out1, params.psi, diff.reduce_sum(h, axes=1))
+    return _output_head(inr.W_out1, inr.psi, diff.reduce_sum(h, axes=1))
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +487,10 @@ def _eval_global_chunk(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray,
     # a time, so nearest-mode ties stay inside the chunk budget
     rows = np.flatnonzero(weights)
     step = _EVALS[mode] * q
-    preds = [_eval_local_batch(model.inr, _gather_latents(lats, flat[r]),
+    preds = [_eval_local_batch(model, _gather_latents(lats, flat[r]),
                                np.take(off, r, axis=0), waves32)
              for r in (rows[a:a + step] for a in range(0, rows.size, step))]
-    preds.append(diff.constant(np.zeros((1, model.cfg.out_channels))))
+    preds.append(diff.constant(np.zeros((1, model.cfg.c_in))))
     live_weights = np.append(weights.ravel()[rows], 0.0)[:, None]
     preds = diff.mul(diff.concat(preds, axis=0), diff.constant(live_weights))
     # each corner slot reads its weighted evaluation, a zero-weight slot the zero row
@@ -508,12 +506,12 @@ def _query_bytes(cfg: ModelConfig, slots: int) -> int:
         slot = 2 * (cfg.n + 2) + 4 * cfg.width  # codes, [F; x], cyclic layer outputs
     elif cfg.variant == "ope":
         kb = (2 * cfg.k_max + 1) ** 2
-        slot = cfg.out_channels * kb + 3 * kb  # coefficients, basis and its factors
+        slot = cfg.c_in * kb + 3 * kb  # coefficients, basis and its factors
     else:  # lte: amplitudes, frequencies, angles, cos, sin, waves
         slot = 12 * cfg.K
     # per local evaluation: the code's slots, then the t-free output head
     # (W_out1 and psi layers, two arrays each), outputs, offsets and weights
-    floats = slots * slot + 2 * (cfg.width + sum(cfg.psi_widths)) + 2 * cfg.out_channels + 8
+    floats = slots * slot + 2 * (cfg.width + sum(cfg.psi_widths)) + 2 * cfg.c_in + 8
     return _EVALS[cfg.mode] * 8 * floats
 
 
@@ -546,7 +544,7 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, 
     chunks = max(1, -(-q // rows))
     cuts = [q * i // chunks for i in range(chunks + 1)]
     taped = diff.recording()
-    out = None if taped else np.empty((q, model.cfg.out_channels))
+    out = None if taped else np.empty((q, model.cfg.c_in))
     parts = {}
 
     def chunk(a: int, b: int):
@@ -585,11 +583,11 @@ def super_resolve(model: INRModel, img: Image, scale: float, *,
     `eps` as in eval_global_batch.
     """
     h_out, w_out = output_size(img.h, img.w, scale)
-    feat = encode_t(model.encoder, diff.constant(img.data))
+    feat = encode_t(model, diff.constant(img.data))
     lats = compute_latents(model, feat)
     xx = pixel_coords(h_out, w_out).reshape(-1, 2)
     out = eval_global_batch(model, lats, xx, eps=eps)
-    return Image(out.data.reshape(h_out, w_out, model.cfg.out_channels))
+    return Image(out.data.reshape(h_out, w_out, model.cfg.c_in))
 
 
 def eval_global(model: INRModel, feat: np.ndarray, x, *,

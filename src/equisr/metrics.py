@@ -103,8 +103,8 @@ def _auto_mask(angle: float, hr_h: int, hr_w: int, lr_h: int) -> np.ndarray | No
 
 
 def _check_mask(mask) -> None:
-    if isinstance(mask, str) and mask != "auto":
-        raise ConfigError(f"unknown mask spec {mask!r}")
+    if not (mask is None or (isinstance(mask, str) and mask == "auto")):
+        raise ConfigError(f"mask must be \"auto\" or None, got {mask!r}")
 
 
 def _compare(model: INRModel, img: Image, y0: Image, angle: float, scale: float,
@@ -112,7 +112,7 @@ def _compare(model: INRModel, img: Image, y0: Image, angle: float, scale: float,
     """The angle-dependent half of a measurement, given y0 = Phi(img)."""
     y1 = super_resolve(model, rotate_image(img, angle), scale, eps=eps)
     ref = rotate_image(y0, angle)
-    if isinstance(mask, str):
+    if mask is not None:
         mask = _auto_mask(angle, ref.h, ref.w, img.h)
     err_map = Image(np.max(np.abs(y1.data - ref.data), axis=2, keepdims=True))
     return EquivEntry(angle, scale, nmse(y1, ref, mask), nmae(y1, ref, mask), err_map)
@@ -122,8 +122,8 @@ def equivariance_error(model: INRModel, img: Image, angle: float, scale: float,
                        eps: float | None = None, mask="auto") -> EquivEntry:
     """One (image, angle, scale) equivariance measurement.
 
-    `mask` is "auto" (inscribed disk for non-right angles, none otherwise),
-    None, or an explicit boolean (h, w) array on the HR raster.
+    `mask` is "auto" (inscribed disk for non-right angles, none otherwise)
+    or None (else ConfigError, before any SR).
     """
     _check_mask(mask)
     y0 = super_resolve(model, img, scale, eps=eps)

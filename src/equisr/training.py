@@ -87,7 +87,7 @@ def step_loss(model: INRModel, lr: np.ndarray, coords: np.ndarray,
               targets: np.ndarray) -> Tensor:
     """The L1 loss of one training step: LR patches (B, h, w, c_in) and
     their queries, B * q coordinates item-major, with their targets."""
-    feat = encode_t(model.encoder, diff.constant(lr))
+    feat = encode_t(model, diff.constant(lr))
     lats = compute_latents(model, feat)
     # every item has q queries, so the one mean is the mean of the per-item means
     return l1_loss(eval_global_batch(model, lats, coords), targets)

@@ -5,6 +5,7 @@ Desk-scale reference model: 4 residual blocks, channel budget n*t = 32,
 filter size 5, LIIF/OPE/LTE heads at their default widths.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -154,7 +155,8 @@ def test_criterion_5_layer_exactness():
             cfg = ModelConfig(variant=variant, t=t, n=4, blocks=1, p=3, width=8,
                               psi_widths=(8,), K=3, k_max=1)
             for seed in range(3):
-                params = build_inr(cfg, g, np.random.default_rng(seed))
+                model = dataclasses.replace(
+                    build_model(cfg), inr=build_inr(cfg, np.random.default_rng(seed)))
                 rng = np.random.default_rng(1000 + seed)
                 if variant == "lte":
                     latent = (rng.standard_normal((t, 2 * cfg.K)),
@@ -171,7 +173,7 @@ def test_criterion_5_layer_exactness():
                 def input_h(lat, x):
                     # liif's H (t, m); ope's and lte's H is constant in B, one row
                     rows = tuple(diff.constant(a[None]) for a in lat)
-                    return _input_stage(params, rows, x[None]).data[0]
+                    return _input_stage(model, rows, x[None]).data[0]
 
                 base_h = input_h(latent, x)
                 if base_h.ndim == 1:

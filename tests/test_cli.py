@@ -228,6 +228,19 @@ def test_malformed_config_is_one_usage_error_naming_its_key(tmp_path, capsys, co
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model,key", [
+    ({"inr": {"widths": [1000000000, 64]}}, "model.inr.widths"),
+    ({"t": 64, "encoder": {"n": 256}}, "model"),
+])
+def test_oversized_model_is_one_usage_error(tmp_path, capsys, model, key):
+    cfg = _write_config(tmp_path, {"model": model, "train": {"steps": 1}})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert f"limit of {inr.MAX_PARAMETERS}" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestTrainAndSr:
     def test_train_then_eval_preserves_equivariance(self, tmp_path):
         cfg = _write_config(tmp_path, {

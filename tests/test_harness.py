@@ -141,6 +141,12 @@ class TestEquivarianceError:
             equivariance_error(model, img, np.pi, 2.0, mask="bogus")
         with pytest.raises(ConfigError):
             sweep([("eq", model.cfg)], [np.pi], [2.0], [8], mask="bogus")
+        # an explicit array is no longer a mask spec either
+        array = np.ones((16, 16), dtype=bool)
+        with pytest.raises(ConfigError, match="auto"):
+            equivariance_error(model, img, np.pi, 2.0, mask=array)
+        with pytest.raises(ConfigError, match="auto"):
+            sweep([("eq", model.cfg)], [np.pi], [2.0], [8], mask=array)
 
 
 class TestSweep:
@@ -465,6 +471,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(json_path)
         assert exc.value.field == field
+
+    def test_oversized_model_config_rejected_before_building(self, tmp_path):
+        model = build_model(ModelConfig(variant="liif", t=2, n=2, blocks=1, p=3,
+                                        width=4, psi_widths=()), seed=0)
+        json_path, _ = save_checkpoint(str(tmp_path / "c"), model)
+        doc = json.loads(Path(json_path).read_text())
+        doc["model"]["width"] = 10 ** 9  # 10^18 floats of W_out1
+        Path(json_path).write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="limit") as exc:
+            load_checkpoint(json_path)
+        assert exc.value.field == "model"
 
     def test_wrong_version_rejected(self, tmp_path):
         import json

@@ -65,11 +65,11 @@ def _rows(latent):
     return tuple(diff.constant(x[None]) for x in latent)
 
 
-def _input_h(params, latent, x):
+def _input_h(model, latent, x):
     """H(x, B) for every B, (t, width), from _input_stage; ope's and lte's H,
     constant in B, is one row tiled t times."""
-    h = _input_stage(params, _rows(latent), x[None]).data[0]
-    return h if h.ndim == 2 else np.tile(h, (params.cfg.t, 1))
+    h = _input_stage(model, _rows(latent), x[None]).data[0]
+    return h if h.ndim == 2 else np.tile(h, (model.cfg.t, 1))
 
 
 def _mid(h, W):
@@ -83,9 +83,14 @@ def _out(h, W_out1, psi=()):
     return _output_head(diff.constant(W_out1), list(psi), z).data[0]
 
 
-def _local(params, latent, x):
+def _local(model, latent, x):
     """One pixel's local function at one normalized offset x, as SR runs it."""
-    return _eval_local_batch(params, _rows(latent), x[None]).data[0]
+    return _eval_local_batch(model, _rows(latent), x[None]).data[0]
+
+
+def _inr_model(cfg, seed):
+    """A model of `cfg` whose INR holds build_inr's draws from default_rng(seed)."""
+    return dataclasses.replace(build_model(cfg), inr=build_inr(cfg, np.random.default_rng(seed)))
 
 
 def _small_cfg(variant, t, **kw):
@@ -132,23 +137,23 @@ class TestLiftCoordinate:
 class TestInputLayer:
     def test_t1_reduces_to_plain_phi(self):
         cfg = _small_cfg("liif", 1)
-        params = build_inr(cfg, make_group(1), np.random.default_rng(0))
+        model = _inr_model(cfg, 0)
         rng = np.random.default_rng(1)
         latent = (rng.standard_normal((1, cfg.n)),)
         x = rng.standard_normal(2)
-        h = _input_h(params, latent, x)
-        direct = params.W_in.data[0] @ np.concatenate([latent[0][0], x])
+        h = _input_h(model, latent, x)
+        direct = model.inr.W_in.data[0] @ np.concatenate([latent[0][0], x])
         assert np.max(np.abs(h[0] - direct)) <= 1e-14
 
     def test_t2_scalar_hand_expansion(self):
         cfg = ModelConfig(variant="liif", t=2, n=1, blocks=1, p=3, width=1,
                           psi_widths=())
-        params = build_inr(cfg, make_group(2), np.random.default_rng(0))
-        params.W_in.data[0] = [[1.0, 2.0, 3.0]]
-        params.W_in.data[1] = [[10.0, 20.0, 30.0]]
+        model = _inr_model(cfg, 0)
+        model.inr.W_in.data[0] = [[1.0, 2.0, 3.0]]
+        model.inr.W_in.data[1] = [[10.0, 20.0, 30.0]]
         latent = (np.array([[5.0], [7.0]]),)
         x = np.array([0.5, -0.25])
-        h = _input_h(params, latent, x)
+        h = _input_h(model, latent, x)
         #4-term expansion over (A, B) with A_1 = -I:
         #   H(x,0) = W0.[5, .5, -.25] + W1.[7, -.5, .25] = 5.25 + 67.5
         #   H(x,1) = W1.[5, .5, -.25] + W0.[7, -.5, .25] = 52.5 + 6.75
@@ -160,13 +165,13 @@ class TestInputLayer:
         cfg = _small_cfg(variant, t)
         g = make_group(t)
         for seed in range(10):
-            params = build_inr(cfg, g, np.random.default_rng(seed))
+            model = _inr_model(cfg, seed)
             rng = np.random.default_rng(100 + seed)
             latent = _random_latent(rng, cfg)
             x = rng.uniform(-1, 1, size=2)
             for k in range(t):
-                lhs = _input_h(params, _shift(latent, k, t), x)
-                rot = _input_h(params, latent, g.matrices[k % g.t].T @ x)
+                lhs = _input_h(model, _shift(latent, k, t), x)
+                rot = _input_h(model, latent, g.matrices[k % g.t].T @ x)
                 rhs = rot[[(b - k) % t for b in range(t)]]
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -265,11 +270,11 @@ def _closed_form_oracle(cfg, params, group, latent, x):
 class TestEvalLocal:
     def test_zero_parameters_give_zero(self):
         cfg = _small_cfg("liif", 4)
-        params = build_inr(cfg, make_group(4), np.random.default_rng(0))
-        for p in params.named_parameters().values():
+        model = _inr_model(cfg, 0)
+        for p in model.inr.named_parameters().values():
             p.data[...] = 0.0
         latent = (np.random.default_rng(1).standard_normal((4, cfg.n)),)
-        out = _local(params, latent, np.array([0.3, 0.4]))
+        out = _local(model, latent, np.array([0.3, 0.4]))
         assert np.array_equal(out, np.zeros(3))
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
@@ -280,28 +285,28 @@ class TestEvalLocal:
         cfg = _small_cfg(variant, 4)
         g = make_group(4)
         for seed in range(5):
-            params = build_inr(cfg, g, np.random.default_rng(seed))
+            model = _inr_model(cfg, seed)
             rng = np.random.default_rng(50 + seed)
             latent = _random_latent(rng, cfg)
             x = rng.uniform(-1, 1, size=2)
-            base = _local(params, latent, x)
+            base = _local(model, latent, x)
             for k in range(4):
-                fwd = _local(params, _shift(latent, k, 4), x)
-                rot = _local(params, latent, g.matrices[k % g.t].T @ x)
+                fwd = _local(model, _shift(latent, k, 4), x)
+                rot = _local(model, latent, g.matrices[k % g.t].T @ x)
                 assert np.max(np.abs(fwd - rot)) <= 1e-11
-                inv = _local(params, _shift(latent, (4 - k) % 4, 4), g.matrices[k % g.t].T @ x)
+                inv = _local(model, _shift(latent, (4 - k) % 4, 4), g.matrices[k % g.t].T @ x)
                 assert np.max(np.abs(inv - base)) <= 1e-11
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
     def test_closed_form_oracle(self, variant):
         cfg = _small_cfg(variant, 4)
         g = make_group(4)
-        params = build_inr(cfg, g, np.random.default_rng(7))
+        model = _inr_model(cfg, 7)
         rng = np.random.default_rng(8)
         latent = _random_latent(rng, cfg)
         x = rng.uniform(-1, 1, size=2)
-        got = _local(params, latent, x)
-        expected = _closed_form_oracle(cfg, params, g, latent, x)
+        got = _local(model, latent, x)
+        expected = _closed_form_oracle(cfg, model.inr, g, latent, x)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
@@ -310,21 +315,21 @@ class TestEvalLocal:
         # the batched core evaluates Q different latents at Q offsets at once
         cfg = _small_cfg(variant, t)
         g = make_group(t)
-        params = build_inr(cfg, g, np.random.default_rng(t))
+        model = _inr_model(cfg, t)
         rng = np.random.default_rng(20 + t)
         latents = [_random_latent(rng, cfg) for _ in range(5)]
         X = rng.uniform(-1, 1, size=(5, 2))
         batch = tuple(diff.constant(np.stack(parts)) for parts in zip(*latents))
-        got = _eval_local_batch(params, batch, X).data
+        got = _eval_local_batch(model, batch, X).data
         for q in range(5):
-            expected = _closed_form_oracle(cfg, params, g, latents[q], X[q])
+            expected = _closed_form_oracle(cfg, model.inr, g, latents[q], X[q])
             assert np.max(np.abs(got[q] - expected)) <= 1e-12
 
     def test_intermediate_layer_parameter_share(self):
         # a cyclic-sharing layer stores t blocks of m*m, a dense layer on the
         # stacked width stores (t*m)^2: exactly a factor t apart
         cfg = _small_cfg("liif", 8, L=2)
-        params = build_inr(cfg, make_group(8), np.random.default_rng(0))
+        params = build_inr(cfg, np.random.default_rng(0))
         t, m = cfg.t, cfg.width
         assert params.W_mid[0].size == t * m * m == ((t * m) ** 2) // t
 
@@ -376,7 +381,7 @@ class TestOpeFold:
     def _run(model, img, X, latents):
         """Outputs and parameter gradients of a weighted sum of them."""
         with diff.Tape() as tape:
-            lats = latents(model, encode_t(model.encoder, diff.constant(img)))
+            lats = latents(model, encode_t(model, diff.constant(img)))
             out = eval_global_batch(model, lats, X)
             weights = np.random.default_rng(9).standard_normal(out.shape)
             loss = diff.reduce_sum(diff.mul(out, diff.constant(weights)))
@@ -427,17 +432,17 @@ class TestEvalGlobal:
     def test_query_at_pixel_center_nearest(self):
         model = self._model()
         img = Image(np.random.default_rng(1).random((8, 8, 3)))
-        feat = encode_t(model.encoder, diff.constant(img.data)).data
+        feat = encode_t(model, diff.constant(img.data)).data
         # pixel (2, 3) center
         x = np.array([-1.0 + 3.5 * (2.0 / 8), 1.0 - 2.5 * (2.0 / 8)])
         got = eval_global(_in_mode(model, "nearest"), feat, x)
-        expected = _local(model.inr, (feat[2, 3],), np.zeros(2))
+        expected = _local(model, (feat[2, 3],), np.zeros(2))
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_ensemble_at_center_with_zero_eps_matches_nearest(self):
         model = self._model()
         img = Image(np.random.default_rng(2).random((8, 8, 3)))
-        feat = encode_t(model.encoder, diff.constant(img.data)).data
+        feat = encode_t(model, diff.constant(img.data)).data
         x = np.array([-1.0 + 4.5 * (2.0 / 8), 1.0 - 3.5 * (2.0 / 8)])
         a = eval_global(_in_mode(model, "ensemble"), feat, x, eps=0.0)
         b = eval_global(_in_mode(model, "nearest"), feat, x)
@@ -457,22 +462,22 @@ class TestEvalGlobal:
     def test_nearest_tie_on_cell_edge_shares_both_latents(self):
         model = self._model()
         img = Image(np.random.default_rng(4).random((8, 8, 3)))
-        feat = encode_t(model.encoder, diff.constant(img.data)).data
+        feat = encode_t(model, diff.constant(img.data)).data
         # on the edge between columns 2 and 3 of row 2
         x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 2.5 * (2.0 / 8)])
         got = eval_global(_in_mode(model, "nearest"), feat, x)
-        expected = (_local(model.inr, (feat[2, 2],), np.array([1.0, 0.0]))
-                    + _local(model.inr, (feat[2, 3],), np.array([-1.0, 0.0]))) / 2
+        expected = (_local(model, (feat[2, 2],), np.array([1.0, 0.0]))
+                    + _local(model, (feat[2, 3],), np.array([-1.0, 0.0]))) / 2
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_nearest_tie_on_cell_corner_shares_all_four_latents(self):
         model = self._model()
         img = Image(np.random.default_rng(5).random((8, 8, 3)))
-        feat = encode_t(model.encoder, diff.constant(img.data)).data
+        feat = encode_t(model, diff.constant(img.data)).data
         # the corner shared by rows 2, 3 and columns 2, 3
         x = np.array([-1.0 + 3 * (2.0 / 8), 1.0 - 3 * (2.0 / 8)])
         got = eval_global(_in_mode(model, "nearest"), feat, x)
-        expected = sum(_local(model.inr, (feat[i, j],),
+        expected = sum(_local(model, (feat[i, j],),
                               np.array([1.0 - 2 * (j - 2), 2 * (i - 2) - 1.0]))
                        for i in (2, 3) for j in (2, 3)) / 4
         assert np.max(np.abs(got - expected)) <= 1e-12
@@ -483,10 +488,10 @@ class TestEvalGlobal:
         # is 0, and the query must still get its own latent's value
         model = self._model()
         img = Image(np.random.default_rng(6).random((8, 8, 3)))
-        feat = encode_t(model.encoder, diff.constant(img.data)).data
+        feat = encode_t(model, diff.constant(img.data)).data
         x = np.array([-1.0 + (j + 0.5) * (2.0 / 8), 1.0 - (i + 0.5) * (2.0 / 8)])
         got = eval_global(_in_mode(model, "ensemble"), feat, x, eps=0.0)
-        expected = _local(model.inr, (feat[i, j],), np.zeros(2))
+        expected = _local(model, (feat[i, j],), np.zeros(2))
         assert np.all(np.isfinite(got)) and np.max(np.abs(got - expected)) <= 1e-12
 
     def test_nearest_evaluates_one_latent_per_query_off_ties(self, monkeypatch):
@@ -495,10 +500,10 @@ class TestEvalGlobal:
         rows, precision = [], []
         real = inr._eval_local_batch
 
-        def counting(params, lat_q, X, *rest):
+        def counting(model, lat_q, X, *rest):
             rows.append(X.shape[0])
             precision.append(rest)
-            return real(params, lat_q, X, *rest)
+            return real(model, lat_q, X, *rest)
 
         monkeypatch.setattr(inr, "_eval_local_batch", counting)
         got = eval_global_batch(_in_mode(model, "nearest"), lats, X).data
@@ -508,13 +513,13 @@ class TestEvalGlobal:
         ij = coord_to_index(X, 8)
         centers = pixel_coords(8)[ij[:, 0], ij[:, 1]]
         lat_q = inr._gather_latents(lats, ij[:, 0] * 8 + ij[:, 1])
-        expected = real(model.inr, lat_q, (X - centers) * 8, *precision[0]).data
+        expected = real(model, lat_q, (X - centers) * 8, *precision[0]).data
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_value_continuous_across_cell_boundary(self):
         model = self._model()
         img = Image(np.random.default_rng(3).random((8, 8, 3)))
-        feat = encode_t(model.encoder, diff.constant(img.data)).data
+        feat = encode_t(model, diff.constant(img.data)).data
         x_boundary = -1.0 + 3 * (2.0 / 8)
         y = 1.0 - 2.7 * (2.0 / 8)
         h = 1e-9
@@ -525,7 +530,7 @@ class TestEvalGlobal:
     def test_query_outside_domain_rejected(self):
         model = self._model()
         img = Image(np.zeros((4, 4, 3)))
-        feat = encode_t(model.encoder, diff.constant(img.data)).data
+        feat = encode_t(model, diff.constant(img.data)).data
         with pytest.raises(DomainError):
             eval_global(model, feat, np.array([1.5, 0.0]))
 
@@ -538,7 +543,7 @@ class TestEvalGlobal:
             raise AssertionError("a malformed query reached the latent heads")
 
         model = self._model()
-        feat = encode_t(model.encoder, diff.constant(np.zeros((4, 4, 3)))).data
+        feat = encode_t(model, diff.constant(np.zeros((4, 4, 3)))).data
         monkeypatch.setattr(inr, "compute_latents", no_work)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no numpy warning on the way
@@ -638,7 +643,7 @@ class TestFloat32Waves:
         got = super_resolve(model, img, 2.5).data
         with diff.Tape():
             expected = super_resolve(model, img, 2.5).data
-        lats = compute_latents(model, encode_t(model.encoder, diff.constant(img.data)))
+        lats = compute_latents(model, encode_t(model, diff.constant(img.data)))
         assert np.max(np.abs(lats[1].data)) * np.pi >= (100.0 if freq_gain > 1 else 1.0)
         assert not np.array_equal(got, expected)  # the waves did differ in precision
         assert np.max(np.abs(got - expected)) <= 1e-6 * np.max(np.abs(expected))
@@ -661,7 +666,7 @@ class TestFloat32Waves:
 def _latents(cfg, side, seed=0):
     model = build_model(cfg, seed=seed)
     img = np.random.default_rng(seed).random((side, side, cfg.c_in))
-    return model, compute_latents(model, encode_t(model.encoder, diff.constant(img)))
+    return model, compute_latents(model, encode_t(model, diff.constant(img)))
 
 
 def _plan_bytes(model):
@@ -689,7 +694,7 @@ def _pin_workers(monkeypatch, workers):
 
 def _param_grads(model, img, X):
     with diff.Tape() as tape:
-        lats = compute_latents(model, encode_t(model.encoder, diff.constant(img)))
+        lats = compute_latents(model, encode_t(model, diff.constant(img)))
         loss = diff.reduce_sum(eval_global_batch(model, lats, X))
     grads = diff.backward(tape, loss)
     return [grads[p].data for p in model.named_parameters().values() if p in grads]
@@ -765,7 +770,7 @@ class TestStreamedAssembly:
 
 
 def _latents_of(model, img):
-    return compute_latents(model, encode_t(model.encoder, diff.constant(img)))
+    return compute_latents(model, encode_t(model, diff.constant(img)))
 
 
 class TestBatchedAssembly:
@@ -783,12 +788,12 @@ class TestBatchedAssembly:
         """Outputs and parameter gradients of their sum, batched or per item."""
         with diff.Tape() as tape:
             if batched:
-                lats = compute_latents(model, encode_t(model.encoder, diff.constant(imgs)))
+                lats = compute_latents(model, encode_t(model, diff.constant(imgs)))
                 out = eval_global_batch(_in_mode(model, mode), lats, X)
             else:
                 parts = []
                 for img, X_item in zip(imgs, np.split(X, len(imgs))):
-                    lats = compute_latents(model, encode_t(model.encoder, diff.constant(img)))
+                    lats = compute_latents(model, encode_t(model, diff.constant(img)))
                     parts.append(eval_global_batch(_in_mode(model, mode), lats, X_item))
                 out = diff.concat(parts, axis=0)
             loss = diff.reduce_sum(out)
@@ -974,7 +979,7 @@ class TestParallelAssembly:
             monkeypatch.setattr(inr, "_eval_global_chunk", failing)
             before = set(threading.enumerate())
             with diff.Tape() if record else contextlib.nullcontext() as tape:
-                lats = compute_latents(model, encode_t(model.encoder, img))
+                lats = compute_latents(model, encode_t(model, img))
                 entries = list(tape.entries) if record else []
                 masks = list(tape.relu_masks) if record else []
                 with pytest.raises(RuntimeError, match="chunk failed"):
@@ -1092,6 +1097,58 @@ class TestConfigValidation:
         model = build_model(_small_cfg("liif", 2, n=2), seed=0)
         with pytest.raises(ConfigError, match="eps"):
             super_resolve(model, Image(np.zeros((4, 4, 3))), 2.0, eps=eps)
+
+    def test_size_limit_is_inclusive(self, monkeypatch):
+        count = parameter_count(ModelConfig())
+        monkeypatch.setattr(inr, "MAX_PARAMETERS", count)
+        ModelConfig()
+        monkeypatch.setattr(inr, "MAX_PARAMETERS", count - 1)
+        with pytest.raises(ConfigError, match=f"{count} parameters.*limit of {count - 1}"):
+            ModelConfig()
+
+    def test_oversized_model_refused_without_allocating(self):
+        # 10^18 floats of W_out1 alone; building it would ask numpy for 8 EB
+        assert inr.MAX_PARAMETERS == 1 << 27
+        with pytest.raises(ConfigError, match="limit of 134217728"):
+            ModelConfig(width=10 ** 9)
+        with pytest.raises(ConfigError, match="limit"):
+            dataclasses.replace(ModelConfig(), t=64, n=256)
+
+    def test_model_section_size_error_names_the_section(self):
+        doc = config.defaults()
+        doc["model"].update(t=64, encoder={"blocks": 4, "n": 256, "p": 5})
+        with pytest.raises(ConfigError, match="^model: .*limit"):
+            config.model_config(doc)
+        doc["model"]["inr"]["widths"] = [10 ** 9, 64]
+        with pytest.raises(ConfigError, match="^model.inr.widths: .*limit"):
+            config.model_config(doc)
+
+    @pytest.mark.parametrize("section", [
+        # too large at the default t, blocks and p, within the limit at these
+        {"t": 1, "encoder": {"blocks": 1, "n": 2000, "p": 3}},
+        # ope has no H-value width, so a large one costs nothing
+        {"variant": "ope", "inr": {"widths": [10 ** 9]}},
+    ])
+    def test_model_section_size_is_the_whole_sections(self, section):
+        doc = config.defaults()
+        for key, value in section.items():
+            if isinstance(value, dict):
+                doc["model"][key].update(value)
+            else:
+                doc["model"][key] = value
+        cfg = config.model_config(doc)
+        assert parameter_count(cfg) <= inr.MAX_PARAMETERS
+
+    def test_model_holds_one_description(self, monkeypatch):
+        # the config and the group live on INRModel only, the group built once
+        for part in (inr.EncoderParams, inr.INRParams):
+            names = {f.name for f in dataclasses.fields(part)}
+            assert not names & {"cfg", "group"}
+        calls = []
+        real = inr.make_group
+        monkeypatch.setattr(inr, "make_group", lambda t: calls.append(t) or real(t))
+        model = build_model(_small_cfg("lte", 4))
+        assert calls == [4] and model.group.t == 4
 
     def test_cli_defaults_are_the_library_defaults(self):
         doc = config.defaults()

@@ -15,9 +15,9 @@ The outputs are:
     t in {1, 2, 4, 16} x both evaluation modes x eps in {the config's, 0};
   * per variant, a 4-step `train` (batch 4, patch 12) and a 2-step `train`
     at the benchmark's train-steps shape (stripes of size 96, batch 4,
-    patch 24, whose INR queries are several chunks per step): their losses
-    and checkpoint bytes;
-  * the CLI's manifest.csv (gen-data), loss.csv and ckpt.bin (train),
+    patch 24, whose INR queries are several chunks per step): their losses,
+    checkpoint bytes and checkpoint manifest;
+  * the CLI's manifest.csv (gen-data), loss.csv, ckpt.bin and ckpt.json (train),
     eval-equiv CSV and scales.csv (--error-maps) on the default config,
     with train.steps cut to 4;
   * loss.csv and ckpt.bin of a 2-step `train` on that gen-data corpus read
@@ -126,8 +126,9 @@ def train_lines(tmp: str):
             losses = json.dumps([row[1] for row in result.loss_rows]).encode()
             yield f"train{label}.{variant}.losses", _digest(losses)
             ckpt = os.path.join(tmp, f"ckpt{label}_{variant}")
-            _, bin_path = save_checkpoint(ckpt, result.model)
+            json_path, bin_path = save_checkpoint(ckpt, result.model)
             yield f"train{label}.{variant}.ckpt_bin", _file_digest(bin_path)
+            yield f"train{label}.{variant}.ckpt_json", _file_digest(json_path)
 
 
 def cli_lines(tmp: str):
@@ -154,6 +155,7 @@ def cli_lines(tmp: str):
     for name, path in (("manifest.csv", os.path.join(corpus, "manifest.csv")),
                        ("loss.csv", os.path.join(run, "loss.csv")),
                        ("ckpt.bin", os.path.join(run, "ckpt.bin")),
+                       ("ckpt.json", os.path.join(run, "ckpt.json")),
                        ("eval-equiv.csv", sweep),
                        ("scales.csv", os.path.join(maps, "scales.csv"))):
         yield f"cli.{name}", _file_digest(path)
