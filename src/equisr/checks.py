@@ -55,6 +55,7 @@ def _check(name, fn, inputs, scale=1.0):
 def _primitive_checks() -> list[CheckResult]:
     n = _tensor
     idx = np.array([2, 0, 1, 0])
+    wave_weights = diff.constant(np.linspace(-1.5, 2.0, 12).reshape(2, 6))  # cos, sin halves
     cases = [
         ("add", lambda a, b: diff.reduce_sum(diff.mul(diff.add(a, b), diff.add(a, b))),
          [n(3, 4), n(3, 4)]),
@@ -70,6 +71,7 @@ def _primitive_checks() -> list[CheckResult]:
         ("relu", lambda x: diff.reduce_sum(diff.mul(diff.relu(x), diff.relu(x))), [n(4, 4)]),
         ("sin", lambda x: diff.reduce_sum(diff.sin(x)), [n(7,)]),
         ("cos", lambda x: diff.reduce_sum(diff.cos(x)), [n(7,)]),
+        ("waves", lambda x: diff.reduce_sum(diff.mul(diff.waves(x), wave_weights)), [n(2, 3)]),
         ("concat", lambda a, b: diff.reduce_sum(diff.sin(diff.concat([a, b], axis=1))),
          [n(2, 3), n(2, 4)]),
         ("sum.axes", lambda x: diff.reduce_sum(diff.sin(diff.reduce_sum(x, axes=1))),

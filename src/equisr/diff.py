@@ -1,15 +1,16 @@
 """Minimal reverse-mode differentiation over dense tensors.
 
 A fixed catalogue of primitives (add, sub, mul, matmul, einsum, conv2d, relu,
-sin, cos, concat, sum, scale, gather, reshape, transpose), each in the one
-form the layers use (matmul of matrices, conv2d padded to the input size,
+sin, cos, waves, concat, sum, scale, gather, reshape, transpose), each in the
+one form the layers use (matmul of matrices, conv2d padded to the input size,
 gather of rows), expresses every layer in this package.  Forward values are
 numpy arrays in `Tensor`; when a `Tape` is active and an input requires grad,
 the primitive records a backward closure on the tape.  `backward` replays the
 tape once in reverse and accumulates gradients in that fixed order, so
-gradients are bit reproducible.  Backward closures return input-shaped
-gradients, or None for inputs that do not require grad (constants cost no
-gradient work).
+gradients are bit reproducible; the parts of a `splice` replay on the band
+runner and are folded in that same order.  Backward closures return
+input-shaped gradients, or None for inputs that do not require grad
+(constants cost no gradient work).
 
 Evaluation without an active tape records nothing and costs nothing beyond
 the numpy work itself.
@@ -81,12 +82,14 @@ class Tape:
 
     `relu_masks` holds the sign pattern of every relu this thread evaluated
     while the tape was the innermost open one (check_gradients' kink guard).
-    `splice` appends tapes recorded on other threads.
+    `splice` appends tapes recorded on other threads and records, in
+    `groups`, each part's (start, stop) range of `entries` and its output.
     """
 
     def __init__(self):
         self.entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
         self.relu_masks: list[np.ndarray] = []
+        self.groups: list[list[tuple[int, int, Tensor]]] = []
 
     def __enter__(self):
         _STACKS.stack.append(self)
@@ -256,6 +259,21 @@ def cos(x) -> Tensor:
 
     def bwd(g):
         return (g * -np.sin(x.data),)
+
+    return _finish(out, (x,), bwd)
+
+
+def waves(x) -> Tensor:
+    """[cos x; sin x] along the last axis, (..., K) -> (..., 2K).  The backward
+    reads both factors from the output instead of evaluating them again."""
+    x = _as_tensor(x)
+    k = x.shape[-1]
+    out = Tensor(np.empty(x.shape[:-1] + (2 * k,)))
+    np.cos(x.data, out=out.data[..., :k])
+    np.sin(x.data, out=out.data[..., k:])
+
+    def bwd(g):
+        return (g[..., k:] * out.data[..., :k] - g[..., :k] * out.data[..., k:],)
 
     return _finish(out, (x,), bwd)
 
@@ -434,6 +452,7 @@ _PRIMITIVES = {
     "relu": relu,
     "sin": sin,
     "cos": cos,
+    "waves": waves,
     "concat": concat,
     "sum": reduce_sum,
     "scale": scale,
@@ -458,35 +477,90 @@ def absolute(x) -> Tensor:
 
 def splice(parts) -> Tensor:
     """Append each (tape, output) part's tape to this thread's open tape, in
-    order, and concatenate the outputs; a part reads only earlier tensors."""
+    order, and concatenate the outputs; a part reads only earlier tensors.
+    The tape keeps the parts' entry ranges and outputs as one group, which
+    `backward` replays on the band runner (groups spliced within a part
+    replay inside it, serially)."""
     tape = _STACKS.stack[-1]
-    for part, _ in parts:
+    group = []
+    for part, out in parts:
+        start = len(tape.entries)
         tape.entries += part.entries
         tape.relu_masks += part.relu_masks
-    return concat([out for _, out in parts])
+        group.append((start, len(tape.entries), out))
+    out = concat([out for _, out in parts])
+    tape.groups.append(group)
+    return out
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
-    """Gradients of a scalar loss w.r.t. every requires-grad leaf on the tape.
+def _add(grads: dict, t: Tensor, g: np.ndarray) -> None:
+    acc = grads.get(t)
+    grads[t] = g if acc is None else acc + g
 
-    Accumulation happens in fixed reverse tape order, so results are
-    bit-identical across runs with identical inputs.
-    """
-    if loss.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones(loss.shape, dtype=loss.data.dtype)}
-    for out, inputs, bwd in reversed(tape.entries):
+
+def _replay(entries, grads: dict, own=None, spill=None) -> None:
+    """Replay entries in reverse, adding input gradients into grads; with
+    `own`, those of tensors not in it are appended to `spill` instead."""
+    for out, inputs, bwd in reversed(entries):
         g = grads.pop(out, None)  # complete: out's consumers all come later
         if g is None:
             continue
         for t, gi in zip(inputs, bwd(g)):
             if gi is None or not t.requires_grad:
                 continue
-            acc = grads.get(t)
-            if acc is None:
-                grads[t] = gi
+            if own is None or t in own:
+                _add(grads, t, gi)
             else:
-                grads[t] = acc + gi
+                spill.append((t, gi))
+
+
+def _replay_group(entries, group, grads: dict) -> None:
+    """Replay one spliced group's parts on the band runner, last part first,
+    each from its output's gradient in grads with gradients of its own.
+
+    Each part's gradients of tensors it did not produce (latent tables,
+    parameters) are added into grads in its replay order, part by part from
+    the last, as soon as every later part is folded: the additions of a
+    serial replay in the same order, so the bits do not depend on the
+    workers, and only parts finished out of turn wait with their gradients.
+    """
+    owns = [{out for out, _, _ in entries[a:b]} for a, b, _ in group]
+    seeds = [grads.pop(out, None) if out in own else None
+             for (_, _, out), own in zip(group, owns)]
+    spills: dict[int, list] = {}
+    lock = threading.Lock()
+    turn = len(group) - 1  # the next part to fold
+
+    def part(p: int, _):
+        nonlocal turn
+        a, b, out = group[p]
+        spill = []
+        _replay(entries[a:b], {out: seeds[p]}, owns[p], spill)
+        with lock:
+            spills[p] = spill
+            while turn in spills:
+                for t, g in spills.pop(turn):
+                    _add(grads, t, g)
+                turn -= 1
+
+    parallel.run_bands([(p, p + 1) for p in reversed(range(len(group)))], part)
+
+
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
+    """Gradients of a scalar loss w.r.t. every requires-grad leaf on the tape.
+
+    Accumulation happens in fixed reverse tape order, so results are
+    bit-identical across runs with identical inputs and any worker count.
+    """
+    if loss.size != 1:
+        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones(loss.shape, dtype=loss.data.dtype)}
+    end = len(tape.entries)
+    for group in reversed(tape.groups):
+        _replay(tape.entries[group[-1][1]:end], grads)
+        _replay_group(tape.entries, group, grads)
+        end = group[0][0]
+    _replay(tape.entries[:end], grads)
     return {
         t: Tensor(g)
         for t, g in grads.items()

@@ -376,8 +376,7 @@ def _input_sum_lte(model: INRModel, amp: Tensor, freq: Tensor, X: np.ndarray,
     xrot = diff.constant(np.pi * lift_coordinate(X, model.group))  # (Q, t, 2)
     ang = diff.einsum("qtkd,qtd->qtk", diff.reshape(freq, (q, t, cfg.K, 2)), xrot)
     if not waves32:
-        waves = diff.concat([diff.cos(ang), diff.sin(ang)], axis=2)
-        return diff.einsum("qtk,qtk->qk", amp, waves)
+        return diff.einsum("qtk,qtk->qk", amp, diff.waves(ang))
     # in place: a fresh temporary per step cost more than its arithmetic
     reduced = ang.data / (2.0 * np.pi)
     np.rint(reduced, out=reduced)

@@ -1,6 +1,7 @@
-"""One runner, `run_bands`, for the bands of `diff.conv2d` and the query
-chunks of `inr.eval_global_batch`, on the cores BLAS leaves idle.  Callers
-cut spans from shapes and the per-thread byte budget, never the workers."""
+"""One runner, `run_bands`, for the bands of `diff.conv2d`, the query chunks
+of `inr.eval_global_batch` and their replay in `diff.backward`, on the cores
+BLAS leaves idle.  Callers cut spans from shapes, the per-thread byte budget
+and spliced tapes, never the workers."""
 
 from __future__ import annotations
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equisr import diff
+from equisr import diff, parallel
 from equisr.checks import run_all
 from equisr.diff import Tape, Tensor, backward, check_gradients
 from equisr.errors import ContractError, EvaluationError, ShapeError
@@ -99,6 +99,21 @@ class TestPrimitives:
     def test_transpose_rejects_non_permutation(self):
         with pytest.raises(ShapeError):
             diff.transpose(Tensor(np.ones((2, 3))), (0, 0))
+
+    def test_waves_is_cos_then_sin_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((5, 3, 4)) * 10.0, requires_grad=True)
+        g = diff.constant(rng.standard_normal((5, 3, 8)))
+
+        def value_and_grad(fn):
+            with Tape() as tape:
+                out = fn(x)
+                loss = diff.reduce_sum(diff.mul(out, g))
+            return out.data, backward(tape, loss)[x].data
+
+        fused = value_and_grad(diff.waves)
+        composed = value_and_grad(lambda v: diff.concat([diff.cos(v), diff.sin(v)], axis=-1))
+        assert all(np.array_equal(a, b) for a, b in zip(fused, composed))
 
 
 def _conv2d_input_grad_loop(xshape, k, g):
@@ -385,6 +400,54 @@ class TestBackward:
         grads = backward(tape, loss)
         assert list(grads) == [w]
         assert np.array_equal(grads[w].data, [4.0, -4.0])
+
+
+    @staticmethod
+    def _part(w, hook):
+        """A spliced part recorded on its own tape: w, whose backward calls hook()."""
+        def bwd(g):
+            hook()
+            return (g,)
+
+        with Tape() as part:
+            out = diff._finish(Tensor(w.data.copy()), (w,), bwd)
+        return part, out
+
+    def test_spliced_parts_replay_on_several_threads(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_workers", lambda: 2)
+        w = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        barrier = threading.Barrier(2, timeout=30)  # serial replay would break it
+        threads = set()
+
+        def hook():
+            threads.add(threading.get_ident())
+            barrier.wait()
+
+        with Tape() as tape:
+            loss = diff.reduce_sum(diff.splice([self._part(w, hook) for _ in range(4)]))
+        grads = backward(tape, loss)
+        assert len(threads) == 2
+        assert np.array_equal(grads[w].data, [4.0, 4.0])
+
+    def test_failing_spliced_part_raises_once_after_helpers_join(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_workers", lambda: 2)
+        w = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        runs = []
+
+        def hook(i):
+            runs.append(i)
+            if i == 2:
+                raise ValueError("part 2 failed")
+
+        with Tape() as tape:
+            loss = diff.reduce_sum(diff.splice(
+                [self._part(w, lambda i=i: hook(i)) for i in range(4)]))
+        threads, cpus = threading.enumerate(), os.sched_getaffinity(0)
+        with pytest.raises(ValueError, match="part 2 failed"):
+            backward(tape, loss)
+        assert threading.enumerate() == threads
+        assert os.sched_getaffinity(0) == cpus
+        assert runs.count(2) == 1 and 3 in runs  # parts replay last first
 
 
 class TestCheckGradients:

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from equisr import data, inr, parallel, training
+from equisr import data, diff, inr, parallel, training
 from equisr.image import Image
 from equisr.inr import ModelConfig, build_model, super_resolve
 
@@ -134,3 +134,35 @@ class TestSameBitsForAnyWorkerCount:
         self._assert_train_same_bits(monkeypatch, ModelConfig(variant=variant), spec,
                                      steps=4, batch=4, patch=24)
         assert len(sizes) == 3 * 4 * chunks and sum(sizes) == 3 * 4 * 4 * 24 * 24
+
+
+@pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+def test_step_gradients_same_bits_for_any_worker_count(monkeypatch, variant):
+    # nearest mode at scale 2.5: HR centers on LR cell edges tie, so a chunk
+    # evaluates more rows than queries in several local batches, and its
+    # latent-table gradient sums several gathers' terms
+    spec = data.DatasetSpec(kind="stripes", count=4, size=96, seed=1,
+                            scale_lo=2.5, scale_hi=2.5)
+    pairs = data.sample_patch_pairs(spec, 24, 8, seed=0)
+    batch = (np.stack([p.lr.data for p in pairs]), np.concatenate([p.coords for p in pairs]),
+             np.concatenate([p.targets for p in pairs]))
+    model = build_model(ModelConfig(variant=variant, mode="nearest"), seed=0)
+    params = model.named_parameters()
+    seen = []  # list.append is atomic across the chunk threads
+    for name in ("_eval_global_chunk", "_eval_local_batch"):
+        def logging(*args, _real=getattr(inr, name), _name=name):
+            seen.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(inr, name, logging)
+    runs = []
+    for workers in (1, 2, 3):
+        _pin_workers(monkeypatch, workers)
+        with diff.Tape() as tape:
+            loss = training.step_loss(model, *batch)
+        grads = diff.backward(tape, loss)
+        runs.append({k: grads[p].data for k, p in params.items()})
+    chunks = seen.count("_eval_global_chunk")
+    assert chunks >= 3 * 2 and seen.count("_eval_local_batch") > chunks
+    assert all(run.keys() == params.keys() for run in runs)
+    assert all(np.array_equal(run[k], runs[0][k]) for run in runs[1:] for k in params)

@@ -17,6 +17,9 @@ The outputs are:
     at the benchmark's train-steps shape (stripes of size 96, batch 4,
     patch 24, whose INR queries are several chunks per step): their losses,
     checkpoint bytes and checkpoint manifest;
+  * per variant and evaluation mode, every parameter gradient of one
+    training step at that train-steps shape (the first batch a seed-0
+    `train` draws, a seed-0 model), as `grads.<variant>.<mode>`;
   * the CLI's manifest.csv (gen-data), loss.csv, ckpt.bin and ckpt.json (train),
     eval-equiv CSV and scales.csv (--error-maps) on the default config,
     with train.steps cut to 4;
@@ -131,6 +134,29 @@ def train_lines(tmp: str):
             yield f"train{label}.{variant}.ckpt_json", _file_digest(json_path)
 
 
+def grads_lines():
+    import numpy as np
+
+    from equisr import diff
+    from equisr.data import DatasetSpec, sample_patch_pairs
+    from equisr.inr import ModelConfig, build_model
+    from equisr.training import step_loss
+
+    spec = DatasetSpec(kind="stripes", count=8, size=96, scale_lo=2.0, scale_hi=4.0)
+    pairs = sample_patch_pairs(spec, 24, 4, seed=(0, 0))
+    batch = (np.stack([p.lr.data for p in pairs]), np.concatenate([p.coords for p in pairs]),
+             np.concatenate([p.targets for p in pairs]))
+    for variant in VARIANTS:
+        for mode in ("ensemble", "nearest"):
+            model = build_model(ModelConfig(variant=variant, mode=mode), seed=0)
+            with diff.Tape() as tape:
+                loss = step_loss(model, *batch)
+            grads = diff.backward(tape, loss)
+            text = "".join(f"{name} {_array_digest(grads[p].data) if p in grads else None}\n"
+                           for name, p in model.named_parameters().items())
+            yield f"grads.{variant}.{mode}", _digest(text.encode())
+
+
 def cli_lines(tmp: str):
     import numpy as np
 
@@ -200,8 +226,8 @@ def main(argv: list[str]) -> int:
         return 1
     sys.path.insert(0, os.path.abspath(argv[0]))
     with tempfile.TemporaryDirectory() as tmp:
-        for lines in (sr_lines(), train_lines(tmp), cli_lines(tmp), gradcheck_lines(),
-                      chunk_lines()):
+        for lines in (sr_lines(), train_lines(tmp), grads_lines(), cli_lines(tmp),
+                      gradcheck_lines(), chunk_lines()):
             for name, digest in lines:
                 print(name, digest, flush=True)
     return 0
