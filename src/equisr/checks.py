@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diff
 from .encoder import encode_t
-from .filters import ParamFilter, group_conv_t, synthesize_kernel
+from .filters import group_conv_t, synthesize_kernel
 from .groups import make_group
 from .inr import ModelConfig, _eval_local_batch, build_model
 from .training import step_loss
@@ -104,15 +104,14 @@ def _filter_checks() -> list[CheckResult]:
     A45 = np.array([[c45, s45], [-s45, c45]])
 
     def synth(coeffs):
-        return diff.reduce_sum(diff.sin(synthesize_kernel(ParamFilter(coeffs), A45)))
+        return diff.reduce_sum(diff.sin(synthesize_kernel(coeffs, A45)))
 
     def lift(x, coeffs):
         x = diff.reshape(x, x.shape[:-1] + (1, x.shape[-1]))  # an image is a one-slot map
-        return diff.reduce_sum(diff.sin(group_conv_t(x, ParamFilter(coeffs), g4)))
+        return diff.reduce_sum(diff.sin(group_conv_t(x, coeffs, g4)))
 
     def gconv(group):
-        return lambda x, coeffs: diff.reduce_sum(diff.sin(
-            group_conv_t(x, ParamFilter(coeffs), group)))
+        return lambda x, coeffs: diff.reduce_sum(diff.sin(group_conv_t(x, coeffs, group)))
 
     return [
         _check("filters.synthesize", synth, [_tensor(2, 1, 1, 5, 5)]),

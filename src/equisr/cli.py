@@ -81,9 +81,10 @@ def _build_parser() -> _Parser:
 def _cmd_gen_data(args) -> int:
     doc = config.load_config(args.config)
     spec = config.dataset_spec(doc)
+    images = corpus_images(spec)  # lists a file-dir before any output
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for i, img in enumerate(corpus_images(spec)):
+    for i, img in enumerate(images):
         name = f"img_{i:05d}." + ("pgm" if img.c == 1 else "ppm")
         write_image(os.path.join(args.out, name), img)
         size = img.h if img.h == img.w else f"{img.w}x{img.h}"

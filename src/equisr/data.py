@@ -169,7 +169,10 @@ def _draw_smooth_field(rng: np.random.Generator, size: int, cutoff: float) -> np
 
 
 def _file_dir_paths(spec: DatasetSpec) -> list[str]:
+    """The corpus images of a file-dir spec, sorted by name (ConfigError if none)."""
     names = sorted(f for f in os.listdir(spec.path) if f.endswith((".ppm", ".pgm")))
+    if not names:
+        raise ConfigError(f"data.path: directory {spec.path!r} holds no .ppm or .pgm image")
     return [os.path.join(spec.path, f) for f in names]
 
 

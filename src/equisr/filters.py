@@ -32,7 +32,6 @@ own group index, and with p = 1 the equivariant pointwise (1x1) layer.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,18 +69,12 @@ def coeff_disk_mask(p: int) -> np.ndarray:
     return (np.hypot(nodes[:, 0], nodes[:, 1]) <= (p + 1) / 2.0).reshape(p, p)
 
 
-@dataclass(frozen=True)
-class BicubicBasis:
-    """The p*p separable bicubic basis on the unit-mesh filter grid."""
-
-    p: int
-
-    def design_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate all basis functions at `points` (N, 2) -> (N, p*p)."""
-        nodes = _grid_nodes(self.p)
-        d1 = points[:, None, 0] - nodes[None, :, 0]
-        d2 = points[:, None, 1] - nodes[None, :, 1]
-        return phi_bic(d1) * phi_bic(d2)
+def _design_matrix(p: int, points: np.ndarray) -> np.ndarray:
+    """The p*p separable bicubic basis functions at `points` (N, 2) -> (N, p*p)."""
+    nodes = _grid_nodes(p)
+    d1 = points[:, None, 0] - nodes[None, :, 0]
+    d2 = points[:, None, 1] - nodes[None, :, 1]
+    return phi_bic(d1) * phi_bic(d2)
 
 
 def _check_orthogonal(A: np.ndarray) -> np.ndarray:
@@ -101,52 +94,19 @@ def resample_matrix(p: int, A: np.ndarray) -> np.ndarray:
     A = _check_orthogonal(A)
     nodes = _grid_nodes(p)
     src = nodes @ A  # row-vector form of A^{-1} u for orthogonal A
-    M = BicubicBasis(p).design_matrix(src)
+    M = _design_matrix(p, src)
     mask = coeff_disk_mask(p).ravel()
     M[~mask, :] = 0.0
     M[:, ~mask] = 0.0
     return M
 
 
-@dataclass(frozen=True)
-class ParamFilter:
-    """Coefficient grids [c_out, g_in, c_in, p, p] for parametrized filters.
-
-    g_in is 1 for lifting filters and t for group filters.  Coefficients are
-    stored pre-masked to the filter disk.
-    """
-
-    coeffs: Tensor
-
-    def __post_init__(self):
-        if self.coeffs.ndim != 5 or self.coeffs.shape[3] != self.coeffs.shape[4]:
-            raise ShapeError(
-                f"filter coefficients must be [c_out, g_in, c_in, p, p], got {self.coeffs.shape}"
-            )
-        if self.p % 2 == 0:
-            raise ShapeError(f"filter size must be odd, got {self.p}")
-
-    @property
-    def c_out(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def g_in(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def c_in(self) -> int:
-        return self.coeffs.shape[2]
-
-    @property
-    def p(self) -> int:
-        return self.coeffs.shape[3]
-
-
 def make_param_filter(c_out: int, g_in: int, c_in: int, p: int,
                       data: np.ndarray | None = None,
-                      rng: np.random.Generator | None = None) -> ParamFilter:
-    """Create a filter from explicit coefficients or He-uniform init."""
+                      rng: np.random.Generator | None = None) -> Tensor:
+    """Coefficient grids [c_out, g_in, c_in, p, p] of a filter, from explicit
+    coefficients or He-uniform init, masked to the filter disk.  g_in is 1
+    for lifting filters and t for group filters."""
     shape = (c_out, g_in, c_in, p, p)
     if data is None:
         if rng is None:
@@ -159,7 +119,7 @@ def make_param_filter(c_out: int, g_in: int, c_in: int, p: int,
         if data.shape != shape:
             raise ShapeError(f"coefficient data has shape {data.shape}, expected {shape}")
     data = data * coeff_disk_mask(p)
-    return ParamFilter(diff.parameter(data))
+    return diff.parameter(data)
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,6 +145,9 @@ def _rotated_kernels(coeffs: Tensor, matrices: np.ndarray) -> Tensor:
     one product resamples every coefficient grid by all k matrices, and one
     gather puts each resampled grid at its block.
     """
+    if coeffs.ndim != 5 or coeffs.shape[3] != coeffs.shape[4] or coeffs.shape[3] % 2 == 0:
+        raise ShapeError(f"filter coefficients must be [c_out, g_in, c_in, p, p] with p odd, "
+                         f"got {coeffs.shape}")
     c_out, g_in, c_in, p, _ = coeffs.shape
     k, rows = len(matrices), c_out * g_in * c_in
     flat = diff.reshape(coeffs, (rows, p * p))
@@ -194,48 +157,52 @@ def _rotated_kernels(coeffs: Tensor, matrices: np.ndarray) -> Tensor:
     return diff.reshape(kern, (k * c_out, g_in * c_in, p, p))
 
 
-def synthesize_kernel(f: ParamFilter, A: np.ndarray) -> Tensor:
-    """Discrete kernel of the filter rotated by A, same shape as the coeffs."""
-    return diff.reshape(_rotated_kernels(f.coeffs, _check_orthogonal(A)[None]), f.coeffs.shape)
+def synthesize_kernel(coeffs: Tensor, A: np.ndarray) -> Tensor:
+    """Discrete kernel of the filter `coeffs` rotated by A, of the same shape."""
+    return diff.reshape(_rotated_kernels(coeffs, _check_orthogonal(A)[None]), coeffs.shape)
 
 
 # ---------------------------------------------------------------------------
 # convolution layers (features are ([b,] h, w, t, n) arrays)
 # ---------------------------------------------------------------------------
 
-def lifting_kernel(f: ParamFilter, group: RotationGroup) -> Tensor:
+def lifting_kernel(coeffs: Tensor, group: RotationGroup) -> Tensor:
     """Stacked rotated kernels (t*c_out, c_in, p, p); slot k is rotation A_k."""
-    if f.g_in != 1:
-        raise ShapeError(f"lifting filter must have g_in=1, got {f.g_in}")
-    return _rotated_kernels(f.coeffs, group.matrices)
+    if coeffs.shape[1:2] != (1,):
+        raise ShapeError(f"lifting filter must have g_in=1, got shape {coeffs.shape}")
+    return _rotated_kernels(coeffs, group.matrices)
 
 
-def group_kernel(f: ParamFilter, group: RotationGroup) -> Tensor:
+def group_kernel(coeffs: Tensor, group: RotationGroup) -> Tensor:
     """Assembled group-convolution kernel (t*c_out, t*c_in, p, p).
 
     The block for output slot a and input slot b holds the filter at group
     index (b - a) mod t spatially rotated by A_a.
     """
-    if f.g_in != group.t:
-        raise GroupError(f"group filter has g_in={f.g_in} but group order is {group.t}")
-    return _rotated_kernels(f.coeffs, group.matrices)
+    if coeffs.shape[1:2] != (group.t,):
+        raise GroupError(f"group filter of shape {coeffs.shape} does not have g_in = group "
+                         f"order {group.t}")
+    return _rotated_kernels(coeffs, group.matrices)
 
 
-def group_conv_t(x: Tensor, f: ParamFilter, group: RotationGroup,
+def group_conv_t(x: Tensor, coeffs: Tensor, group: RotationGroup,
                  bias: Tensor | None = None) -> Tensor:
     """Feature tensor ([b,] h, w, g_in, n_in) -> ([b,] h, w, t, n_out).
 
     Output slot a sums, over input slots b, the convolution of slot b with
-    the filter at group index (b - a) mod g_in spatially rotated by A_a.  A
-    filter with g_in = 1 is a lifting filter (an image is a feature map with
-    one slot); otherwise g_in is the group order t.  An optional per-channel
-    `bias` is shared by all t output slots, which keeps the layer equivariant.
+    the filter at group index (b - a) mod g_in spatially rotated by A_a, of
+    the coefficient grids `coeffs` [c_out, g_in, c_in, p, p].  A filter with
+    g_in = 1 is a lifting filter (an image is a feature map with one slot);
+    otherwise g_in is the group order t.  An optional per-channel `bias` is
+    shared by all t output slots, which keeps the layer equivariant.
     """
-    if x.ndim not in (4, 5) or x.shape[-2] != f.g_in:
-        raise GroupError(f"feature tensor {x.shape} does not match filter g_in {f.g_in}")
-    if x.shape[-1] != f.c_in:
-        raise ShapeError(f"group_conv_t: feature channels {x.shape[-1]} vs filter c_in {f.c_in}")
-    kernel = lifting_kernel(f, group) if f.g_in == 1 else group_kernel(f, group)
+    lifting = coeffs.shape[1:2] == (1,)
+    kernel = lifting_kernel(coeffs, group) if lifting else group_kernel(coeffs, group)
+    _, g_in, c_in = coeffs.shape[:3]
+    if x.ndim not in (4, 5) or x.shape[-2] != g_in:
+        raise GroupError(f"feature tensor {x.shape} does not match filter g_in {g_in}")
+    if x.shape[-1] != c_in:
+        raise ShapeError(f"group_conv_t: feature channels {x.shape[-1]} vs filter c_in {c_in}")
     return slot_conv(x, kernel, group.t, bias)
 
 

@@ -39,15 +39,15 @@ the areas) or the nearest one, ties shared equally ("nearest" mode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import diff, filters, parallel
 from .diff import Tensor
-from .encoder import EncoderParams, build_encoder, encode_t
+from .encoder import encode_t
 from .errors import ConfigError, DomainError, ShapeError
-from .filters import ParamFilter, group_conv_t, make_param_filter, slot_conv
+from .filters import group_conv_t, make_param_filter, slot_conv
 from .groups import RotationGroup, _is_int, _is_real, make_group
 from .image import Image, cell_position, pixel_coords
 from .parallel import _CHUNK_BYTES
@@ -128,35 +128,6 @@ class ModelConfig:
                               f"limit of {MAX_PARAMETERS} (1 GiB of float64)")
 
 
-@dataclass
-class INRParams:
-    """Learnable state of the INR head (variant-dependent subset used)."""
-
-    W_in: Tensor | None = None  # (t, m, n+2) input-layer blocks
-    W_mid: list[Tensor] = field(default_factory=list)  # each (t, m, m)
-    W_out1: Tensor | None = None  # (m, m) for liif, (m, 2K) for lte
-    psi: list[tuple[Tensor, Tensor]] = field(default_factory=list)  # (W (out,in), b)
-    heads: dict[str, ParamFilter] = field(default_factory=dict)
-    head_biases: dict[str, Tensor] = field(default_factory=dict)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        if self.W_in is not None:
-            out["W_in"] = self.W_in
-        for i, w in enumerate(self.W_mid):
-            out[f"mid{i}"] = w
-        if self.W_out1 is not None:
-            out["W_out1"] = self.W_out1
-        for i, (w, b) in enumerate(self.psi):
-            out[f"psi{i}.w"] = w
-            out[f"psi{i}.b"] = b
-        for name, pf in self.heads.items():
-            out[f"{name}.w"] = pf.coeffs
-        for name, b in self.head_biases.items():
-            out[f"{name}.b"] = b
-        return out
-
-
 def ope_basis(x: np.ndarray, k_max: int) -> np.ndarray:
     """Orthonormal 2-D Fourier basis values P(x) for queries x (Q, 2).
 
@@ -207,66 +178,89 @@ def _ope_rotations(group: RotationGroup, k_max: int) -> np.ndarray | None:
     return R
 
 
-def _mlp_init(rng, widths: list[int]) -> list[tuple[Tensor, Tensor]]:
-    layers = []
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        bound = np.sqrt(6.0 / n_in)
-        layers.append((
-            diff.parameter(rng.uniform(-bound, bound, size=(n_out, n_in))),
-            diff.parameter(np.zeros(n_out)),
-        ))
-    return layers
+def _layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, He fan-in) of every parameter of model `cfg`, in draw order.
 
+    A fan-in of 0 marks a zero bias, and a 5-D shape a filter's coefficient
+    grids [c_out, g_in, c_in, p, p].  "enc." names are the encoder's
+    convolutions; "inr." names are the INR's weights: liif's W_in (t, m,
+    n+2), mid<i> (t, m, m) and W_out1 (m, m), ope's latent head, lte's two
+    latent heads and W_out1 (m, 2K), and the psi layers (W (out, in), b).
+    """
+    t, n, m, c, two_k = cfg.t, cfg.n, cfg.width, cfg.c_in, 2 * cfg.K
+    out = []
 
-def build_inr(cfg: ModelConfig, rng: np.random.Generator) -> INRParams:
-    t, n, m, n0 = cfg.t, cfg.n, cfg.width, cfg.c_in
-    params = INRParams()
+    def conv(name: str, c_out: int, g_in: int, c_in: int, p: int):
+        out.append((f"{name}.w", (c_out, g_in, c_in, p, p), g_in * c_in * p * p))
+        out.append((f"{name}.b", (c_out,), 0))
+
+    conv("enc.head", n, 1, c, cfg.p)
+    for b in range(cfg.blocks):
+        conv(f"enc.block{b}.conv0", n, t, n, cfg.p)
+        conv(f"enc.block{b}.conv1", n, t, n, cfg.p)
+    conv("enc.tail", n, t, n, cfg.p)
+    if cfg.variant == "ope":
+        conv("inr.ope_head", c * (2 * cfg.k_max + 1) ** 2, t, n, 1)
+        return out
     if cfg.variant == "liif":
-        bound = np.sqrt(6.0 / (t * (n + 2)))
-        params.W_in = diff.parameter(rng.uniform(-bound, bound, size=(t, m, n + 2)))
-        for _ in range(cfg.L):
-            b_mid = np.sqrt(6.0 / (t * m))
-            params.W_mid.append(diff.parameter(rng.uniform(-b_mid, b_mid, size=(t, m, m))))
-        b_out = np.sqrt(6.0 / (t * m))
-        params.W_out1 = diff.parameter(rng.uniform(-b_out, b_out, size=(m, m)))
-        params.psi = _mlp_init(rng, [m, *cfg.psi_widths, n0])
-    elif cfg.variant == "ope":
-        n_lat = n0 * (2 * cfg.k_max + 1) ** 2
-        params.heads["ope_head"] = make_param_filter(n_lat, t, n, 1, rng=rng)
-        params.head_biases["ope_head"] = diff.parameter(np.zeros(n_lat))
+        out.append(("inr.W_in", (t, m, n + 2), t * (n + 2)))
+        out.extend((f"inr.mid{i}", (t, m, m), t * m) for i in range(cfg.L))
+        out.append(("inr.W_out1", (m, m), t * m))
     else:  # lte
-        two_k = 2 * cfg.K
-        for name in ("amp_head", "freq_head"):
-            params.heads[name] = make_param_filter(two_k, t, n, 1, rng=rng)
-            params.head_biases[name] = diff.parameter(np.zeros(two_k))
-        b_out = np.sqrt(6.0 / (t * two_k))
-        params.W_out1 = diff.parameter(rng.uniform(-b_out, b_out, size=(m, two_k)))
-        params.psi = _mlp_init(rng, [m, *cfg.psi_widths, n0])
+        conv("inr.amp_head", two_k, t, n, 1)
+        conv("inr.freq_head", two_k, t, n, 1)
+        out.append(("inr.W_out1", (m, two_k), t * two_k))
+    widths = [m, *cfg.psi_widths, c]
+    for i, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
+        out.append((f"inr.psi{i}.w", (w_out, w_in), w_in))
+        out.append((f"inr.psi{i}.b", (w_out,), 0))
+    return out
+
+
+def _draw(cfg: ModelConfig, prefix: str, rng: np.random.Generator) -> dict[str, Tensor]:
+    """The parameters of model `cfg` whose names start with `prefix`, drawn in
+    layout order: He-uniform weights (filters masked to their disk) and zero
+    biases."""
+    params = {}
+    for name, shape, fan_in in _layout(cfg):
+        if not name.startswith(prefix):
+            continue
+        if not fan_in:
+            params[name] = diff.parameter(np.zeros(shape))
+        elif len(shape) == 5:
+            params[name] = make_param_filter(*shape[:4], rng=rng)
+        else:
+            bound = np.sqrt(6.0 / fan_in)
+            params[name] = diff.parameter(rng.uniform(-bound, bound, size=shape))
     return params
 
 
 @dataclass
 class INRModel:
+    """A model: its config, its rotation group, and its parameter table,
+    keyed by the names checkpoints record (see _layout)."""
+
     cfg: ModelConfig
     group: RotationGroup
-    encoder: EncoderParams
-    inr: INRParams
+    params: dict[str, Tensor]
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {f"enc.{k}": v for k, v in self.encoder.named_parameters().items()}
-        out.update({f"inr.{k}": v for k, v in self.inr.named_parameters().items()})
-        return out
+        return self.params
 
 
 def build_model(cfg: ModelConfig, seed: int = 0) -> INRModel:
-    """Build a model with seeded He-uniform initialization (bit reproducible)."""
-    enc = build_encoder(cfg, seed=seed)
-    inr = build_inr(cfg, np.random.default_rng((seed, 1)))
-    return INRModel(cfg, make_group(cfg.t), enc, inr)
+    """Build a model with seeded He-uniform initialization (bit reproducible):
+    the encoder draws from default_rng(seed), the INR from default_rng((seed, 1))."""
+    params = _draw(cfg, "enc.", np.random.default_rng(seed))
+    params.update(_draw(cfg, "inr.", np.random.default_rng((seed, 1))))
+    return INRModel(cfg, make_group(cfg.t), params)
 
 
 def parameter_count(cfg: ModelConfig) -> int:
-    """Number of floats in the parameters of build_model(cfg), without building it."""
+    """Number of floats in the parameters of build_model(cfg), without building it.
+
+    A closed form, not a sum over _layout, whose list grows with blocks and L:
+    ModelConfig calls it to refuse a huge config at once."""
     t, n, p2, m, c, two_k = cfg.t, cfg.n, cfg.p ** 2, cfg.width, cfg.c_in, 2 * cfg.K
     # encoder: head, two convolutions per block and tail, each with n biases
     count = n * c * p2 + (2 * cfg.blocks + 1) * t * n * n * p2 + (2 * cfg.blocks + 2) * n
@@ -298,9 +292,10 @@ def compute_latents(model: INRModel, feat: Tensor) -> tuple[Tensor, ...]:
         rotations = _ope_rotations(model.group, model.cfg.k_max)
         if rotations is not None:
             return (_folded_ope_code(model, feat, rotations),)
-    # the heads are ope_head, or amp_head then freq_head
-    return tuple(group_conv_t(feat, pf, model.group, bias=model.inr.head_biases[name])
-                 for name, pf in model.inr.heads.items())
+    heads = ("ope_head",) if model.cfg.variant == "ope" else ("amp_head", "freq_head")
+    params = model.params
+    return tuple(group_conv_t(feat, params[f"inr.{h}.w"], model.group, bias=params[f"inr.{h}.b"])
+                 for h in heads)
 
 
 def _folded_ope_code(model: INRModel, feat: Tensor, R: np.ndarray) -> Tensor:
@@ -309,10 +304,10 @@ def _folded_ope_code(model: INRModel, feat: Tensor, R: np.ndarray) -> Tensor:
     over its t output slots, W = sum_a K_a R[a], with bias b sum_a R[a]."""
     cfg = model.cfg
     t, c, kb = cfg.t, cfg.c_in, R.shape[1]
-    kernel = filters.group_kernel(model.inr.heads["ope_head"], model.group)
+    kernel = filters.group_kernel(model.params["inr.ope_head.w"], model.group)
     kernel = diff.einsum("akl,ackj->clj", diff.constant(R),
                          diff.reshape(kernel, (t, c, kb, t * cfg.n)))
-    bias = diff.reshape(model.inr.head_biases["ope_head"], (c, kb))
+    bias = diff.reshape(model.params["inr.ope_head.b"], (c, kb))
     bias = diff.matmul(bias, diff.constant(R.sum(axis=0)))
     return slot_conv(feat, diff.reshape(kernel, (c * kb, t * cfg.n, 1, 1)), 1,
                      diff.reshape(bias, (c * kb,)))
@@ -349,7 +344,7 @@ def _cyclic_layer(u: Tensor, blocks: Tensor) -> Tensor:
 def _input_layer_liif(model: INRModel, F_q: Tensor, X: np.ndarray) -> Tensor:
     """H(x, B) = sum_A W_in^{B^{-1}A} . [F^A; A^{-1}x]  ->  (Q, t, m)."""
     xrot = diff.constant(lift_coordinate(X, model.group))  # (Q, t, 2)
-    return _cyclic_layer(diff.concat([F_q, xrot], axis=2), model.inr.W_in)
+    return _cyclic_layer(diff.concat([F_q, xrot], axis=2), model.params["inr.W_in"])
 
 
 def _input_sum_ope(model: INRModel, coeffs: Tensor, X: np.ndarray) -> Tensor:
@@ -402,14 +397,18 @@ def _input_stage(model: INRModel, lat_q: tuple[Tensor, ...], X: np.ndarray,
     return _input_sum_lte(model, *lat_q, X, waves32)
 
 
-def _output_head(W_out1: Tensor, psi: list[tuple[Tensor, Tensor]], z: Tensor) -> Tensor:
-    """psi(z . W_out1^T) for the group sum z (Q, m) of the last H layer; psi's
-    layers (W (out, in), b) have a relu between each two."""
-    z = diff.matmul(z, diff.transpose(W_out1, (1, 0)))
-    for i, (w, b) in enumerate(psi):
+def _output_head(params: dict[str, Tensor], z: Tensor) -> Tensor:
+    """psi(z . W_out1^T) for the group sum z (Q, m) of the last H layer, of a
+    parameter table's inr.W_out1 and psi layers inr.psi0, inr.psi1, ...
+    (W (out, in), b), with a relu between each two."""
+    z = diff.matmul(z, diff.transpose(params["inr.W_out1"], (1, 0)))
+    i = 0
+    while f"inr.psi{i}.w" in params:
+        w, b = params[f"inr.psi{i}.w"], params[f"inr.psi{i}.b"]
         if i:
             z = diff.relu(z)
         z = diff.add(diff.matmul(z, diff.transpose(w, (1, 0))), diff.reshape(b, (1, w.shape[0])))
+        i += 1
     return z
 
 
@@ -420,7 +419,7 @@ def _eval_local_batch(model: INRModel, lat_q: tuple[Tensor, ...], X: np.ndarray,
     waves32 selects lte's float32 waves (see _input_sum_lte); the other
     variants ignore it.
     """
-    cfg, inr = model.cfg, model.inr
+    cfg = model.cfg
     h = _input_stage(model, lat_q, X, waves32)
     if cfg.variant == "ope":
         # ope's output layer is fixed, W_out1 = (1/t) I and identity psi, so
@@ -428,12 +427,12 @@ def _eval_local_batch(model: INRModel, lat_q: tuple[Tensor, ...], X: np.ndarray,
         return h
     if cfg.variant == "lte":
         # the group sum of the t equal H slots, as one scaling (exact for t a power of 2)
-        return _output_head(inr.W_out1, inr.psi, diff.scale(h, cfg.t))
+        return _output_head(model.params, diff.scale(h, cfg.t))
     if cfg.L > 0:
         h = diff.relu(h)
-    for w_mid in inr.W_mid:
-        h = diff.relu(_cyclic_layer(h, w_mid))
-    return _output_head(inr.W_out1, inr.psi, diff.reduce_sum(h, axes=1))
+    for i in range(cfg.L):
+        h = diff.relu(_cyclic_layer(h, model.params[f"inr.mid{i}"]))
+    return _output_head(model.params, diff.reduce_sum(h, axes=1))
 
 
 # ---------------------------------------------------------------------------

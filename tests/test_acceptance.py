@@ -5,13 +5,12 @@ Desk-scale reference model: 4 residual blocks, channel budget n*t = 32,
 filter size 5, LIIF/OPE/LTE heads at their default widths.
 """
 
-import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from equisr import diff
+from equisr import diff, inr
 from equisr.checks import run_all
 from equisr.cli import main as cli_main
 from equisr.data import DatasetSpec, bicubic_resize, gen_synthetic, read_image, write_image
@@ -22,7 +21,6 @@ from equisr.inr import (
     _cyclic_layer,
     _input_stage,
     _output_head,
-    build_inr,
     build_model,
     super_resolve,
 )
@@ -155,8 +153,8 @@ def test_criterion_5_layer_exactness():
             cfg = ModelConfig(variant=variant, t=t, n=4, blocks=1, p=3, width=8,
                               psi_widths=(8,), K=3, k_max=1)
             for seed in range(3):
-                model = dataclasses.replace(
-                    build_model(cfg), inr=build_inr(cfg, np.random.default_rng(seed)))
+                model = build_model(cfg)
+                model.params.update(inr._draw(cfg, "inr.", np.random.default_rng(seed)))
                 rng = np.random.default_rng(1000 + seed)
                 if variant == "lte":
                     latent = (rng.standard_normal((t, 2 * cfg.K)),
@@ -186,7 +184,7 @@ def test_criterion_5_layer_exactness():
 
                 def out(h):
                     z = diff.reduce_sum(diff.constant(h[None]), axes=1)
-                    return _output_head(w_out, [], z).data[0]
+                    return _output_head({"inr.W_out1": w_out}, z).data[0]
 
                 base_mid = mid(base_h)
                 base_out = out(base_mid)
@@ -226,9 +224,9 @@ def test_criterion_7_filter_parametrization_exactness():
         for seed in range(3):
             pf = make_param_filter(2, 1, 2, p, rng=np.random.default_rng(seed))
             k_id = synthesize_kernel(pf, np.eye(2)).data
-            worst_id = max(worst_id, float(np.max(np.abs(k_id - pf.coeffs.data))))
+            worst_id = max(worst_id, float(np.max(np.abs(k_id - pf.data))))
             k_rot = synthesize_kernel(pf, g.matrices[1]).data
-            expected = np.rot90(pf.coeffs.data, -1, axes=(3, 4))
+            expected = np.rot90(pf.data, -1, axes=(3, 4))
             worst_rot = max(worst_rot, float(np.max(np.abs(k_rot - expected))))
     ok = worst_id <= 1e-12 and worst_rot <= 1e-12
     _report(7, ok, "kernel synthesis: identity == coeffs, 90 degrees == rot90, "

@@ -76,6 +76,20 @@ class TestGenData:
         assert (out / "img_00001.ppm").read_bytes() == (src / "b.ppm").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval-equiv"])
+def test_file_dir_without_images_is_one_config_error(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "notes.txt").write_text("not an image")
+    cfg = _write_config(tmp_path, {"data": {"kind": "file-dir", "path": str(corpus)},
+                                   "train": {"steps": 1, "patch": 4}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: data.path: directory {str(corpus)!r} holds no .ppm or .pgm image\n"
+    assert not out.exists()
+
+
 class TestEvalEquiv:
     def test_equivariant_model_quarter_turn(self, tmp_path):
         cfg = _write_config(tmp_path, {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equisr import diff
-from equisr.encoder import build_encoder, encode_t
+from equisr.encoder import encode_t
 from equisr.errors import ShapeError
 from equisr.groups import element_image_angle, make_group, rotate_feature, rotate_image
 from equisr.image import Image
@@ -14,10 +14,11 @@ from equisr.inr import ModelConfig, build_model
 class TestBuild:
     def test_plain_weight_count_matches_hand_count(self):
         cfg = ModelConfig(t=1, blocks=1, n=8, p=3, c_in=3)
-        params = build_encoder(cfg, seed=0)
+        params = build_model(cfg, seed=0).params
         # head + two block convs + tail, 3x3 kernels
         expected = 3 * 8 * 9 + 2 * (8 * 8 * 9) + 8 * 8 * 9
-        assert sum(pf.coeffs.size for pf in params.filters.values()) == expected
+        assert sum(w.size for name, w in params.items()
+                   if name.startswith("enc.") and name.endswith(".w")) == expected
 
     def test_channel_budget_bookkeeping(self):
         eq = build_model(ModelConfig(t=4, blocks=1, n=2, p=3), seed=0)
@@ -28,23 +29,24 @@ class TestBuild:
 
     def test_same_seed_bit_identical(self):
         cfg = ModelConfig(t=4, blocks=2, n=4, p=5)
-        a, b = build_encoder(cfg, seed=11), build_encoder(cfg, seed=11)
-        for name, pa in a.named_parameters().items():
-            assert np.array_equal(pa.data, b.named_parameters()[name].data)
+        a, b = build_model(cfg, seed=11).params, build_model(cfg, seed=11).params
+        for name, pa in a.items():
+            assert np.array_equal(pa.data, b[name].data)
 
     def test_different_seed_differs(self):
         cfg = ModelConfig(t=2, blocks=1, n=4, p=3)
-        a, b = build_encoder(cfg, seed=1), build_encoder(cfg, seed=2)
-        assert not np.array_equal(a.filters["head"].coeffs.data,
-                                  b.filters["head"].coeffs.data)
+        a, b = build_model(cfg, seed=1), build_model(cfg, seed=2)
+        assert not np.array_equal(a.params["enc.head.w"].data, b.params["enc.head.w"].data)
 
 
 class TestEncode:
     def test_zero_image_through_bias_free_encoder(self):
         # a freshly built encoder's biases are zero
         model = build_model(ModelConfig(t=4, blocks=2, n=4, p=3), seed=3)
-        assert len(model.encoder.biases) == len(model.encoder.filters)
-        assert all(not b.data.any() for b in model.encoder.biases.values())
+        weights = [k for k in model.params if k.startswith("enc.") and k.endswith(".w")]
+        biases = [k for k in model.params if k.startswith("enc.") and k.endswith(".b")]
+        assert len(biases) == len(weights)
+        assert all(not model.params[k].data.any() for k in biases)
         out = encode_t(model, diff.constant(np.zeros((8, 8, 3)))).data
         assert np.array_equal(out, np.zeros_like(out))
 

@@ -6,8 +6,6 @@ import pytest
 from equisr import diff
 from equisr.errors import GroupError, MatrixError, ShapeError
 from equisr.filters import (
-    BicubicBasis,
-    ParamFilter,
     coeff_disk_mask,
     group_conv_t,
     group_kernel,
@@ -16,6 +14,7 @@ from equisr.filters import (
     phi_bic,
     resample_matrix,
     synthesize_kernel,
+    _design_matrix,
     _grid_nodes,
 )
 from equisr.groups import (
@@ -54,7 +53,7 @@ class TestPhiBic:
 class TestBasisAndSynthesis:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_interpolation_property(self, p):
-        M = BicubicBasis(p).design_matrix(_grid_nodes(p))
+        M = _design_matrix(p, _grid_nodes(p))
         assert np.max(np.abs(M - np.eye(p * p))) <= 1e-14
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -62,7 +61,7 @@ class TestBasisAndSynthesis:
         rng = np.random.default_rng(0)
         pf = make_param_filter(2, 1, 3, p, rng=rng)
         kern = synthesize_kernel(pf, np.eye(2))
-        assert np.max(np.abs(kern.data - pf.coeffs.data)) <= 1e-12
+        assert np.max(np.abs(kern.data - pf.data)) <= 1e-12
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_quarter_turn_is_permutation(self, p):
@@ -71,7 +70,7 @@ class TestBasisAndSynthesis:
         g = make_group(4)
         kern = synthesize_kernel(pf, g.matrices[1]).data[0, 0, 0]
         # element 1 acts clockwise on the plane, i.e. rot90(-1) on the grid
-        assert np.max(np.abs(kern - np.rot90(pf.coeffs.data[0, 0, 0], -1))) <= 1e-12
+        assert np.max(np.abs(kern - np.rot90(pf.data[0, 0, 0], -1))) <= 1e-12
 
     def test_45deg_center_spike_is_cardinal_function(self):
         p = 5
@@ -101,6 +100,14 @@ class TestBasisAndSynthesis:
         with pytest.raises(MatrixError):
             synthesize_kernel(pf, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 4, 4), (1, 1, 3, 3), (1, 1, 1, 3, 5)])
+    def test_coefficient_shape_checked(self, shape):
+        coeffs = diff.parameter(np.zeros(shape))
+        with pytest.raises(ShapeError, match="must be \\[c_out, g_in, c_in, p, p\\] with p odd"):
+            synthesize_kernel(coeffs, np.eye(2))
+        with pytest.raises(ShapeError, match="with p odd"):
+            lifting_kernel(coeffs, make_group(4))
+
     def test_disk_mask_only_trims_corners_at_p7(self):
         assert coeff_disk_mask(3).all()
         assert coeff_disk_mask(5).all()
@@ -118,23 +125,25 @@ def _resample_ref(coeffs, p, M):
 
 def _lifting_kernel_ref(f, group):
     """Per-slot reference: one resample per rotation, concatenated."""
+    c_out, _, c_in, p, _ = f.shape
     blocks = []
     for k in range(group.t):
-        kern = _resample_ref(f.coeffs, f.p, resample_matrix(f.p, group.matrices[k % group.t]))
-        blocks.append(diff.reshape(kern, (f.c_out, f.c_in, f.p, f.p)))
+        kern = _resample_ref(f, p, resample_matrix(p, group.matrices[k % group.t]))
+        blocks.append(diff.reshape(kern, (c_out, c_in, p, p)))
     return diff.concat(blocks, axis=0)
 
 
 def _group_kernel_ref(f, group):
     """Per-slot reference: output slot a gathers slots (b - a) mod t, rotates by A_a."""
     t = group.t
+    c_out, _, c_in, p, _ = f.shape
     blocks = []
     for a in range(t):
         perm = np.array([(b - a) % t for b in range(t)], dtype=np.int64)
-        by_slot = diff.transpose(f.coeffs, (1, 0, 2, 3, 4))  # its own inverse
+        by_slot = diff.transpose(f, (1, 0, 2, 3, 4))  # its own inverse
         ga = diff.transpose(diff.gather(by_slot, perm), (1, 0, 2, 3, 4))
-        kern = _resample_ref(ga, f.p, resample_matrix(f.p, group.matrices[a % group.t]))
-        blocks.append(diff.reshape(kern, (f.c_out, t * f.c_in, f.p, f.p)))
+        kern = _resample_ref(ga, p, resample_matrix(p, group.matrices[a % group.t]))
+        blocks.append(diff.reshape(kern, (c_out, t * c_in, p, p)))
     return diff.concat(blocks, axis=0)
 
 
@@ -157,7 +166,7 @@ class TestKernelAssembly:
                 kern = fn(f, g)
                 loss = diff.reduce_sum(diff.mul(kern, diff.constant(weights)))
             kernels.append(kern.data)
-            grads.append(diff.backward(tape, loss)[f.coeffs].data)
+            grads.append(diff.backward(tape, loss)[f].data)
         assert np.array_equal(kernels[0], kernels[1])
         # the product sums the t rotations' gradients in one BLAS call
         assert np.max(np.abs(grads[0] - grads[1])) <= 1e-13 * np.max(np.abs(grads[1]))
@@ -166,7 +175,7 @@ class TestKernelAssembly:
         rng = np.random.default_rng(9)
         f = make_param_filter(2, 3, 2, 5, rng=rng)
         A = _rot_matrix(0.7)
-        expected = _resample_ref(f.coeffs, 5, resample_matrix(5, A)).data
+        expected = _resample_ref(f, 5, resample_matrix(5, A)).data
         assert np.array_equal(synthesize_kernel(f, A).data, expected)
 
 
@@ -192,7 +201,7 @@ class TestLiftingConv:
         img = rng.random((6, 6, 2))
         out = group_conv_t(diff.constant(img[:, :, None]), pf, g).data
         assert out.shape[2] == 1
-        expected = _naive_conv_same(img, pf.coeffs.data[0, 0])
+        expected = _naive_conv_same(img, pf.data[0, 0])
         assert np.max(np.abs(out[:, :, 0, 0] - expected)) <= 1e-12
 
     def test_symmetric_coeffs_give_identical_slots(self):

@@ -395,7 +395,36 @@ class TestTrainingInvariance:
             assert np.max(np.abs(g - r)) <= 1e-9 * np.max(np.abs(r))
 
 
+# the encoder's records of every small model below, in manifest (name) order
+_ENC_RECORDS = [
+    ("enc.block0.conv0.b", [3]), ("enc.block0.conv0.w", [3, 2, 3, 3, 3]),
+    ("enc.block0.conv1.b", [3]), ("enc.block0.conv1.w", [3, 2, 3, 3, 3]),
+    ("enc.head.b", [3]), ("enc.head.w", [3, 1, 3, 3, 3]),
+    ("enc.tail.b", [3]), ("enc.tail.w", [3, 2, 3, 3, 3]),
+]
+_PSI_RECORDS = [("inr.psi0.b", [5]), ("inr.psi0.w", [5, 4]),
+                ("inr.psi1.b", [3]), ("inr.psi1.w", [3, 5])]
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("variant,L,inr_records", [
+        ("liif", 0, [("inr.W_in", [2, 4, 5]), ("inr.W_out1", [4, 4]), *_PSI_RECORDS]),
+        ("liif", 2, [("inr.W_in", [2, 4, 5]), ("inr.W_out1", [4, 4]),
+                     ("inr.mid0", [2, 4, 4]), ("inr.mid1", [2, 4, 4]), *_PSI_RECORDS]),
+        ("ope", 0, [("inr.ope_head.b", [27]), ("inr.ope_head.w", [27, 2, 3, 1, 1])]),
+        ("lte", 0, [("inr.W_out1", [4, 6]),
+                    ("inr.amp_head.b", [6]), ("inr.amp_head.w", [6, 2, 3, 1, 1]),
+                    ("inr.freq_head.b", [6]), ("inr.freq_head.w", [6, 2, 3, 1, 1]),
+                    *_PSI_RECORDS]),
+    ])
+    def test_manifest_records_are_pinned(self, tmp_path, variant, L, inr_records):
+        # equisr-ckpt-1 manifests load by these names and shapes
+        cfg = ModelConfig(variant=variant, t=2, n=3, blocks=1, p=3, width=4, psi_widths=(5,),
+                          K=3, k_max=1, L=L)
+        json_path, _ = save_checkpoint(str(tmp_path / "c"), build_model(cfg))
+        records = json.loads(Path(json_path).read_text())["params"]
+        assert [(r["name"], r["shape"]) for r in records] == _ENC_RECORDS + inr_records
+
     def test_round_trip_bit_exact(self, tmp_path):
         model = build_model(ModelConfig(variant="lte", t=2, n=4, blocks=1, p=3,
                                         width=8, psi_widths=(8,), K=4), seed=9)

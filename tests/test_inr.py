@@ -27,7 +27,6 @@ from equisr.inr import (
     _eval_local_batch,
     _input_stage,
     _output_head,
-    build_inr,
     build_model,
     compute_latents,
     eval_global,
@@ -78,9 +77,13 @@ def _mid(h, W):
 
 
 def _out(h, W_out1, psi=()):
-    """The output layer of one H (t, m): the group sum, then _output_head."""
+    """The output layer of one H (t, m): the group sum, then _output_head of
+    a table holding W_out1 and the psi layers (W, b)."""
+    params = {"inr.W_out1": diff.constant(W_out1)}
+    for i, (w, b) in enumerate(psi):
+        params[f"inr.psi{i}.w"], params[f"inr.psi{i}.b"] = w, b
     z = diff.reduce_sum(diff.constant(h[None]), axes=1)
-    return _output_head(diff.constant(W_out1), list(psi), z).data[0]
+    return _output_head(params, z).data[0]
 
 
 def _local(model, latent, x):
@@ -89,8 +92,10 @@ def _local(model, latent, x):
 
 
 def _inr_model(cfg, seed):
-    """A model of `cfg` whose INR holds build_inr's draws from default_rng(seed)."""
-    return dataclasses.replace(build_model(cfg), inr=build_inr(cfg, np.random.default_rng(seed)))
+    """A model of `cfg` whose table holds the INR weights drawn from default_rng(seed)."""
+    model = build_model(cfg)
+    model.params.update(inr._draw(cfg, "inr.", np.random.default_rng(seed)))
+    return model
 
 
 def _small_cfg(variant, t, **kw):
@@ -142,15 +147,15 @@ class TestInputLayer:
         latent = (rng.standard_normal((1, cfg.n)),)
         x = rng.standard_normal(2)
         h = _input_h(model, latent, x)
-        direct = model.inr.W_in.data[0] @ np.concatenate([latent[0][0], x])
+        direct = model.params["inr.W_in"].data[0] @ np.concatenate([latent[0][0], x])
         assert np.max(np.abs(h[0] - direct)) <= 1e-14
 
     def test_t2_scalar_hand_expansion(self):
         cfg = ModelConfig(variant="liif", t=2, n=1, blocks=1, p=3, width=1,
                           psi_widths=())
         model = _inr_model(cfg, 0)
-        model.inr.W_in.data[0] = [[1.0, 2.0, 3.0]]
-        model.inr.W_in.data[1] = [[10.0, 20.0, 30.0]]
+        model.params["inr.W_in"].data[0] = [[1.0, 2.0, 3.0]]
+        model.params["inr.W_in"].data[1] = [[10.0, 20.0, 30.0]]
         latent = (np.array([[5.0], [7.0]]),)
         x = np.array([0.5, -0.25])
         h = _input_h(model, latent, x)
@@ -231,24 +236,26 @@ class TestOutputLayer:
 
 
 def _closed_form_oracle(cfg, params, group, latent, x):
-    """Independent transcription of the L = 0 closed forms."""
+    """Independent transcription of the L = 0 closed forms, of the parameter
+    table `params`."""
     t = group.t
+    layers = len(cfg.psi_widths) + 1
 
     def run_psi(z):
-        for i, (w, bias) in enumerate(params.psi):
-            z = w.data @ z + bias.data
-            if i + 1 < len(params.psi):
+        for i in range(layers):
+            z = params[f"inr.psi{i}.w"].data @ z + params[f"inr.psi{i}.b"].data
+            if i + 1 < layers:
                 z = np.maximum(z, 0.0)
         return z
 
     if cfg.variant == "liif":
         (feat,) = latent
-        acc = np.zeros(params.W_out1.shape[0])
+        acc = np.zeros(params["inr.W_out1"].shape[0])
         for a in range(t):
             xa = group.matrices[a % group.t].T @ x
             v = np.concatenate([feat[a], xa])
             for b in range(t):
-                acc += params.W_out1.data @ (params.W_in.data[(a - b) % t] @ v)
+                acc += params["inr.W_out1"].data @ (params["inr.W_in"].data[(a - b) % t] @ v)
         return run_psi(acc)
     if cfg.variant == "ope":
         (coeffs,) = latent
@@ -264,15 +271,16 @@ def _closed_form_oracle(cfg, params, group, latent, x):
         xa = group.matrices[a % group.t].T @ x
         ang = np.pi * (freq[a].reshape(cfg.K, 2) @ xa)
         acc += amp[a] * np.concatenate([np.cos(ang), np.sin(ang)])
-    return run_psi(t * (params.W_out1.data @ acc))
+    return run_psi(t * (params["inr.W_out1"].data @ acc))
 
 
 class TestEvalLocal:
     def test_zero_parameters_give_zero(self):
         cfg = _small_cfg("liif", 4)
         model = _inr_model(cfg, 0)
-        for p in model.inr.named_parameters().values():
-            p.data[...] = 0.0
+        for name, p in model.params.items():
+            if name.startswith("inr."):
+                p.data[...] = 0.0
         latent = (np.random.default_rng(1).standard_normal((4, cfg.n)),)
         out = _local(model, latent, np.array([0.3, 0.4]))
         assert np.array_equal(out, np.zeros(3))
@@ -306,7 +314,7 @@ class TestEvalLocal:
         latent = _random_latent(rng, cfg)
         x = rng.uniform(-1, 1, size=2)
         got = _local(model, latent, x)
-        expected = _closed_form_oracle(cfg, model.inr, g, latent, x)
+        expected = _closed_form_oracle(cfg, model.params, g, latent, x)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
@@ -322,16 +330,16 @@ class TestEvalLocal:
         batch = tuple(diff.constant(np.stack(parts)) for parts in zip(*latents))
         got = _eval_local_batch(model, batch, X).data
         for q in range(5):
-            expected = _closed_form_oracle(cfg, model.inr, g, latents[q], X[q])
+            expected = _closed_form_oracle(cfg, model.params, g, latents[q], X[q])
             assert np.max(np.abs(got[q] - expected)) <= 1e-12
 
     def test_intermediate_layer_parameter_share(self):
         # a cyclic-sharing layer stores t blocks of m*m, a dense layer on the
         # stacked width stores (t*m)^2: exactly a factor t apart
         cfg = _small_cfg("liif", 8, L=2)
-        params = build_inr(cfg, np.random.default_rng(0))
+        params = build_model(cfg).params
         t, m = cfg.t, cfg.width
-        assert params.W_mid[0].size == t * m * m == ((t * m) ** 2) // t
+        assert params["inr.mid0"].size == t * m * m == ((t * m) ** 2) // t
 
 
 class TestOpeBasis:
@@ -374,8 +382,8 @@ class TestOpeFold:
 
     @staticmethod
     def _per_slot(model, feat):
-        head = model.inr.heads["ope_head"]
-        return (group_conv_t(feat, head, model.group, bias=model.inr.head_biases["ope_head"]),)
+        return (group_conv_t(feat, model.params["inr.ope_head.w"], model.group,
+                             bias=model.params["inr.ope_head.b"]),)
 
     @staticmethod
     def _run(model, img, X, latents):
@@ -1140,10 +1148,9 @@ class TestConfigValidation:
         assert parameter_count(cfg) <= inr.MAX_PARAMETERS
 
     def test_model_holds_one_description(self, monkeypatch):
-        # the config and the group live on INRModel only, the group built once
-        for part in (inr.EncoderParams, inr.INRParams):
-            names = {f.name for f in dataclasses.fields(part)}
-            assert not names & {"cfg", "group"}
+        # the config, the group and the parameter table live on INRModel
+        # only, the group built once
+        assert [f.name for f in dataclasses.fields(INRModel)] == ["cfg", "group", "params"]
         calls = []
         real = inr.make_group
         monkeypatch.setattr(inr, "make_group", lambda t: calls.append(t) or real(t))

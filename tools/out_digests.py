@@ -19,7 +19,11 @@ The outputs are:
     checkpoint bytes and checkpoint manifest;
   * per variant and evaluation mode, every parameter gradient of one
     training step at that train-steps shape (the first batch a seed-0
-    `train` draws, a seed-0 model), as `grads.<variant>.<mode>`;
+    `train` draws, a seed-0 model), as `grads.<variant>.<mode>`, listed
+    by parameter name;
+  * per variant x t in {1, 4, 16}, plus liif at L = 2, the initial
+    parameter table of `build_model` for seeds 0 and 1, listed by name,
+    as `params.<variant>.t<t>[.L2]`;
   * the CLI's manifest.csv (gen-data), loss.csv, ckpt.bin and ckpt.json (train),
     eval-equiv CSV and scales.csv (--error-maps) on the default config,
     with train.steps cut to 4;
@@ -153,8 +157,20 @@ def grads_lines():
                 loss = step_loss(model, *batch)
             grads = diff.backward(tape, loss)
             text = "".join(f"{name} {_array_digest(grads[p].data) if p in grads else None}\n"
-                           for name, p in model.named_parameters().items())
+                           for name, p in sorted(model.named_parameters().items()))
             yield f"grads.{variant}.{mode}", _digest(text.encode())
+
+
+def params_lines():
+    from equisr.inr import ModelConfig, build_model
+
+    cases = [(f"{variant}.t{t}", ModelConfig(variant=variant, t=t))
+             for variant in VARIANTS for t in (1, 4, 16)]
+    cases.append(("liif.t4.L2", ModelConfig(variant="liif", t=4, L=2)))
+    for label, cfg in cases:
+        text = "".join(f"{seed} {name} {_array_digest(p.data)}\n" for seed in (0, 1)
+                       for name, p in sorted(build_model(cfg, seed).named_parameters().items()))
+        yield f"params.{label}", _digest(text.encode())
 
 
 def cli_lines(tmp: str):
@@ -226,7 +242,7 @@ def main(argv: list[str]) -> int:
         return 1
     sys.path.insert(0, os.path.abspath(argv[0]))
     with tempfile.TemporaryDirectory() as tmp:
-        for lines in (sr_lines(), train_lines(tmp), grads_lines(), cli_lines(tmp),
+        for lines in (sr_lines(), train_lines(tmp), grads_lines(), params_lines(), cli_lines(tmp),
                       gradcheck_lines(), chunk_lines()):
             for name, digest in lines:
                 print(name, digest, flush=True)
