@@ -101,27 +101,6 @@ def resample_matrix(p: int, A: np.ndarray) -> np.ndarray:
     return M
 
 
-def make_param_filter(c_out: int, g_in: int, c_in: int, p: int,
-                      data: np.ndarray | None = None,
-                      rng: np.random.Generator | None = None) -> Tensor:
-    """Coefficient grids [c_out, g_in, c_in, p, p] of a filter, from explicit
-    coefficients or He-uniform init, masked to the filter disk.  g_in is 1
-    for lifting filters and t for group filters."""
-    shape = (c_out, g_in, c_in, p, p)
-    if data is None:
-        if rng is None:
-            raise ShapeError("make_param_filter needs either data or an rng")
-        fan_in = g_in * c_in * p * p
-        bound = np.sqrt(6.0 / fan_in)
-        data = rng.uniform(-bound, bound, size=shape)
-    else:
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != shape:
-            raise ShapeError(f"coefficient data has shape {data.shape}, expected {shape}")
-    data = data * coeff_disk_mask(p)
-    return diff.parameter(data)
-
-
 @functools.lru_cache(maxsize=None)
 def _side_by_side(p: int, matrices: bytes) -> np.ndarray:
     """(p^2, k p^2): the transposed resample matrices of k rotations, given

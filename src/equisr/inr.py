@@ -39,7 +39,7 @@ the areas) or the nearest one, ties shared equally ("nearest" mode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from . import diff, filters, parallel
 from .diff import Tensor
 from .encoder import encode_t
 from .errors import ConfigError, DomainError, ShapeError
-from .filters import group_conv_t, make_param_filter, slot_conv
+from .filters import coeff_disk_mask, group_conv_t, slot_conv
 from .groups import RotationGroup, _is_int, _is_real, make_group
 from .image import Image, cell_position, pixel_coords
 from .parallel import _CHUNK_BYTES
@@ -226,12 +226,13 @@ def _draw(cfg: ModelConfig, prefix: str, rng: np.random.Generator) -> dict[str, 
         if not name.startswith(prefix):
             continue
         if not fan_in:
-            params[name] = diff.parameter(np.zeros(shape))
-        elif len(shape) == 5:
-            params[name] = make_param_filter(*shape[:4], rng=rng)
+            data = np.zeros(shape)
         else:
             bound = np.sqrt(6.0 / fan_in)
-            params[name] = diff.parameter(rng.uniform(-bound, bound, size=shape))
+            data = rng.uniform(-bound, bound, size=shape)
+            if len(shape) == 5:
+                data *= coeff_disk_mask(shape[-1])
+        params[name] = diff.parameter(data)
     return params
 
 
@@ -513,12 +514,9 @@ def _query_bytes(cfg: ModelConfig, slots: int) -> int:
     return _EVALS[cfg.mode] * 8 * floats
 
 
-def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, *,
-                      eps: float | None = None) -> Tensor:
-    """Evaluate the global continuous function at queries X (N, 2) -> (N, n0).
-
-    The mode is model.cfg.mode; an `eps` replaces model.cfg.eps, checked as
-    ModelConfig checks it (else ConfigError).
+def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray) -> Tensor:
+    """Evaluate the global continuous function at queries X (N, 2) -> (N, n0),
+    in mode model.cfg.mode with stabilizer model.cfg.eps.
 
     Latent tensors with a leading axis of B items take N/B queries per item,
     item-major: rows [i N/B, (i + 1) N/B) of X query item i, whose pixels
@@ -533,8 +531,6 @@ def eval_global_batch(model: INRModel, lats: tuple[Tensor, ...], X: np.ndarray, 
     not grow with N.  While a Tape is open each chunk records, in float64, on
     its own tape, and `diff.splice` appends these to it in chunk order.
     """
-    if eps is not None:
-        model = replace(model, cfg=replace(model.cfg, eps=eps))
     q, items = X.shape[0], (lats[0].shape[0] if lats[0].ndim == 5 else 1)
     if q % items:
         raise ShapeError(f"{q} queries do not split evenly over {items} latent items")
@@ -573,23 +569,20 @@ def output_size(h: int, w: int, scale: float) -> tuple[int, int]:
     return h_out, w_out
 
 
-def super_resolve(model: INRModel, img: Image, scale: float, *,
-                  eps: float | None = None) -> Image:
+def super_resolve(model: INRModel, img: Image, scale: float) -> Image:
     """Arbitrary-scale super-resolution: encode, then query every HR cell center.
 
-    The scale and output size are checked by `output_size` before any work;
-    `eps` as in eval_global_batch.
+    The scale and output size are checked by `output_size` before any work.
     """
     h_out, w_out = output_size(img.h, img.w, scale)
     feat = encode_t(model, diff.constant(img.data))
     lats = compute_latents(model, feat)
     xx = pixel_coords(h_out, w_out).reshape(-1, 2)
-    out = eval_global_batch(model, lats, xx, eps=eps)
+    out = eval_global_batch(model, lats, xx)
     return Image(out.data.reshape(h_out, w_out, model.cfg.c_in))
 
 
-def eval_global(model: INRModel, feat: np.ndarray, x, *,
-                eps: float | None = None) -> np.ndarray:
+def eval_global(model: INRModel, feat: np.ndarray, x) -> np.ndarray:
     """Evaluate the continuous function of an (h, w, t, n) feature array at one
     point x of [-1, 1]^2 (a 2-vector, else ShapeError; outside or non-finite,
     DomainError)."""
@@ -599,4 +592,4 @@ def eval_global(model: INRModel, feat: np.ndarray, x, *,
     if not np.all(np.abs(x) <= 1.0):  # also false for NaN
         raise DomainError(f"query {x} is not a finite point of [-1, 1]^2")
     lats = compute_latents(model, diff.constant(feat))
-    return eval_global_batch(model, lats, x[None, :], eps=eps).data[0]
+    return eval_global_batch(model, lats, x[None, :]).data[0]

@@ -17,7 +17,7 @@ CSV `sweep` formats from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,10 +107,16 @@ def _check_mask(mask) -> None:
         raise ConfigError(f"mask must be \"auto\" or None, got {mask!r}")
 
 
+def _with_eps(model: INRModel, eps: float | None) -> INRModel:
+    """The model, with its config's eps replaced (and checked, else ConfigError)
+    unless `eps` is None."""
+    return model if eps is None else replace(model, cfg=replace(model.cfg, eps=eps))
+
+
 def _compare(model: INRModel, img: Image, y0: Image, angle: float, scale: float,
-             mask, eps: float | None) -> EquivEntry:
+             mask) -> EquivEntry:
     """The angle-dependent half of a measurement, given y0 = Phi(img)."""
-    y1 = super_resolve(model, rotate_image(img, angle), scale, eps=eps)
+    y1 = super_resolve(model, rotate_image(img, angle), scale)
     ref = rotate_image(y0, angle)
     if mask is not None:
         mask = _auto_mask(angle, ref.h, ref.w, img.h)
@@ -122,12 +128,14 @@ def equivariance_error(model: INRModel, img: Image, angle: float, scale: float,
                        eps: float | None = None, mask="auto") -> EquivEntry:
     """One (image, angle, scale) equivariance measurement.
 
-    `mask` is "auto" (inscribed disk for non-right angles, none otherwise)
-    or None (else ConfigError, before any SR).
+    An `eps` replaces the model config's stabilizer.  `mask` is "auto"
+    (inscribed disk for non-right angles, none otherwise) or None; a bad
+    `eps` or `mask` raises ConfigError before any SR.
     """
     _check_mask(mask)
-    y0 = super_resolve(model, img, scale, eps=eps)
-    return _compare(model, img, y0, angle, scale, mask, eps)
+    model = _with_eps(model, eps)
+    y0 = super_resolve(model, img, scale)
+    return _compare(model, img, y0, angle, scale, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +171,8 @@ def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0
     held fixed.  When `model` is given (a trained checkpoint), it is used
     as-is for every grid point and seeds only vary the test image; it has
     one group order, so `t_values` must then be None (else ConfigError).
+    An `eps` replaces every model config's stabilizer, as in
+    equivariance_error.
 
     Cells are (name, run_cfg, angle, scale, resolution, entries) in that
     row order, entries in seed order; grids must be non-empty.  Each loop
@@ -177,6 +187,8 @@ def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0
     _check_mask(mask)
     if model is not None and t_values:
         raise ConfigError(f"t_values {t_values} need a model per group order, not a given model")
+    if model is not None:
+        model = _with_eps(model, eps)
     if data is None:
         data = DatasetSpec(kind="shapes", count=1, size=64)
     for name, cfg in model_cfgs:
@@ -184,14 +196,14 @@ def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0
             run_cfg = _budget_config(cfg, t) if t != cfg.t else cfg
             entries = {}  # (angle index, scale index, resolution index) -> per-seed list
             for seed in seeds:
-                m = model if model is not None else build_model(run_cfg, seed=seed)
+                m = model if model is not None else _with_eps(build_model(run_cfg, seed=seed), eps)
                 for ri, res in enumerate(resolutions):
                     img = sweep_image(data, res, seed)
                     for si, scale_ in enumerate(scales):
-                        y0 = super_resolve(m, img, scale_, eps=eps)
+                        y0 = super_resolve(m, img, scale_)
                         for ai, angle in enumerate(angles):
                             entries.setdefault((ai, si, ri), []).append(_compare(
-                                m, img, y0, angle, scale_, mask, eps))
+                                m, img, y0, angle, scale_, mask))
             for ai, si, ri in sorted(entries):  # row order: angle, scale, resolution
                 yield (name, run_cfg, angles[ai], scales[si], resolutions[ri],
                        tuple(entries[ai, si, ri]))

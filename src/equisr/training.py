@@ -7,13 +7,16 @@ seeded with (seed, step), so identical seeds give bit-identical loss logs.
 
 Checkpoints are a JSON manifest (version "equisr-ckpt-1", model config, and
 one record per parameter with name/shape/dtype/byte offset) plus a single
-little-endian raw blob that the records tile in order; the round trip is
-bit-exact, and a malformed pair raises CheckpointError.
+little-endian raw blob that the records tile in order.  The records are
+exactly those the model config's layout (inr._layout) gives, in name order;
+save and load both derive them from it, so the round trip is bit-exact, and
+any other records, like any malformed pair, raise CheckpointError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -24,9 +27,11 @@ from .data import DatasetSpec, atomic_write, csv_text, sample_patch_pairs
 from .diff import Tape, Tensor, backward
 from .encoder import encode_t
 from .errors import CheckpointError, ContractError, EvaluationError, ShapeError
+from .groups import make_group
 from .inr import (
     INRModel,
     ModelConfig,
+    _layout,
     build_model,
     compute_latents,
     eval_global_batch,
@@ -141,22 +146,23 @@ def loss_log_csv(rows) -> str:
 CKPT_VERSION = "equisr-ckpt-1"
 
 
+def _records(cfg: ModelConfig) -> list[dict]:
+    """The manifest records of model `cfg`: every parameter's name, shape,
+    dtype and blob offset, in name order, tiling the blob."""
+    records, offset = [], 0
+    for name, shape, _ in sorted(_layout(cfg)):
+        records.append({"name": name, "shape": list(shape), "dtype": "<f8", "offset": offset})
+        offset += 8 * math.prod(shape)
+    return records
+
+
 def save_checkpoint(prefix: str, model: INRModel) -> tuple[str, str]:
     """Write `<prefix>.json` (manifest) and `<prefix>.bin` (raw blob)."""
     json_path, bin_path = prefix + ".json", prefix + ".bin"
-    records = []
-    chunks = []
-    offset = 0
-    for name, p in sorted(model.named_parameters().items()):
-        raw = np.ascontiguousarray(p.data).astype("<f8").tobytes()
-        records.append({
-            "name": name,
-            "shape": list(p.shape),
-            "dtype": "<f8",
-            "offset": offset,
-        })
-        chunks.append(raw)
-        offset += len(raw)
+    records = _records(model.cfg)
+    params = model.named_parameters()
+    blob = b"".join(np.ascontiguousarray(params[r["name"]].data, dtype="<f8").tobytes()
+                    for r in records)
     cfg = dict(model.cfg.__dict__)
     cfg["psi_widths"] = list(cfg["psi_widths"])
     manifest = {
@@ -165,13 +171,20 @@ def save_checkpoint(prefix: str, model: INRModel) -> tuple[str, str]:
         "model": cfg,
         "params": records,
     }
-    atomic_write(bin_path, b"".join(chunks))
+    atomic_write(bin_path, blob)
     atomic_write(json_path, json.dumps(manifest, indent=1).encode())
     return json_path, bin_path
 
 
 def load_checkpoint(json_path: str) -> INRModel:
-    """Rebuild a model from a manifest + blob pair (bit-exact)."""
+    """Rebuild a model from a manifest + blob pair (bit-exact).
+
+    After the version, blob name and model config, the blob must hold the
+    config's parameter count, and the records must be exactly the layout's
+    (see _records): a record that differs, records in another order or with
+    an extra key are refused, naming that record.  The blob is sliced into a
+    new parameter table in layout order; no model is drawn.
+    """
     with open(json_path, "rb") as fh:
         try:
             manifest = json.load(fh)
@@ -211,46 +224,30 @@ def load_checkpoint(json_path: str) -> INRModel:
             blob = fh.read()
     except OSError as e:
         raise CheckpointError(f"cannot read blob: {e}", field="blob") from e
-    # checked before build_model allocates: a config may declare any size.
-    # With it, records that tile the blob in order stay within it and cover it
+    # checked before the layout is listed: a config may declare any size.
+    # With it, the layout's records tile the blob exactly
     needed = 8 * parameter_count(cfg)
     if needed != len(blob):
         raise CheckpointError(f"model config needs {needed} parameter bytes, blob has "
                               f"{len(blob)}", field="model")
-    model = build_model(cfg, seed=0)
-    params = model.named_parameters()
-    seen = set()
-    end = 0  # the records tile the blob in manifest order
+    expected = _records(cfg)
+    values = {}
     for i, rec in enumerate(manifest["params"]):
         if not isinstance(rec, dict):
             raise CheckpointError("params record is not a JSON object", field=f"params[{i}]")
-        name = rec.get("name")
-        if not isinstance(name, str) or name not in params:
-            raise CheckpointError("unknown parameter in manifest", field=str(name))
-        if name in seen:
-            raise CheckpointError("parameter listed twice", field=name)
-        p = params[name]
-        shape, offset = rec.get("shape"), rec.get("offset")
-        if not isinstance(shape, list) or any(type(s) is not int for s in shape):
-            raise CheckpointError(f"shape {shape!r} is not a list of integers", field=name)
-        if type(offset) is not int:
-            raise CheckpointError(f"offset {offset!r} is not an integer", field=name)
-        shape = tuple(shape)
-        if shape != p.shape:
-            raise CheckpointError(
-                f"shape {shape} does not match model shape {p.shape}", field=name)
-        if rec.get("dtype") != "<f8":
-            raise CheckpointError(f"unsupported dtype {rec.get('dtype')!r}", field=name)
-        nbytes = p.data.size * 8
-        if offset != end:
-            raise CheckpointError(f"blob offset {offset}, expected {end}", field=name)
-        values = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(shape)
-        if not np.all(np.isfinite(values)):
-            raise CheckpointError("non-finite parameter value", field=name)
-        p.data[...] = values
-        seen.add(name)
-        end = offset + nbytes
-    missing = set(params) - seen
-    if missing:
-        raise CheckpointError("parameters missing from manifest", field=sorted(missing)[0])
-    return model
+        want = expected[i] if i < len(expected) else None
+        # == alone would pass 8.0 or true for an integer
+        if not (rec == want and type(rec["offset"]) is int
+                and all(type(s) is int for s in rec["shape"])):
+            raise CheckpointError(f"params[{i}] is not the layout's record "
+                                  f"{json.dumps(want) if want else '(it has none)'}",
+                                  field=str(rec.get("name")))
+        data = np.frombuffer(blob, "<f8", math.prod(want["shape"]), want["offset"]).copy()
+        if not np.all(np.isfinite(data)):
+            raise CheckpointError("non-finite parameter value", field=want["name"])
+        values[want["name"]] = data
+    if len(values) < len(expected):
+        raise CheckpointError("parameters missing from manifest",
+                              field=expected[len(values)]["name"])
+    params = {name: diff.parameter(values[name].reshape(shape)) for name, shape, _ in _layout(cfg)}
+    return INRModel(cfg, make_group(cfg.t), params)

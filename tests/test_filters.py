@@ -10,7 +10,6 @@ from equisr.filters import (
     group_conv_t,
     group_kernel,
     lifting_kernel,
-    make_param_filter,
     phi_bic,
     resample_matrix,
     synthesize_kernel,
@@ -24,6 +23,19 @@ from equisr.groups import (
     rotate_image,
 )
 from equisr.image import Image, disk_mask
+
+
+def _masked(grids):
+    """A filter's coefficient Tensor: the grids [c_out, g_in, c_in, p, p]
+    masked to the filter disk."""
+    grids = np.asarray(grids, dtype=np.float64)
+    return diff.parameter(grids * coeff_disk_mask(grids.shape[-1]))
+
+
+def _he_filter(c_out, g_in, c_in, p, rng):
+    """He-uniform coefficient grids drawn from `rng`, masked to the filter disk."""
+    bound = np.sqrt(6.0 / (g_in * c_in * p * p))
+    return _masked(rng.uniform(-bound, bound, size=(c_out, g_in, c_in, p, p)))
 
 
 def _rot_matrix(theta):
@@ -59,14 +71,14 @@ class TestBasisAndSynthesis:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_identity_reproduces_coeffs(self, p):
         rng = np.random.default_rng(0)
-        pf = make_param_filter(2, 1, 3, p, rng=rng)
+        pf = _he_filter(2, 1, 3, p, rng)
         kern = synthesize_kernel(pf, np.eye(2))
         assert np.max(np.abs(kern.data - pf.data)) <= 1e-12
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_quarter_turn_is_permutation(self, p):
         rng = np.random.default_rng(1)
-        pf = make_param_filter(1, 1, 1, p, rng=rng)
+        pf = _he_filter(1, 1, 1, p, rng)
         g = make_group(4)
         kern = synthesize_kernel(pf, g.matrices[1]).data[0, 0, 0]
         # element 1 acts clockwise on the plane, i.e. rot90(-1) on the grid
@@ -76,7 +88,7 @@ class TestBasisAndSynthesis:
         p = 5
         data = np.zeros((1, 1, 1, p, p))
         data[0, 0, 0, p // 2, p // 2] = 1.0
-        pf = make_param_filter(1, 1, 1, p, data=data)
+        pf = _masked(data)
         A = _rot_matrix(np.pi / 4)
         kern = synthesize_kernel(pf, A).data[0, 0, 0]
         # direct evaluation: the center basis function at rotated grid nodes
@@ -90,13 +102,13 @@ class TestBasisAndSynthesis:
         a = rng.standard_normal((2, 1, 1, 5, 5))
         b = rng.standard_normal((2, 1, 1, 5, 5))
         A = _rot_matrix(0.3)
-        k_sum = synthesize_kernel(make_param_filter(2, 1, 1, 5, data=a + 2.0 * b), A).data
-        k_a = synthesize_kernel(make_param_filter(2, 1, 1, 5, data=a), A).data
-        k_b = synthesize_kernel(make_param_filter(2, 1, 1, 5, data=b), A).data
+        k_sum = synthesize_kernel(_masked(a + 2.0 * b), A).data
+        k_a = synthesize_kernel(_masked(a), A).data
+        k_b = synthesize_kernel(_masked(b), A).data
         assert np.max(np.abs(k_sum - (k_a + 2.0 * k_b))) <= 1e-13
 
     def test_non_orthogonal_matrix_rejected(self):
-        pf = make_param_filter(1, 1, 1, 3, rng=np.random.default_rng(3))
+        pf = _he_filter(1, 1, 1, 3, np.random.default_rng(3))
         with pytest.raises(MatrixError):
             synthesize_kernel(pf, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
@@ -158,7 +170,7 @@ class TestKernelAssembly:
         build, ref = ((lifting_kernel, _lifting_kernel_ref) if kind == "lifting"
                       else (group_kernel, _group_kernel_ref))
         rng = np.random.default_rng(t * 100 + p)
-        f = make_param_filter(3, 1 if kind == "lifting" else t, 2, p, rng=rng)
+        f = _he_filter(3, 1 if kind == "lifting" else t, 2, p, rng)
         weights = rng.standard_normal(ref(f, g).shape)
         kernels, grads = [], []
         for fn in (build, ref):
@@ -173,7 +185,7 @@ class TestKernelAssembly:
 
     def test_synthesize_matches_single_resample(self):
         rng = np.random.default_rng(9)
-        f = make_param_filter(2, 3, 2, 5, rng=rng)
+        f = _he_filter(2, 3, 2, 5, rng)
         A = _rot_matrix(0.7)
         expected = _resample_ref(f, 5, resample_matrix(5, A)).data
         assert np.array_equal(synthesize_kernel(f, A).data, expected)
@@ -197,7 +209,7 @@ class TestLiftingConv:
     def test_t1_is_ordinary_convolution(self):
         rng = np.random.default_rng(4)
         g = make_group(1)
-        pf = make_param_filter(1, 1, 2, 3, rng=rng)
+        pf = _he_filter(1, 1, 2, 3, rng)
         img = rng.random((6, 6, 2))
         out = group_conv_t(diff.constant(img[:, :, None]), pf, g).data
         assert out.shape[2] == 1
@@ -206,7 +218,7 @@ class TestLiftingConv:
 
     def test_symmetric_coeffs_give_identical_slots(self):
         g = make_group(4)
-        pf = make_param_filter(1, 1, 1, 5, data=np.full((1, 1, 1, 5, 5), 0.2))
+        pf = _masked(np.full((1, 1, 1, 5, 5), 0.2))
         img = np.random.default_rng(5).random((8, 8, 1, 1))
         out = group_conv_t(diff.constant(img), pf, g).data
         for k in range(1, 4):
@@ -217,7 +229,7 @@ class TestLiftingConv:
         g = make_group(t)
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            pf = make_param_filter(2, 1, 3, 5, rng=rng)
+            pf = _he_filter(2, 1, 3, 5, rng)
             img = Image(rng.random((9, 9, 3)))
             base = group_conv_t(diff.constant(img.data[:, :, None]), pf, g).data
             for k in range(t):
@@ -228,7 +240,7 @@ class TestLiftingConv:
 
     def test_channel_mismatch_raises(self):
         g = make_group(4)
-        pf = make_param_filter(2, 1, 3, 3, rng=np.random.default_rng(6))
+        pf = _he_filter(2, 1, 3, 3, np.random.default_rng(6))
         with pytest.raises(ShapeError):
             group_conv_t(diff.constant(np.zeros((5, 5, 1, 2))), pf, g)
 
@@ -242,7 +254,7 @@ class TestGroupConv:
         coeffs = np.array(
             [[[[[w0]]], [[[w1]]]]]
         )  # (c_out=1, g_in=2, c_in=1, 1, 1)
-        pf = make_param_filter(1, 2, 1, 1, data=coeffs)
+        pf = _masked(coeffs)
         x = np.zeros((1, 1, 2, 1))
         x[0, 0, 0, 0], x[0, 0, 1, 0] = h0, h1
         out = group_conv_t(diff.constant(x), pf, g).data[0, 0, :, 0]
@@ -255,7 +267,7 @@ class TestGroupConv:
         coeffs = np.zeros((2, 4, 2, p, p))
         for c in range(2):
             coeffs[c, 0, c, p // 2, p // 2] = 1.0  # one-hot center, group index 0
-        pf = make_param_filter(2, 4, 2, p, data=coeffs)
+        pf = _masked(coeffs)
         rng = np.random.default_rng(7)
         f = rng.random((6, 6, 4, 2))
         out = group_conv_t(diff.constant(f), pf, g).data
@@ -266,7 +278,7 @@ class TestGroupConv:
         g = make_group(t)
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
-            pf = make_param_filter(3, t, 2, 5, rng=rng)
+            pf = _he_filter(3, t, 2, 5, rng)
             f = rng.random((8, 8, t, 2))
             base = group_conv_t(diff.constant(f), pf, g).data
             for k in range(t):
@@ -280,7 +292,7 @@ class TestGroupConv:
         # it is a recorded add with a gradient
         rng = np.random.default_rng(9)
         g = make_group(4)
-        pf = make_param_filter(3, 4, 2, 3, rng=rng)
+        pf = _he_filter(3, 4, 2, 3, rng)
         x = diff.constant(rng.standard_normal((2, 6, 5, 4, 2) if batched else (6, 5, 4, 2)))
         bias = diff.parameter(rng.standard_normal(3))
         got = group_conv_t(x, pf, g, bias=bias)
@@ -292,7 +304,7 @@ class TestGroupConv:
                               np.full(3, expected.size // 3, dtype=float))
 
     def test_group_order_mismatch_raises(self):
-        pf = make_param_filter(2, 2, 2, 3, rng=np.random.default_rng(8))
+        pf = _he_filter(2, 2, 2, 3, np.random.default_rng(8))
         f = diff.constant(np.zeros((4, 4, 4, 2)))
         with pytest.raises(GroupError):
             group_conv_t(f, pf, make_group(4))
@@ -318,7 +330,7 @@ def test_p8_layer_equivariance_improves_with_resolution():
         errs = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            pf = make_param_filter(2, 1, 1, 5, rng=rng)
+            pf = _he_filter(2, 1, 1, 5, rng)
             img = Image(_band_limited(rng, h, cycles=4.0)[:, :, None])
             base = group_conv_t(diff.constant(img.data[:, :, None]), pf, g).data
             rot = rotate_image(img, np.pi / 4).data

@@ -524,3 +524,73 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(json_path)
         assert exc.value.field == "version"
+
+
+class TestCheckpointLayout:
+    """The loader takes every record from the model config's layout."""
+
+    CFG = ModelConfig(variant="lte", t=2, n=3, blocks=1, p=3, width=4, psi_widths=(5,), K=3)
+
+    def _saved(self, tmp_path):
+        json_path, bin_path = save_checkpoint(str(tmp_path / "c"), build_model(self.CFG, seed=4))
+        return json_path, json.loads(Path(json_path).read_text()), Path(bin_path).read_bytes()
+
+    def _refused(self, json_path, doc):
+        Path(json_path).write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(json_path)
+        return exc.value.field
+
+    def test_load_draws_no_model(self, tmp_path, monkeypatch):
+        json_path, _, _ = self._saved(tmp_path)
+        from equisr import inr
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew parameters")
+
+        monkeypatch.setattr(inr, "_draw", no_draw)
+        back = load_checkpoint(json_path)
+        monkeypatch.undo()
+        model = build_model(self.CFG, seed=4)
+        assert back.cfg == model.cfg
+        for name, p in model.named_parameters().items():
+            assert np.array_equal(back.named_parameters()[name].data, p.data)
+
+    def test_table_order_and_flags_match_build_model(self, tmp_path):
+        json_path, _, _ = self._saved(tmp_path)
+        back = load_checkpoint(json_path).named_parameters()
+        assert list(back) == list(build_model(self.CFG).named_parameters())
+        assert all(p.requires_grad and p.data.flags.writeable for p in back.values())
+
+    def test_consistently_reordered_records_refused(self, tmp_path):
+        # records, offsets and blob agree with each other, but not in name order
+        json_path, doc, blob = self._saved(tmp_path)
+        records = doc["params"]
+        order = [1, 0] + list(range(2, len(records)))
+        chunks, offset = [], 0
+        for rec in (records[i] for i in order):
+            size = 8 * int(np.prod(rec["shape"]))
+            chunks.append(blob[rec["offset"]:rec["offset"] + size])
+            rec["offset"] = offset
+            offset += size
+        doc["params"] = [records[i] for i in order]
+        Path(json_path).with_suffix(".bin").write_bytes(b"".join(chunks))
+        assert self._refused(json_path, doc) == records[1]["name"]
+
+    def test_record_with_extra_key_refused(self, tmp_path):
+        json_path, doc, _ = self._saved(tmp_path)
+        doc["params"][2]["note"] = "extra"
+        assert self._refused(json_path, doc) == doc["params"][2]["name"]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda rec: rec.update(offset=float(rec["offset"])),
+        lambda rec: rec.update(shape=[float(s) for s in rec["shape"]]),
+        lambda rec: rec.update(shape=[s == 1 or s for s in rec["shape"]]),
+    ], ids=["offset-float", "shape-float", "shape-true"])
+    def test_values_must_have_their_json_types(self, tmp_path, mutate):
+        # each value equals the layout's (8.0 == 8, true == 1) but is not
+        # its JSON integer
+        json_path, doc, _ = self._saved(tmp_path)
+        rec = next(r for r in doc["params"] if r["name"] == "enc.head.w")  # shape [3, 1, 3, 3, 3]
+        mutate(rec)
+        assert self._refused(json_path, doc) == "enc.head.w"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisr import config, diff, inr, parallel
+from equisr import config, diff, inr, metrics, parallel
 from equisr.data import DatasetSpec
 from equisr.errors import ConfigError, DomainError, ShapeError
 from equisr.filters import group_conv_t
@@ -118,6 +118,11 @@ def coord_to_index(x, h):
 def _in_mode(model, mode):
     """The model with its config's evaluation mode set to `mode`."""
     return dataclasses.replace(model, cfg=dataclasses.replace(model.cfg, mode=mode))
+
+
+def _with_eps(model, eps):
+    """The model with its config's stabilizer set to `eps`."""
+    return dataclasses.replace(model, cfg=dataclasses.replace(model.cfg, eps=eps))
 
 
 class TestLiftCoordinate:
@@ -452,7 +457,7 @@ class TestEvalGlobal:
         img = Image(np.random.default_rng(2).random((8, 8, 3)))
         feat = encode_t(model, diff.constant(img.data)).data
         x = np.array([-1.0 + 4.5 * (2.0 / 8), 1.0 - 3.5 * (2.0 / 8)])
-        a = eval_global(_in_mode(model, "ensemble"), feat, x, eps=0.0)
+        a = eval_global(_with_eps(_in_mode(model, "ensemble"), 0.0), feat, x)
         b = eval_global(_in_mode(model, "nearest"), feat, x)
         assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -498,7 +503,7 @@ class TestEvalGlobal:
         img = Image(np.random.default_rng(6).random((8, 8, 3)))
         feat = encode_t(model, diff.constant(img.data)).data
         x = np.array([-1.0 + (j + 0.5) * (2.0 / 8), 1.0 - (i + 0.5) * (2.0 / 8)])
-        got = eval_global(_in_mode(model, "ensemble"), feat, x, eps=0.0)
+        got = eval_global(_with_eps(_in_mode(model, "ensemble"), 0.0), feat, x)
         expected = _local(model, (feat[i, j],), np.zeros(2))
         assert np.all(np.isfinite(got)) and np.max(np.abs(got - expected)) <= 1e-12
 
@@ -531,8 +536,9 @@ class TestEvalGlobal:
         x_boundary = -1.0 + 3 * (2.0 / 8)
         y = 1.0 - 2.7 * (2.0 / 8)
         h = 1e-9
-        left = eval_global(model, feat, np.array([x_boundary - h, y]), eps=0.0)
-        right = eval_global(model, feat, np.array([x_boundary + h, y]), eps=0.0)
+        model = _with_eps(model, 0.0)
+        left = eval_global(model, feat, np.array([x_boundary - h, y]))
+        right = eval_global(model, feat, np.array([x_boundary + h, y]))
         assert np.max(np.abs(left - right)) <= 1e-5
 
     def test_query_outside_domain_rejected(self):
@@ -603,8 +609,9 @@ class TestSuperResolve:
         y1 = super_resolve(model, rotate_image(img, angle), 2.0)
         assert nmse(y1, rotate_image(y0, angle)) <= 1e-6
         # the stabilizer perturbs the blend weights slightly
-        y0e = super_resolve(model, img, 2.0, eps=1e-7)
-        y1e = super_resolve(model, rotate_image(img, angle), 2.0, eps=1e-7)
+        model = _with_eps(model, 1e-7)
+        y0e = super_resolve(model, img, 2.0)
+        y1e = super_resolve(model, rotate_image(img, angle), 2.0)
         assert nmse(y1e, rotate_image(y0e, angle)) <= 1e-4
 
     @settings(max_examples=200)
@@ -1101,10 +1108,21 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("eps", [-1.0, np.inf, "abc", True,
                                      pytest.param(10 ** 400, id="int-past-float64")])
-    def test_per_call_eps_is_checked_as_the_config_eps(self, eps):
+    def test_per_call_eps_is_checked_as_the_config_eps(self, eps, monkeypatch):
+        # the metrics' eps is the one per-call eps; it fails before any SR
         model = build_model(_small_cfg("liif", 2, n=2), seed=0)
+        img = Image(np.random.default_rng(0).random((4, 4, 3)))
+
+        def no_sr(*args):
+            raise AssertionError("super_resolve ran before the eps check")
+
+        monkeypatch.setattr(metrics, "super_resolve", no_sr)
         with pytest.raises(ConfigError, match="eps"):
-            super_resolve(model, Image(np.zeros((4, 4, 3))), 2.0, eps=eps)
+            metrics.equivariance_error(model, img, np.pi / 2, 2.0, eps=eps)
+        for given in (model, None):
+            with pytest.raises(ConfigError, match="eps"):
+                list(metrics.sweep_cells([("m", model.cfg)], [np.pi / 2], [2.0], [4],
+                                         eps=eps, model=given))
 
     def test_size_limit_is_inclusive(self, monkeypatch):
         count = parameter_count(ModelConfig())

@@ -17,6 +17,10 @@ The outputs are:
     at the benchmark's train-steps shape (stripes of size 96, batch 4,
     patch 24, whose INR queries are several chunks per step): their losses,
     checkpoint bytes and checkpoint manifest;
+  * per variant, the table `load_checkpoint` returns for the 4-step
+    checkpoint (names in table order, shapes, bytes, `requires_grad`) and
+    that model's `super_resolve` of the 16x16 image at scale 2.5, as
+    `load.<variant>`;
   * per variant and evaluation mode, every parameter gradient of one
     training step at that train-steps shape (the first batch a seed-0
     `train` draws, a seed-0 model), as `grads.<variant>.<mode>`, listed
@@ -26,7 +30,9 @@ The outputs are:
     as `params.<variant>.t<t>[.L2]`;
   * the CLI's manifest.csv (gen-data), loss.csv, ckpt.bin and ckpt.json (train),
     eval-equiv CSV and scales.csv (--error-maps) on the default config,
-    with train.steps cut to 4;
+    with train.steps cut to 4; then, on that train run's checkpoint, the
+    `sr` output of a 16x16 PPM at scale 2.5 (`cli.sr.hr.ppm`) and the
+    `eval-equiv --ckpt` CSV (`cli.eval-equiv.ckpt.csv`);
   * loss.csv and ckpt.bin of a 2-step `train` on that gen-data corpus read
     as a file-dir corpus (`cli.file-dir.*`);
   * the gen-data manifest.csv of a file-dir corpus holding one 30x20 PGM and
@@ -71,19 +77,28 @@ def _file_digest(path: str) -> str:
         return _digest(fh.read())
 
 
-def sr_lines():
+def _sr_image():
+    """The 16x16 LR image every SR line super-resolves at scale 2.5."""
     import numpy as np
 
     from equisr.image import Image
+
+    return Image(np.random.default_rng(0).random((16, 16, 3)))
+
+
+def sr_lines():
+    from dataclasses import replace
+
     from equisr.inr import ModelConfig, build_model, super_resolve
 
-    img = Image(np.random.default_rng(0).random((16, 16, 3)))
+    img = _sr_image()
     for variant in VARIANTS:
         for t in (1, 2, 4, 16):
             for mode in ("ensemble", "nearest"):
                 model = build_model(ModelConfig(variant=variant, t=t, mode=mode), seed=0)
-                for label, eps in (("cfg", None), ("0", 0.0)):
-                    out = super_resolve(model, img, 2.5, eps=eps)
+                for label, run in (("cfg", model),
+                                   ("0", replace(model, cfg=replace(model.cfg, eps=0.0)))):
+                    out = super_resolve(run, img, 2.5)
                     yield f"sr.{variant}.t{t}.{mode}.eps{label}", _array_digest(out.data)
 
 
@@ -122,7 +137,8 @@ def chunk_lines():
 def train_lines(tmp: str):
     from equisr.data import DatasetSpec
     from equisr.inr import ModelConfig
-    from equisr.training import save_checkpoint, train
+    from equisr.inr import super_resolve
+    from equisr.training import load_checkpoint, save_checkpoint, train
 
     runs = (("", DatasetSpec(kind="stripes", count=2, size=48), dict(steps=4)),
             (".steps", DatasetSpec(kind="stripes", count=8, size=96, scale_lo=2.0, scale_hi=4.0),
@@ -136,6 +152,12 @@ def train_lines(tmp: str):
             json_path, bin_path = save_checkpoint(ckpt, result.model)
             yield f"train{label}.{variant}.ckpt_bin", _file_digest(bin_path)
             yield f"train{label}.{variant}.ckpt_json", _file_digest(json_path)
+            if not label:
+                model = load_checkpoint(json_path)
+                text = "".join(f"{name} {p.requires_grad} {_array_digest(p.data)}\n"
+                               for name, p in model.named_parameters().items())
+                text += _array_digest(super_resolve(model, _sr_image(), 2.5).data)
+                yield f"load.{variant}", _digest(text.encode())
 
 
 def grads_lines():
@@ -194,12 +216,23 @@ def cli_lines(tmp: str):
                  main(["eval-equiv", "--config", cfg, "--out", sweep, "--error-maps", maps])]
     if any(codes):
         raise SystemExit(f"a CLI command failed: exit codes {codes}")
+    # sr and eval-equiv on the train run's checkpoint
+    ckpt, ckpt_sweep = os.path.join(run, "ckpt.json"), os.path.join(tmp, "equiv-ckpt.csv")
+    lr, hr = os.path.join(tmp, "lr.ppm"), os.path.join(tmp, "hr.ppm")
+    write_image(lr, _sr_image())
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(["sr", "--ckpt", ckpt, "--in", lr, "--scale", "2.5", "--out", hr]),
+                 main(["eval-equiv", "--config", cfg, "--ckpt", ckpt, "--out", ckpt_sweep])]
+    if any(codes):
+        raise SystemExit(f"a CLI command on the checkpoint failed: exit codes {codes}")
     for name, path in (("manifest.csv", os.path.join(corpus, "manifest.csv")),
                        ("loss.csv", os.path.join(run, "loss.csv")),
                        ("ckpt.bin", os.path.join(run, "ckpt.bin")),
-                       ("ckpt.json", os.path.join(run, "ckpt.json")),
+                       ("ckpt.json", ckpt),
                        ("eval-equiv.csv", sweep),
-                       ("scales.csv", os.path.join(maps, "scales.csv"))):
+                       ("scales.csv", os.path.join(maps, "scales.csv")),
+                       ("sr.hr.ppm", hr),
+                       ("eval-equiv.ckpt.csv", ckpt_sweep)):
         yield f"cli.{name}", _file_digest(path)
     # a 2-step train on the gen-data corpus, read back as a file-dir corpus
     doc["data"].update(kind="file-dir", path=corpus)
