@@ -364,50 +364,42 @@ def gather(x, index) -> Tensor:
     return _finish(out, (x,), bwd)
 
 
-# GEMM rows per conv2d band and im2col columns per weight-gradient band.  OpenBLAS
-# rounds some split products differently, so cuts follow these and shapes alone.
+# GEMM rows per conv2d band.  OpenBLAS rounds some split products differently,
+# so cuts follow this and shapes alone.
 _BAND_ROWS = 256
-_BAND_COLS = 128
 
 
-def _spans(total: int, size: int) -> list[tuple[int, int]]:
-    return [(a, min(a + size, total)) for a in range(0, total, size)]
-
-
-def _correlate(x: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
-               cols: np.ndarray | None = None) -> np.ndarray:
-    """Size-preserving correlation of x (b, h, w, c) with kmat (kh kw c, co), odd kh
-    and kw, in bands of output rows over all items.  Each band builds its slice of
-    the (b h w, kh kw c) im2col matrix within _CHUNK_BYTES, into `cols` if given."""
+def _im2col_bands(x: np.ndarray, kh: int, kw: int, fn) -> None:
+    """Call fn(a, b, part), on run_bands' threads, for each band of whole output rows
+    over all items of the size-preserving im2col matrix (b h w, kh kw c) of x
+    (b, h, w, c), odd kh and kw: `part` is its rows a:b, built within _CHUNK_BYTES."""
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if ph or pw else x
     nb, ho, wo, c = x.shape
     depth = kh * kw * c
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     win = win.transpose(0, 1, 2, 4, 5, 3)  # (b, ho, wo, kh, kw, c)
-    y = np.empty((nb * ho * wo, kmat.shape[1]))
     rows = max(1, min(round(_BAND_ROWS / wo), parallel._CHUNK_BYTES // (8 * wo * depth)))
 
     def band(a: int, b: int):
-        part = np.empty(((b - a) * wo, depth)) if cols is None else cols[a * wo:b * wo]
+        part = np.empty(((b - a) * wo, depth))
         dst = part.reshape(b - a, wo, kh, kw, c)
         for i in range(a // ho, (b - 1) // ho + 1):  # the items the band crosses
             lo, hi = max(a, i * ho), min(b, (i + 1) * ho)
             dst[lo - a:hi - a] = win[i, lo - i * ho:hi - i * ho]
-        np.matmul(part, kmat, out=y[a * wo:b * wo])
+        fn(a * wo, b * wo, part)
 
-    parallel.run_bands(_spans(nb * ho, rows), band)
-    return y.reshape(nb, ho, wo, -1)
+    parallel.run_bands([(a, min(a + rows, nb * ho)) for a in range(0, nb * ho, rows)], band)
 
 
 def conv2d(x, k) -> Tensor:
     """2-D correlation of x (h, w, c_in) with odd kernels k (c_out, c_in, kh, kw).
 
     Stride 1, zero padding to the input size.  An optional leading batch axis
-    on x is carried through.  The input gradient is the same banded product
-    (_correlate) of the output gradient and the flipped, channel-swapped
-    kernel; the weight gradient runs in bands of im2col columns, kept when a
-    tape records k.
+    on x is carried through.  The forward walks x's im2col bands, the backward
+    the output gradient's: each band gcol gives its input-gradient rows (gcol @
+    the flipped, channel-swapped kernel) and its share, added in band order, of
+    the weight gradient gk[o, c, i, j] = sum_p gcol[p, (kh-1-i, kw-1-j, o)] x[p, c].
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if x.ndim not in (3, 4) or k.ndim != 4:
@@ -420,26 +412,34 @@ def conv2d(x, k) -> Tensor:
         raise ShapeError(f"conv2d needs odd kernel sizes, got {kh}x{kw}")
 
     xd = x.data.reshape((-1, h, w, ci))
-    depth = kh * kw * ci
-    rows = len(xd) * h * w
-    cols = np.empty((rows, depth)) if _STACKS.stack and k.requires_grad else None
-    y = _correlate(xd, k.data.transpose(2, 3, 1, 0).reshape(depth, co), kh, kw, cols)
-    out = Tensor(y.reshape(x.shape[:-3] + y.shape[1:]))
+    y = np.empty((xd.size // ci, co))
+    kmat = k.data.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)
+    _im2col_bands(xd, kh, kw, lambda a, b, part: np.matmul(part, kmat, out=y[a:b]))
 
     def bwd(g):
-        g4 = g.reshape(y.shape)
-        gx = gk = None
-        if x.requires_grad:
-            kf = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-            gx = _correlate(g4, kf, kh, kw).reshape(x.shape)
-        if k.requires_grad:
-            gt, gk = g4.reshape(rows, co).T, np.empty((co, depth))
-            parallel.run_bands(_spans(depth, _BAND_COLS),
-                               lambda a, b: np.matmul(gt, cols[:, a:b], out=gk[:, a:b]))
-            gk = gk.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
-        return gx, gk
+        xr = xd.reshape(-1, ci)
+        gx = np.empty(x.shape) if x.requires_grad else None
+        gk = np.zeros((kh * kw * co, ci)) if k.requires_grad else None
+        kf = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
+        turn, early, lock = 0, {}, threading.Lock()
 
-    return _finish(out, (x, k), bwd)
+        def band(a: int, b: int, gcol: np.ndarray):
+            nonlocal turn
+            if gx is not None:
+                np.matmul(gcol, kf, out=gx.reshape(-1, ci)[a:b])
+            if gk is not None:
+                share = gcol.T @ xr[a:b]
+                with lock:  # fold in band order, each share once the earlier ones are in
+                    early[a] = (b, share)
+                    while turn in early:
+                        turn, share = early.pop(turn)
+                        np.add(gk, share, out=gk)
+
+        _im2col_bands(g.reshape(xd.shape[:-1] + (co,)), kh, kw, band)
+        return gx, (None if gk is None
+                    else gk.reshape(kh, kw, co, ci)[::-1, ::-1].transpose(2, 3, 0, 1))
+
+    return _finish(Tensor(y.reshape(x.shape[:-1] + (co,))), (x, k), bwd)
 
 
 _PRIMITIVES = {

@@ -580,16 +580,3 @@ def super_resolve(model: INRModel, img: Image, scale: float) -> Image:
     xx = pixel_coords(h_out, w_out).reshape(-1, 2)
     out = eval_global_batch(model, lats, xx)
     return Image(out.data.reshape(h_out, w_out, model.cfg.c_in))
-
-
-def eval_global(model: INRModel, feat: np.ndarray, x) -> np.ndarray:
-    """Evaluate the continuous function of an (h, w, t, n) feature array at one
-    point x of [-1, 1]^2 (a 2-vector, else ShapeError; outside or non-finite,
-    DomainError)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (2,):
-        raise ShapeError(f"a query is one 2-vector, got shape {x.shape}")
-    if not np.all(np.abs(x) <= 1.0):  # also false for NaN
-        raise DomainError(f"query {x} is not a finite point of [-1, 1]^2")
-    lats = compute_latents(model, diff.constant(feat))
-    return eval_global_batch(model, lats, x[None, :]).data[0]

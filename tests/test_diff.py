@@ -1,7 +1,7 @@
 """Reverse-mode differentiation: primitives, backward pass, gradient checks."""
 
-import contextlib
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -172,7 +172,7 @@ class TestBandedConv2d:
     """conv2d's bands against the unbanded products, for any worker count."""
 
     @staticmethod
-    def _banded(monkeypatch, x, k, g, workers):
+    def _banded(monkeypatch, x, k, g, workers, x_grad, k_grad):
         monkeypatch.setattr(diff.parallel, "_workers", lambda: workers)
         spans = []
         real = diff.parallel.run_bands
@@ -183,42 +183,44 @@ class TestBandedConv2d:
             real(todo, fn)
 
         monkeypatch.setattr(diff.parallel, "run_bands", recording)
-        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        xt, kt = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=k_grad)
         with Tape() as tape:
             y = diff.conv2d(xt, kt)
         (_, _, bwd), = tape.entries
         gx, gk = bwd(g)
         return (y.data, gx, gk), spans
 
-    # band rows, band columns and shapes: the last row band and the last
-    # column band are ragged, and batched inputs have bands across items
-    @pytest.mark.parametrize("xshape,band_rows,band_cols", [
-        ((3, 7, 9, 4), 14, 5),  # 7 x 9 outputs: 2-row bands over 21 rows
-        ((3, 6, 5, 4), 20, 8),  # 6 x 5 outputs: 4-row bands over 18 rows
-        ((7, 9, 4), 27, 7),  # 7 x 9 outputs: 3-row bands over 7 rows
-        ((9, 6, 4), 12, 10),  # 9 x 6 outputs: 2-row bands over 9 rows
+    # band rows and shapes: the last row band is ragged, and batched inputs
+    # have bands across items; (False, True) is the encoder head on an image
+    @pytest.mark.parametrize("x_grad,k_grad", [(True, True), (False, True), (True, False)])
+    @pytest.mark.parametrize("xshape,band_rows", [
+        ((3, 7, 9, 4), 14),  # 7 x 9 outputs: 2-row bands over 21 rows
+        ((3, 6, 5, 4), 20),  # 6 x 5 outputs: 4-row bands over 18 rows
+        ((7, 9, 4), 27),  # 7 x 9 outputs: 3-row bands over 7 rows
+        ((9, 6, 4), 12),  # 9 x 6 outputs: 2-row bands over 9 rows
     ])
-    def test_matches_unbanded(self, monkeypatch, xshape, band_rows, band_cols):
+    def test_matches_unbanded(self, monkeypatch, xshape, band_rows, x_grad, k_grad):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(xshape)
         k = rng.standard_normal((5, 4, 3, 3))
         g = rng.standard_normal(diff.conv2d(Tensor(x), Tensor(k)).shape)
         ref = _conv2d_unbanded(x, k, g)
-        ho, depth = ref[0].shape[-3], 3 * 3 * 4
-        assert depth % band_cols
+        ho = ref[0].shape[-3]
         monkeypatch.setattr(diff, "_BAND_ROWS", band_rows)
-        monkeypatch.setattr(diff, "_BAND_COLS", band_cols)
         for workers in (1, 2, 3):
-            got, (forward, grad_x, grad_k) = self._banded(monkeypatch, x, k, g, workers)
-            for a, b in zip(got, ref):
+            got, (forward, backward) = self._banded(monkeypatch, x, k, g, workers, x_grad, k_grad)
+            for a, b, wanted in zip(got, ref, (True, x_grad, k_grad)):
+                if not wanted:
+                    assert a is None
+                    continue
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
             sizes = [b - a for a, b in forward]
             assert len(sizes) > 1 and sizes[-1] < sizes[0]
             if x.ndim == 4:
                 assert any(a // ho != (b - 1) // ho for a, b in forward)
-            assert len(grad_x) > 1
-            assert grad_k[-1] == (depth - depth % band_cols, depth)
+            # one backward walk, over the same row bands of all items
+            assert backward == forward
 
     def test_failed_band_raises_once_after_join(self, monkeypatch):
         monkeypatch.setattr(diff.parallel, "_workers", lambda: 3)
@@ -250,7 +252,36 @@ class TestBandedConv2d:
         me = threading.get_ident()
         assert [m for t, m in affinity if t == me] == [{0}, {0, 1, 2}]
 
-    def test_whole_im2col_only_for_a_recorded_kernel(self, monkeypatch):
+    def test_gradients_same_bits_under_thread_churn(self, monkeypatch):
+        # more workers than cores and a short switch interval: a lost or
+        # out-of-order weight-gradient share would change the bits
+        rng = np.random.default_rng(14)
+        x, k = rng.standard_normal((4, 12, 10, 6)), rng.standard_normal((7, 6, 3, 3))
+        g = rng.standard_normal((4, 12, 10, 7))
+        monkeypatch.setattr(diff, "_BAND_ROWS", 10)  # 48 one-row bands
+
+        def grads(workers):
+            monkeypatch.setattr(diff.parallel, "_workers", lambda: workers)
+            with Tape() as tape:
+                diff.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True))
+            (_, _, bwd), = tape.entries
+            return bwd(g)
+
+        serial, churned = grads(1), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: churned.extend(grads(6) for _ in range(50)))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(churned) == 50
+        for got in churned:
+            assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+
+    def test_no_whole_im2col_matrix(self, monkeypatch):
+        # neither forward, recorded or not, nor backward holds more than bands
         monkeypatch.setattr(diff.parallel, "_workers", lambda: 1)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((64, 64, 32))
@@ -258,19 +289,21 @@ class TestBandedConv2d:
         whole = 64 * 64 * 32 * 25 * 8  # bytes of the (h w, kh kw ci) im2col matrix
         diff.conv2d(Tensor(x), Tensor(k))  # the process's one-time heap block
 
-        def peak(record, k_grad):
-            xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=k_grad)
+        def peak(fn):
             tracemalloc.start()
             try:
-                with Tape() if record else contextlib.nullcontext():
-                    diff.conv2d(xt, kt)
-                return tracemalloc.get_traced_memory()[1]
+                return fn(), tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(True, True) >= whole
-        assert peak(False, True) < whole / 4
-        assert peak(True, False) < whole / 4
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        assert peak(lambda: diff.conv2d(xt, kt))[1] < whole / 4
+        with Tape() as tape:
+            y, recorded = peak(lambda: diff.conv2d(xt, kt))
+        assert recorded < whole / 4
+        (_, _, bwd), = tape.entries
+        g = rng.standard_normal(y.shape)
+        assert peak(lambda: bwd(g))[1] < whole / 4
 
 
 def test_gather_backward_matches_add_at_bit_for_bit():
