@@ -12,6 +12,17 @@ runner and are folded in that same order.  Backward closures return
 input-shaped gradients, or None for inputs that do not require grad
 (constants cost no gradient work).
 
+The tape holds no values: a recorded output appears on it as a shape-only
+node, an input as that node, as itself when it is a requires-grad leaf, or
+as one shared no-grad stub.  Each backward closure keeps only what its
+formulas read for the inputs that need a gradient: matmul, mul and einsum
+an operand's array only when another operand needs a gradient; add, sub,
+scale, concat, sum, reshape, transpose and gather shapes (and the gather
+index); relu its mask, waves its output, sin and cos their input; conv2d
+its input only for the kernel gradient and its kernel only for the input
+gradient.  An intermediate array that no formula reads is freed as soon as
+the caller drops it.
+
 Evaluation without an active tape records nothing and costs nothing beyond
 the numpy work itself.
 """
@@ -45,13 +56,18 @@ CHECK_FINITE = False
 
 
 class Tensor:
-    """Dense array with a requires-grad flag. Hashable by identity."""
+    """Dense array with a requires-grad flag. Hashable by identity.
 
-    __slots__ = ("data", "requires_grad")
+    `node` is None until a primitive records the tensor as its output on a
+    tape; then it is the tensor's `_Node` there.
+    """
+
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
+        self.node = None
 
     @property
     def shape(self):
@@ -77,19 +93,51 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+class _Node:
+    """A recorded output on the tape: its shape, no value."""
+
+    __slots__ = ("shape",)
+    requires_grad = True
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+
+
+class _NoGrad:
+    """The tape's one stand-in for every input that needs no gradient."""
+
+    __slots__ = ()
+    requires_grad = False
+
+
+_NO_GRAD = _NoGrad()
+
+
+def _key(t: Tensor):
+    """How the tape lists t: by its node, as itself (a requires-grad leaf),
+    or as the no-grad stub."""
+    if not t.requires_grad:
+        return _NO_GRAD
+    return t if t.node is None else t.node
+
+
 class Tape:
     """Ordered record of primitive applications for one backward pass.
 
-    `relu_masks` holds the sign pattern of every relu this thread evaluated
-    while the tape was the innermost open one (check_gradients' kink guard).
+    Each entry is (node, inputs, backward closure): the output's `_Node`,
+    and per input its node, itself (a requires-grad leaf) or the no-grad
+    stub.  `relu_masks` holds the sign pattern of every relu this thread
+    evaluated while the tape was the innermost open one (check_gradients'
+    kink guard).
     `splice` appends tapes recorded on other threads and records, in
-    `groups`, each part's (start, stop) range of `entries` and its output.
+    `groups`, each part's (start, stop) range of `entries` and its output's
+    node.
     """
 
     def __init__(self):
-        self.entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self.entries: list[tuple[_Node, tuple, object]] = []
         self.relu_masks: list[np.ndarray] = []
-        self.groups: list[list[tuple[int, int, Tensor]]] = []
+        self.groups: list[list[tuple[int, int, object]]] = []
 
     def __enter__(self):
         _STACKS.stack.append(self)
@@ -117,7 +165,8 @@ def _finish(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     stack = _STACKS.stack
     if stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        stack[-1].entries.append((out, inputs, backward_fn))
+        out.node = _Node(out.shape)
+        stack[-1].entries.append((out.node, tuple(_key(t) for t in inputs), backward_fn))
     return out
 
 
@@ -149,10 +198,11 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "add")
     out = Tensor(a.data + b.data)
+    sa, sb = (a.shape if a.requires_grad else None), (b.shape if b.requires_grad else None)
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(g, sb))
 
     return _finish(out, (a, b), bwd)
 
@@ -161,10 +211,11 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
     out = Tensor(a.data - b.data)
+    sa, sb = (a.shape if a.requires_grad else None), (b.shape if b.requires_grad else None)
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(-g, sb))
 
     return _finish(out, (a, b), bwd)
 
@@ -173,10 +224,13 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
     out = Tensor(a.data * b.data)
+    sa, sb = a.shape, b.shape
+    bd = b.data if a.requires_grad else None  # a's gradient reads b, b's reads a
+    ad = a.data if b.requires_grad else None
 
     def bwd(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
     return _finish(out, (a, b), bwd)
 
@@ -188,10 +242,12 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
+    bd = b.data if a.requires_grad else None  # a's gradient reads b, b's reads a
+    ad = a.data if b.requires_grad else None
 
     def bwd(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return (None if bd is None else g @ bd.T,
+                None if ad is None else ad.T @ g)
 
     return _finish(out, (a, b), bwd)
 
@@ -217,14 +273,17 @@ def einsum(subscripts: str, *operands) -> Tensor:
         raise ShapeError(f"einsum: unsupported subscripts {subscripts!r} for operand "
                          f"shapes {[t.shape for t in operands]}")
     out = Tensor(np.einsum(subscripts, *(t.data for t in operands)))
+    needs = [t.requires_grad for t in operands]
+    # an operand's array is read by the gradients of the other operands
+    kept = [t.data if any(needs[:j] + needs[j + 1:]) else None
+            for j, t in enumerate(operands)]
 
     def bwd(g):
         grads = []
-        for i, t in enumerate(operands):
+        for i, need in enumerate(needs):
             rest = ins[:i] + ins[i + 1:]
             spec = ",".join([out_sub] + rest) + "->" + ins[i]
-            others = (u.data for u in operands[:i] + operands[i + 1:])
-            grads.append(np.einsum(spec, g, *others) if t.requires_grad else None)
+            grads.append(np.einsum(spec, g, *kept[:i], *kept[i + 1:]) if need else None)
         return tuple(grads)
 
     return _finish(out, operands, bwd)
@@ -245,20 +304,22 @@ def relu(x) -> Tensor:
 
 def sin(x) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.sin(x.data))
+    xd = x.data
+    out = Tensor(np.sin(xd))
 
     def bwd(g):
-        return (g * np.cos(x.data),)
+        return (g * np.cos(xd),)
 
     return _finish(out, (x,), bwd)
 
 
 def cos(x) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.cos(x.data))
+    xd = x.data
+    out = Tensor(np.cos(xd))
 
     def bwd(g):
-        return (g * -np.sin(x.data),)
+        return (g * -np.sin(xd),)
 
     return _finish(out, (x,), bwd)
 
@@ -268,12 +329,13 @@ def waves(x) -> Tensor:
     reads both factors from the output instead of evaluating them again."""
     x = _as_tensor(x)
     k = x.shape[-1]
-    out = Tensor(np.empty(x.shape[:-1] + (2 * k,)))
-    np.cos(x.data, out=out.data[..., :k])
-    np.sin(x.data, out=out.data[..., k:])
+    y = np.empty(x.shape[:-1] + (2 * k,))
+    np.cos(x.data, out=y[..., :k])
+    np.sin(x.data, out=y[..., k:])
+    out = Tensor(y)
 
     def bwd(g):
-        return (g[..., k:] * out.data[..., :k] - g[..., :k] * out.data[..., k:],)
+        return (g[..., k:] * y[..., :k] - g[..., :k] * y[..., k:],)
 
     return _finish(out, (x,), bwd)
 
@@ -294,12 +356,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of an empty list")
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    needs = [t.requires_grad for t in tensors]
 
     def bwd(g):
-        return tuple(gi if t.requires_grad else None
-                     for t, gi in zip(tensors, np.split(g, splits, axis=axis)))
+        return tuple(gi if need else None
+                     for need, gi in zip(needs, np.split(g, splits, axis=axis)))
 
     return _finish(out, tuple(tensors), bwd)
 
@@ -309,11 +371,12 @@ def reduce_sum(x, axes=None) -> Tensor:
     if axes is not None and not isinstance(axes, tuple):
         axes = (axes,)
     out = Tensor(x.data.sum(axis=axes))
+    xs = x.shape
 
     def bwd(g):
         if axes is not None:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, xs).copy(),)
 
     return _finish(out, (x,), bwd)
 
@@ -321,9 +384,10 @@ def reduce_sum(x, axes=None) -> Tensor:
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(x.data.reshape(shape))
+    xs = x.shape
 
     def bwd(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(xs),)
 
     return _finish(out, (x,), bwd)
 
@@ -352,14 +416,15 @@ def gather(x, index) -> Tensor:
     if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
         raise ShapeError("gather index out of range")
     out = Tensor(np.take(x.data, index, axis=0))
+    xs, n = x.shape, x.size
 
     def bwd(g):
         # bincount adds the rows of g in index order, as np.add.at does (bit
         # for bit), without np.add.at's per-element dispatch
         inner = int(np.prod(g.shape[1:]))
         flat = (index[:, None] * inner + np.arange(inner)).ravel()
-        gx = np.bincount(flat, weights=g.ravel(), minlength=x.size)
-        return (gx.astype(g.dtype, copy=False).reshape(x.shape),)
+        gx = np.bincount(flat, weights=g.ravel(), minlength=n)
+        return (gx.astype(g.dtype, copy=False).reshape(xs),)
 
     return _finish(out, (x,), bwd)
 
@@ -415,12 +480,15 @@ def conv2d(x, k) -> Tensor:
     y = np.empty((xd.size // ci, co))
     kmat = k.data.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)
     _im2col_bands(xd, kh, kw, lambda a, b, part: np.matmul(part, kmat, out=y[a:b]))
+    xs, gshape = x.shape, xd.shape[:-1] + (co,)
+    xr = xd.reshape(-1, ci) if k.requires_grad else None  # read by the kernel gradient
+    kd = k.data if x.requires_grad else None  # read by the input gradient
 
     def bwd(g):
-        xr = xd.reshape(-1, ci)
-        gx = np.empty(x.shape) if x.requires_grad else None
-        gk = np.zeros((kh * kw * co, ci)) if k.requires_grad else None
-        kf = k.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
+        gx = None if kd is None else np.empty(xs)
+        gk = None if xr is None else np.zeros((kh * kw * co, ci))
+        kf = (None if kd is None
+              else kd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * co, ci))
         turn, early, lock = 0, {}, threading.Lock()
 
         def band(a: int, b: int, gcol: np.ndarray):
@@ -435,7 +503,7 @@ def conv2d(x, k) -> Tensor:
                         turn, share = early.pop(turn)
                         np.add(gk, share, out=gk)
 
-        _im2col_bands(g.reshape(xd.shape[:-1] + (co,)), kh, kw, band)
+        _im2col_bands(g.reshape(gshape), kh, kw, band)
         return gx, (None if gk is None
                     else gk.reshape(kh, kw, co, ci)[::-1, ::-1].transpose(2, 3, 0, 1))
 
@@ -478,29 +546,30 @@ def absolute(x) -> Tensor:
 def splice(parts) -> Tensor:
     """Append each (tape, output) part's tape to this thread's open tape, in
     order, and concatenate the outputs; a part reads only earlier tensors.
-    The tape keeps the parts' entry ranges and outputs as one group, which
-    `backward` replays on the band runner (groups spliced within a part
-    replay inside it, serially)."""
+    The tape keeps the parts' entry ranges and output nodes as one group,
+    which `backward` replays on the band runner (groups spliced within a
+    part replay inside it, serially)."""
     tape = _STACKS.stack[-1]
     group = []
     for part, out in parts:
         start = len(tape.entries)
         tape.entries += part.entries
         tape.relu_masks += part.relu_masks
-        group.append((start, len(tape.entries), out))
+        group.append((start, len(tape.entries), _key(out)))
     out = concat([out for _, out in parts])
     tape.groups.append(group)
     return out
 
 
-def _add(grads: dict, t: Tensor, g: np.ndarray) -> None:
+def _add(grads: dict, t, g: np.ndarray) -> None:
     acc = grads.get(t)
     grads[t] = g if acc is None else acc + g
 
 
 def _replay(entries, grads: dict, own=None, spill=None) -> None:
-    """Replay entries in reverse, adding input gradients into grads; with
-    `own`, those of tensors not in it are appended to `spill` instead."""
+    """Replay entries in reverse, adding input gradients into grads (keyed
+    by node or leaf); with `own`, those of keys not in it are appended to
+    `spill` instead."""
     for out, inputs, bwd in reversed(entries):
         g = grads.pop(out, None)  # complete: out's consumers all come later
         if g is None:
@@ -518,7 +587,7 @@ def _replay_group(entries, group, grads: dict) -> None:
     """Replay one spliced group's parts on the band runner, last part first,
     each from its output's gradient in grads with gradients of its own.
 
-    Each part's gradients of tensors it did not produce (latent tables,
+    Each part's gradients of keys it did not produce (latent tables,
     parameters) are added into grads in its replay order, part by part from
     the last, as soon as every later part is folded: the additions of a
     serial replay in the same order, so the bits do not depend on the
@@ -549,23 +618,22 @@ def _replay_group(entries, group, grads: dict) -> None:
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     """Gradients of a scalar loss w.r.t. every requires-grad leaf on the tape.
 
-    Accumulation happens in fixed reverse tape order, so results are
-    bit-identical across runs with identical inputs and any worker count.
+    Only leaf `Tensor`s get a gradient: a tensor recorded as an output, on
+    this tape or an earlier one, appears on the tape as its node, and its
+    gradient is dropped once the replay is done with it.  Accumulation
+    happens in fixed reverse tape order, so results are bit-identical across
+    runs with identical inputs and any worker count.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones(loss.shape, dtype=loss.data.dtype)}
+    grads: dict = {_key(loss): np.ones(loss.shape, dtype=loss.data.dtype)}
     end = len(tape.entries)
     for group in reversed(tape.groups):
         _replay(tape.entries[group[-1][1]:end], grads)
         _replay_group(tape.entries, group, grads)
         end = group[0][0]
     _replay(tape.entries[:end], grads)
-    return {
-        t: Tensor(g)
-        for t, g in grads.items()
-        if t.requires_grad
-    }
+    return {t: Tensor(g) for t, g in grads.items() if isinstance(t, Tensor)}
 
 
 def _scalar(out: Tensor) -> float:

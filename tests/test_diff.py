@@ -1,17 +1,22 @@
 """Reverse-mode differentiation: primitives, backward pass, gradient checks."""
 
+import itertools
 import os
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from equisr import diff, parallel
 from equisr.checks import run_all
+from equisr.data import DatasetSpec, sample_patch_pairs
 from equisr.diff import Tape, Tensor, backward, check_gradients
 from equisr.errors import ContractError, EvaluationError, ShapeError
+from equisr.inr import ModelConfig, build_model
+from equisr.training import step_loss
 
 
 class TestPrimitives:
@@ -335,6 +340,141 @@ def test_backward_skips_inputs_without_grad():
     for out, inputs, bwd in tape.entries:
         for t, gi in zip(inputs, bwd(np.ones(out.shape))):
             assert (gi is None) == (not t.requires_grad)
+
+
+# one application of every primitive: (function of the inputs, input shapes)
+_PRIMITIVE_CASES = {
+    "add": (diff.add, [(3, 4), (1, 4)]),
+    "sub": (diff.sub, [(3, 4), (4,)]),
+    "mul": (diff.mul, [(3, 4), (3, 4)]),
+    "matmul": (diff.matmul, [(3, 4), (4, 2)]),
+    "einsum": (lambda *ops: diff.einsum("ij,jk,k->i", *ops), [(2, 3), (3, 4), (4,)]),
+    "conv2d": (diff.conv2d, [(2, 5, 5, 2), (3, 2, 3, 3)]),
+    "relu": (diff.relu, [(3, 4)]),
+    "sin": (diff.sin, [(3, 4)]),
+    "cos": (diff.cos, [(3, 4)]),
+    "waves": (diff.waves, [(3, 4)]),
+    "concat": (lambda *ts: diff.concat(ts, axis=1), [(2, 3), (2, 4), (2, 1)]),
+    "sum": (lambda x: diff.reduce_sum(x, axes=1), [(3, 4, 2)]),
+    "scale": (lambda x: diff.scale(x, 2.5), [(6,)]),
+    "gather": (lambda x: diff.gather(x, [2, 0, 1, 0]), [(3, 4)]),
+    "reshape": (lambda x: diff.reshape(x, (6, 2)), [(3, 4)]),
+    "transpose": (lambda x: diff.transpose(x, (1, 0, 2)), [(3, 4, 2)]),
+}
+
+
+def _tensors_in(obj):
+    """The Tensors obj is or holds, looking inside tuples, lists and dicts."""
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [t for item in obj for t in _tensors_in(item)]
+    return []
+
+
+class TestSlimTape:
+    """The tape holds shape-only nodes, requires-grad leaves and one no-grad
+    stub, and each backward closure only the arrays its formulas read."""
+
+    def test_cases_cover_every_primitive(self):
+        assert _PRIMITIVE_CASES.keys() == diff._PRIMITIVES.keys()
+
+    @pytest.mark.parametrize("name", sorted(_PRIMITIVE_CASES))
+    def test_entries_and_closures_hold_no_values(self, name):
+        fn, shapes = _PRIMITIVE_CASES[name]
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        weights = rng.standard_normal(fn(*map(Tensor, arrays)).shape)
+
+        def run(kinds):
+            # per input: "const", a requires-grad "leaf", or "recorded", the
+            # output of an earlier primitive on that leaf (scale by 1, exact)
+            leaves = [Tensor(a.copy(), requires_grad=kind != "const")
+                      for a, kind in zip(arrays, kinds)]
+            with Tape() as tape:
+                ins = [diff.scale(t, 1.0) if kind == "recorded" else t
+                       for t, kind in zip(leaves, kinds)]
+                out = fn(*ins)
+                loss = diff.reduce_sum(diff.mul(out, diff.constant(weights)))
+            return leaves, ins, out, tape, backward(tape, loss)
+
+        # the gradient of each leaf does not depend on which other inputs need one
+        leaves, _, _, _, grads = run(["leaf"] * len(shapes))
+        reference = [grads[t].data for t in leaves]
+        for kinds in itertools.product(("const", "leaf", "recorded"), repeat=len(shapes)):
+            if kinds == ("const",) * len(shapes):
+                continue
+            leaves, ins, out, tape, grads = run(kinds)
+            entry = next(e for e in tape.entries if e[0] is out.node)
+            assert entry[1] == tuple(diff._NO_GRAD if kind == "const" else
+                                     t.node if kind == "recorded" else t
+                                     for t, kind in zip(ins, kinds))
+            for node, inputs, bwd in tape.entries:
+                assert not isinstance(node, Tensor)
+                assert all(t.requires_grad and t.node is None
+                           for t in inputs if isinstance(t, Tensor))
+                cells = [c.cell_contents for c in bwd.__closure__ or ()]
+                assert _tensors_in(cells) == [], bwd.__qualname__
+            assert grads.keys() == {t for t, kind in zip(leaves, kinds) if kind != "const"}
+            for t, ref in zip(leaves, reference):
+                if t in grads:
+                    assert np.array_equal(grads[t].data, ref), (kinds, name)
+
+    def test_unread_intermediate_is_freed(self):
+        # the matmul output only feeds the bias add, whose backward reads
+        # shapes alone, so no tape entry or closure keeps it
+        rng = np.random.default_rng(6)
+        x = diff.constant(rng.standard_normal((5, 3)))
+        w = diff.parameter(rng.standard_normal((3, 4)))
+        b = diff.parameter(rng.standard_normal((4,)))
+
+        def run(drop):
+            with Tape() as tape:
+                h = diff.matmul(x, w)
+                y = diff.add(h, b)
+                probe = weakref.ref(h.data)
+                if drop:
+                    del h
+                loss = diff.reduce_sum(diff.sin(y))
+            assert (probe() is None) == drop
+            grads = backward(tape, loss)
+            return grads[w].data, grads[b].data
+
+        dropped, kept = run(drop=True), run(drop=False)
+        assert all(np.array_equal(g, k) for g, k in zip(dropped, kept))
+        gy = np.cos(x.data @ w.data + b.data)
+        assert np.allclose(dropped[0], x.data.T @ gy, rtol=1e-13, atol=0)
+        assert np.allclose(dropped[1], gy.sum(axis=0), rtol=1e-13, atol=0)
+
+    def test_only_leaves_get_gradients(self):
+        w = diff.parameter(np.array([1.5, -2.0]))
+        with Tape():
+            y = diff.scale(w, 3.0)  # recorded on an earlier tape
+        with Tape() as tape:
+            loss = diff.reduce_sum(diff.mul(y, w))
+        grads = backward(tape, loss)
+        assert list(grads) == [w]
+        assert np.array_equal(grads[w].data, y.data)
+
+    def test_lte_training_forward_tape_memory(self):
+        # one lte step at the benchmark's train-steps shape: the tape's live
+        # bytes after the forward are what its backward closures read
+        spec = DatasetSpec(kind="stripes", count=8, size=96, scale_lo=2.0, scale_hi=4.0)
+        pairs = sample_patch_pairs(spec, 24, 4, seed=(0, 0))
+        batch = (np.stack([p.lr.data for p in pairs]), np.concatenate([p.coords for p in pairs]),
+                 np.concatenate([p.targets for p in pairs]))
+        model = build_model(ModelConfig(variant="lte"), seed=0)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = step_loss(model, *batch)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tape.entries and loss.size == 1
+        assert live <= 50e6, f"{live / 1e6:.1f} MB live after the forward"
 
 
 class TestBackward:

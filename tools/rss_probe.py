@@ -10,7 +10,10 @@ conv2d bands and the INR query chunks run on one thread per core
 (variant, t) with the median SR time and the median and largest peak RSS
 over the repetitions, then one row per variant for one `training.train`
 step of the default model at the benchmark's train-steps shape (stripes of
-size 96, batch 4, patch 24).
+size 96, batch 4, patch 24).  A train row also gives the tape's live bytes
+after the forward of that step's batch, which tracemalloc measures after
+the RSS sample, so the sample is the step's alone; it tells what the tape
+holds apart from what the allocator keeps.
 
     PYTHONPATH=src python tools/rss_probe.py                 # t in {1, 4, 16}
     PYTHONPATH=src python tools/rss_probe.py --t 1 4 --reps 3
@@ -27,6 +30,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 VARIANTS = ("liif", "ope", "lte")
 SIDE = 64  # LR side; at SCALE the output is 256x256
@@ -55,8 +59,34 @@ def child(variant: str, t: str) -> None:
     out = run()
     ms = (time.perf_counter() - t0) * 1e3
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    print(json.dumps({"ms": ms, "rss_mb": rss / 1024, "rss_before_mb": rss_before / 1024,
-                      "out": [out.h, out.w] if isinstance(out, Image) else None}))
+    row = {"ms": ms, "rss_mb": rss / 1024, "rss_before_mb": rss_before / 1024,
+           "out": [out.h, out.w] if isinstance(out, Image) else None}
+    if t == "train":
+        row["tape_mb"] = tape_bytes(variant, stripes) / 1e6
+    print(json.dumps(row))
+
+
+def tape_bytes(variant: str, stripes) -> int:
+    """Live bytes (tracemalloc) after the recorded forward of the first batch
+    that a seed-0 `train` draws, on a seed-0 model: what the open tape holds."""
+    import numpy as np
+
+    from equisr import diff
+    from equisr.data import sample_patch_pairs
+    from equisr.inr import ModelConfig, build_model
+    from equisr.training import step_loss
+
+    model = build_model(ModelConfig(variant=variant), seed=0)
+    pairs = sample_patch_pairs(stripes, 24, 4, seed=(0, 0))
+    batch = (np.stack([p.lr.data for p in pairs]), np.concatenate([p.coords for p in pairs]),
+             np.concatenate([p.targets for p in pairs]))
+    tracemalloc.start()
+    try:
+        with diff.Tape():
+            step_loss(model, *batch)
+            return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 def measure(variant: str, t) -> dict:
@@ -93,13 +123,15 @@ def main(argv=None) -> int:
                   f"{statistics.median(r['rss_before_mb'] for r in runs):16.0f}", flush=True)
     print(f"\none training.train step (stripes of size 96, batch 4, patch 24, default model), "
           f"{args.reps} fresh processes per row")
-    print("variant  step_ms_median  peak_rss_mb_median  peak_rss_mb_max  rss_before_step_mb")
+    print("variant  step_ms_median  peak_rss_mb_median  peak_rss_mb_max  rss_before_step_mb"
+          "  tape_mb_median")
     for variant in VARIANTS:
         runs = [measure(variant, "train") for _ in range(args.reps)]
         rss = [r["rss_mb"] for r in runs]
         print(f"{variant:7s} {statistics.median(r['ms'] for r in runs):15.0f}  "
               f"{statistics.median(rss):18.0f}  {max(rss):15.0f}  "
-              f"{statistics.median(r['rss_before_mb'] for r in runs):18.0f}", flush=True)
+              f"{statistics.median(r['rss_before_mb'] for r in runs):18.0f}"
+              f"  {statistics.median(r['tape_mb'] for r in runs):14.1f}", flush=True)
     return 0
 
 
