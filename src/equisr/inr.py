@@ -569,14 +569,55 @@ def output_size(h: int, w: int, scale: float) -> tuple[int, int]:
     return h_out, w_out
 
 
-def super_resolve(model: INRModel, img: Image, scale: float) -> Image:
-    """Arbitrary-scale super-resolution: encode, then query every HR cell center.
+def batch_limit(model: INRModel, h: int, w: int, scale: float) -> int:
+    """Most h x w images one super_resolve_batch call should take at `scale`:
+    their outputs hold at most MAX_OUTPUT_PIXELS pixels together, the bound
+    of one request, and their latent codes at most the _CHUNK_BYTES budget
+    unless one image's codes alone hold more.  Raises as output_size."""
+    h_out, w_out = output_size(h, w, scale)
+    cfg = model.cfg
+    if cfg.variant == "liif":
+        floats = cfg.t * cfg.n
+    elif cfg.variant == "lte":
+        floats = 4 * cfg.t * cfg.K  # amplitudes and frequencies
+    else:
+        slots = 1 if _ope_rotations(model.group, cfg.k_max) is not None else cfg.t
+        floats = slots * cfg.c_in * (2 * cfg.k_max + 1) ** 2
+    codes = max(1, _CHUNK_BYTES // (8 * floats * h * w))
+    return min(MAX_OUTPUT_PIXELS // (h_out * w_out), codes)
 
-    The scale and output size are checked by `output_size` before any work.
+
+def super_resolve_batch(model: INRModel, images, scale: float) -> list[Image]:
+    """Super-resolve same-shaped images at one scale: one encoder pass over
+    the stacked (B, h, w, c) input, one latent pass, and one eval_global_batch
+    over every HR cell center of each item, item-major.
+
+    Each output is `super_resolve` of its image alone: bit for bit when every
+    product row keeps its place, as at the sweeps' sides 16 and 32 in
+    ensemble mode.  BLAS may round the last (height mod 4) rows of a product
+    apart from the same rows inside a taller one, so conv2d bands that cross
+    items (side 17) or nearest-mode chunks can move an output by about 1e-15
+    relative.  Images of different shapes raise ShapeError; the scale and
+    output size are checked by `output_size` before any work.  The outputs
+    and latent codes hold B times those of one image, so callers bound B
+    (batch_limit).
     """
-    h_out, w_out = output_size(img.h, img.w, scale)
-    feat = encode_t(model, diff.constant(img.data))
+    images = list(images)
+    if not images:
+        raise ShapeError("super_resolve_batch needs at least one image")
+    shape = images[0].data.shape
+    if any(img.data.shape != shape for img in images):
+        raise ShapeError(f"batched images differ in shape: "
+                         f"{sorted({img.data.shape for img in images})}")
+    h_out, w_out = output_size(shape[0], shape[1], scale)
+    feat = encode_t(model, diff.constant(np.stack([img.data for img in images])))
     lats = compute_latents(model, feat)
-    xx = pixel_coords(h_out, w_out).reshape(-1, 2)
+    xx = np.tile(pixel_coords(h_out, w_out).reshape(-1, 2), (len(images), 1))
     out = eval_global_batch(model, lats, xx)
-    return Image(out.data.reshape(h_out, w_out, model.cfg.c_in))
+    return [Image(y) for y in out.data.reshape(len(images), h_out, w_out, model.cfg.c_in)]
+
+
+def super_resolve(model: INRModel, img: Image, scale: float) -> Image:
+    """Arbitrary-scale super-resolution: encode, then query every HR cell
+    center; super_resolve_batch of the one image."""
+    return super_resolve_batch(model, [img], scale)[0]

@@ -9,10 +9,10 @@ For angles that are not quarter turns the comparison is masked to an
 inscribed disk by default (margin of 3 LR cells), because the zero fill
 outside a rotated frame is not itself equivariant.
 
-`sweep_cells` evaluates a grid in one pass: Phi(I) is computed once per
-(model, image, scale) and shared by every angle, and each cell keeps its
-per-seed entries (error maps included) for callers that need more than the
-CSV `sweep` formats from them.
+`sweep_cells` evaluates a grid in one pass: per (model, image, scale) one
+batched SR computes Phi(I) and Phi of every rotated input, and each cell
+keeps its per-seed entries (error maps included) for callers that need more
+than the CSV `sweep` formats from them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .data import DatasetSpec, bicubic_resize, csv_text, gen_synthetic
 from .errors import ConfigError, MetricError, ShapeError
 from .groups import _right_angle_quarter_turns, rotate_image
 from .image import Image, disk_mask
-from .inr import INRModel, ModelConfig, build_model, super_resolve
+from .inr import (INRModel, ModelConfig, batch_limit, build_model, super_resolve,
+                  super_resolve_batch)
 
 MASK_MARGIN_LR_CELLS = 3.0
 
@@ -113,13 +114,13 @@ def _with_eps(model: INRModel, eps: float | None) -> INRModel:
     return model if eps is None else replace(model, cfg=replace(model.cfg, eps=eps))
 
 
-def _compare(model: INRModel, img: Image, y0: Image, angle: float, scale: float,
+def _compare(y1: Image, y0: Image, angle: float, scale: float, lr_h: int,
              mask) -> EquivEntry:
-    """The angle-dependent half of a measurement, given y0 = Phi(img)."""
-    y1 = super_resolve(model, rotate_image(img, angle), scale)
+    """The entry of y1 = Phi(rotate(I, angle)) against y0 = Phi(I), for an
+    input I of lr_h rows."""
     ref = rotate_image(y0, angle)
     if mask is not None:
-        mask = _auto_mask(angle, ref.h, ref.w, img.h)
+        mask = _auto_mask(angle, ref.h, ref.w, lr_h)
     err_map = Image(np.max(np.abs(y1.data - ref.data), axis=2, keepdims=True))
     return EquivEntry(angle, scale, nmse(y1, ref, mask), nmae(y1, ref, mask), err_map)
 
@@ -135,7 +136,8 @@ def equivariance_error(model: INRModel, img: Image, angle: float, scale: float,
     _check_mask(mask)
     model = _with_eps(model, eps)
     y0 = super_resolve(model, img, scale)
-    return _compare(model, img, y0, angle, scale, mask)
+    y1 = super_resolve(model, rotate_image(img, angle), scale)
+    return _compare(y1, y0, angle, scale, img.h, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +178,12 @@ def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0
 
     Cells are (name, run_cfg, angle, scale, resolution, entries) in that
     row order, entries in seed order; grids must be non-empty.  Each loop
-    computes only what depends on it: y0 = Phi(I) once for all angles.
+    computes only what depends on it: the test image and its rotations once
+    per (seed, resolution), then per scale one super_resolve_batch of y0's
+    input and every rotated input (sweep images are square, so all share one
+    shape), split into consecutive batches of at most inr.batch_limit
+    images: outputs within the one-request pixel limit, latent codes within
+    one chunk budget.
     """
     angles, scales = list(angles), list(scales)
     resolutions, seeds = list(resolutions), list(seeds)
@@ -199,14 +206,24 @@ def sweep_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0
                 m = model if model is not None else _with_eps(build_model(run_cfg, seed=seed), eps)
                 for ri, res in enumerate(resolutions):
                     img = sweep_image(data, res, seed)
+                    # square, so every rotation keeps the shape: one batch per scale
+                    inputs = [img] + [rotate_image(img, angle) for angle in angles]
                     for si, scale_ in enumerate(scales):
-                        y0 = super_resolve(m, img, scale_)
-                        for ai, angle in enumerate(angles):
+                        y0, *ys = _super_resolve_all(m, inputs, scale_)
+                        for ai, (angle, y1) in enumerate(zip(angles, ys)):
                             entries.setdefault((ai, si, ri), []).append(_compare(
-                                m, img, y0, angle, scale_, mask))
+                                y1, y0, angle, scale_, img.h, mask))
             for ai, si, ri in sorted(entries):  # row order: angle, scale, resolution
                 yield (name, run_cfg, angles[ai], scales[si], resolutions[ri],
                        tuple(entries[ai, si, ri]))
+
+
+def _super_resolve_all(model: INRModel, images: list[Image], scale: float) -> list[Image]:
+    """super_resolve_batch of same-shaped images, in consecutive batches of
+    at most inr.batch_limit images."""
+    size = batch_limit(model, images[0].h, images[0].w, scale)
+    return [y for a in range(0, len(images), size)
+            for y in super_resolve_batch(model, images[a:a + size], scale)]
 
 
 def sweep_csv(cells) -> str:

@@ -114,16 +114,16 @@ class TestEvalEquiv:
               "seeds": [0, 1], "eps": 0.0}
         cfg = _write_config(tmp_path, {
             "model": {"t": 2, "encoder": {"blocks": 1, "n": 2, "p": 3}}, "eval": ev})
-        sr_calls = []
-        real_sr = metrics.super_resolve
-        monkeypatch.setattr(metrics, "super_resolve",
-                            lambda *a, **kw: sr_calls.append(1) or real_sr(*a, **kw))
+        sr_batches = []  # the images of each batched SR call
+        real_sr = metrics.super_resolve_batch
+        monkeypatch.setattr(metrics, "super_resolve_batch", lambda model, images, scale:
+                            sr_batches.append(len(images)) or real_sr(model, images, scale))
         maps_dir = tmp_path / "maps"
         assert main(["eval-equiv", "--config", cfg, "--out",
                      str(tmp_path / "r.csv"), "--error-maps", str(maps_dir)]) == 0
-        # one pass: per seed and scale one y0 plus one rotated SR per angle
+        # one pass: per seed and scale one batch of y0 plus one rotated SR per angle
         A, S, R, N = (len(ev[k]) for k in ("angles_deg", "scales", "resolutions", "seeds"))
-        assert len(sr_calls) == S * R * N * (1 + A)
+        assert sr_batches == [1 + A] * (S * R * N)
 
         doc = config.load_config(cfg)
         model_cfg, data = config.model_config(doc), config.dataset_spec(doc)

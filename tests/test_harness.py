@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisr import __version__, diff, metrics
+from equisr import __version__, diff, inr, metrics
 from equisr.data import DatasetSpec
 from equisr.diff import Tensor
 from equisr.errors import CheckpointError, ConfigError, EvaluationError, MetricError
@@ -186,10 +186,10 @@ class TestSweep:
         assert rep.nmse_mean == 2.0 and abs(rep.nmse_std - np.sqrt(2.0)) <= 1e-12
 
 
-def _reference_sweep(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
+def _reference_cells(model_cfgs, angles, scales, resolutions, t_values=None, seeds=(0,),
                      data=None, mask="auto", eps=None, model=None):
-    """The nested per-angle sweep loop: a model, image and y0 per grid point."""
-    lines = [f"# equisr {__version__}", SWEEP_HEADER]
+    """The nested per-angle sweep loop, one super_resolve per image: a model,
+    image and y0 per grid point; cells as sweep_cells yields them."""
     for name, cfg in model_cfgs:
         for t in (t_values if t_values else [cfg.t]):
             run_cfg = _budget_config(cfg, t) if t != cfg.t else cfg
@@ -202,13 +202,20 @@ def _reference_sweep(model_cfgs, angles, scales, resolutions, t_values=None, see
                             img = sweep_image(data, res, seed)
                             entries.append(equivariance_error(
                                 m, img, angle, scale_, eps=eps, mask=mask))
-                        rep = aggregate(entries)
-                        lines.append(
-                            f"{name},{run_cfg.variant},{run_cfg.t},{angle:.12g},"
-                            f"{scale_:.12g},{res},{len(seeds)},"
-                            f"{rep.nmse_mean:.10e},{rep.nmse_std:.10e},"
-                            f"{rep.nmae_mean:.10e},{rep.nmae_std:.10e}"
-                        )
+                        yield name, run_cfg, angle, scale_, res, tuple(entries)
+
+
+def _reference_sweep(*args, **kwargs):
+    """The CSV of `_reference_cells`, formatted here rather than by sweep_csv."""
+    lines = [f"# equisr {__version__}", SWEEP_HEADER]
+    for name, run_cfg, angle, scale_, res, entries in _reference_cells(*args, **kwargs):
+        rep = aggregate(entries)
+        lines.append(
+            f"{name},{run_cfg.variant},{run_cfg.t},{angle:.12g},"
+            f"{scale_:.12g},{res},{len(entries)},"
+            f"{rep.nmse_mean:.10e},{rep.nmse_std:.10e},"
+            f"{rep.nmae_mean:.10e},{rep.nmae_std:.10e}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -236,13 +243,16 @@ class TestSweepOnePass:
 
     @pytest.mark.parametrize("given_model", [False, True])
     def test_call_counts(self, monkeypatch, given_model):
-        calls = {"super_resolve": 0, "build_model": 0, "sweep_image": 0}
+        calls = {"super_resolve_batch": 0, "build_model": 0, "sweep_image": 0}
+        sr_images = []
 
         def counted(name):
             real = getattr(metrics, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "super_resolve_batch":
+                    sr_images.append(len(args[1]))
                 return real(*args, **kwargs)
             return wrapper
         model = build_model(self._cfgs()[0][1], seed=3) if given_model else None
@@ -257,7 +267,9 @@ class TestSweepOnePass:
         T = len(t_values) if t_values else 1
         S, R, N, A = len(scales), len(resolutions), len(seeds), len(angles)
         assert len(csv.strip().split("\n")) == 2 + T * A * S * R
-        assert calls["super_resolve"] == T * S * R * N * (1 + A)
+        # one batch per (t, seed, resolution, scale): y0 plus one rotated SR per angle
+        assert calls["super_resolve_batch"] == T * S * R * N
+        assert sr_images == [1 + A] * (T * S * R * N)
         assert calls["build_model"] == (0 if given_model else T * N)
         assert calls["sweep_image"] == T * R * N
 
@@ -267,6 +279,68 @@ class TestSweepOnePass:
         with pytest.raises(ConfigError, match="t_values"):
             sweep(self._cfgs()[:1], [np.pi / 2], [2.0], [8], t_values=[2, 8],
                   data=self.DATA, model=model)
+
+
+class TestBatchedSweep:
+    """sweep_cells' batched SRs against one super_resolve per image, at the
+    benchmark's equivariance cells: p4 quarter turns at eps = 0 and p8
+    eighth turns at the default eps, default models, resolution 16."""
+
+    DATA = DatasetSpec(kind="shapes", count=1, size=48)
+    GROUPS = {"p4": ([np.pi / 2, np.pi, 3 * np.pi / 2], [2.0, 2.7, 3.0], dict(eps=0.0)),
+              "p8": ([np.pi / 4, 3 * np.pi / 4], [2.0], dict(t_values=[8]))}
+
+    def _grid(self, variant, group):
+        angles, scales, kw = self.GROUPS[group]
+        return ([(variant, ModelConfig(variant=variant))], angles, scales, [16]), dict(
+            kw, seeds=[0, 1], data=self.DATA)
+
+    @staticmethod
+    def _maps(cells):
+        return [e.err_map.data for cell in cells for e in cell[5]]
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("group", ["p4", "p8"])
+    def test_matches_per_image_reference(self, variant, group):
+        args, kw = self._grid(variant, group)
+        cells = list(metrics.sweep_cells(*args, **kw))
+        ref = list(_reference_cells(*args, **kw))
+        assert metrics.sweep_csv(cells) == metrics.sweep_csv(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(self._maps(cells), self._maps(ref)))
+        assert len(self._maps(cells)) == len(self._maps(ref)) == 2 * len(args[1]) * len(args[2])
+
+    def test_batches_split_at_the_output_limit(self, monkeypatch):
+        args, kw = self._grid("liif", "p4")
+        args = args[:2] + ([2.0],) + args[3:]
+        whole = list(metrics.sweep_cells(*args, **kw))
+        batches = []
+        # 16 -> 32 at scale 2: three 32 x 32 outputs fit, a fourth does not
+        monkeypatch.setattr(inr, "MAX_OUTPUT_PIXELS", 3 * 32 * 32 + 1)
+        monkeypatch.setattr(inr, "encode_t", self._counting(batches))
+        split = list(metrics.sweep_cells(*args, **kw))
+        assert batches == [3, 1] * 2  # y0 and three rotations, per seed
+        assert metrics.sweep_csv(split) == metrics.sweep_csv(whole)
+        assert all(np.array_equal(a, b) for a, b in zip(self._maps(split), self._maps(whole)))
+
+    @pytest.mark.parametrize("variant, sizes", [("ope", [1, 1, 1]), ("lte", [3])])
+    def test_batches_split_at_the_code_budget(self, monkeypatch, variant, sizes):
+        # at t = 8 and resolution 32 one image's ope codes, (32, 32, 8, 147)
+        # floats, are 9.6 MB: more than half the 16 MiB budget
+        args, kw = self._grid(variant, "p8")
+        args = args[:3] + ([32],)
+        batches = []
+        monkeypatch.setattr(inr, "encode_t", self._counting(batches))
+        list(metrics.sweep_cells(*args, **dict(kw, seeds=[0])))
+        assert batches == sizes
+
+    @staticmethod
+    def _counting(batches):
+        real = inr.encode_t
+
+        def counted(model, x):
+            batches.append(x.shape[0])
+            return real(model, x)
+        return counted
 
 
 class TestAdam:

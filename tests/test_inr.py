@@ -34,6 +34,7 @@ from equisr.inr import (
     output_size,
     parameter_count,
     super_resolve,
+    super_resolve_batch,
 )
 from equisr.encoder import encode_t
 from equisr.metrics import nmse
@@ -845,6 +846,91 @@ class TestBatchedAssembly:
         lats = _latents_of(model, imgs)
         with pytest.raises(ShapeError):
             eval_global_batch(model, lats, X[:-1])
+
+
+class TestSuperResolveBatch:
+    """super_resolve_batch: one encoder, latent and query pass for B images."""
+
+    @staticmethod
+    def _images(items, side=16, channels=3):
+        rng = np.random.default_rng(side + items)
+        return [Image(rng.random((side, side, channels))) for _ in range(items)]
+
+    @staticmethod
+    def _close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("t", [1, 4, 8])
+    @pytest.mark.parametrize("mode", ["ensemble", "nearest"])
+    @pytest.mark.parametrize("items", [1, 3])
+    def test_each_output_is_its_own_super_resolve(self, monkeypatch, variant, t, mode, items):
+        model = build_model(_small_cfg(variant, t, mode=mode, eps=0.0), seed=t)
+        imgs = self._images(items)
+        expected = [super_resolve(model, img, 2.7).data for img in imgs]
+        # 16 -> 43: 1849 queries per item, cut into chunks of at most 300
+        # that straddle items in the batch
+        monkeypatch.setattr(inr, "_CHUNK_BYTES", 300 * _plan_bytes(model))
+        for workers in (1, 2, 3):
+            _pin_workers(monkeypatch, workers)
+            got = [y.data for y in super_resolve_batch(model, imgs, 2.7)]
+            assert len(got) == items
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("side, scale, mode", [(17, 2.0, "ensemble"), (16, 2.7, "nearest")])
+    def test_rows_at_other_product_heights_agree_to_rounding(self, variant, side, scale, mode):
+        # BLAS may round the last (height mod 4) rows of a product apart
+        # from the same rows inside a taller one.  At side 17 conv2d's
+        # 15-row bands cross items; a nearest-mode chunk holds any number
+        # of live rows.  Both moved t = 1 outputs by up to 1.2e-15 relative.
+        model = build_model(ModelConfig(variant=variant, t=1, n=32, blocks=1, mode=mode,
+                                        eps=0.0), seed=1)
+        imgs = self._images(3, side=side)
+        got = super_resolve_batch(model, imgs, scale)
+        assert all(self._close(y.data, super_resolve(model, img, scale).data)
+                   for y, img in zip(got, imgs))
+
+    @pytest.mark.parametrize("variant", ["liif", "ope", "lte"])
+    @pytest.mark.parametrize("t", [1, 4, 8])
+    def test_batch_limit_fits_the_codes_in_one_chunk_budget(self, variant, t):
+        model = build_model(ModelConfig(variant=variant, t=t, n=32 // t, blocks=1), seed=0)
+        lats = _latents_of(model, np.zeros((8, 8, 3)))
+        codes = sum(x.data.nbytes for x in lats) * 16  # one 32 x 32 image's
+        limit = inr.batch_limit(model, 32, 32, 2.0)
+        assert limit == max(1, inr._CHUNK_BYTES // codes)
+
+    def test_batch_limit_keeps_the_one_request_pixel_limit(self):
+        model = build_model(_small_cfg("liif", 2, n=2), seed=0)
+        assert inr.batch_limit(model, 1024, 1024, 4.0) == 1  # 4096 x 4096
+        assert inr.batch_limit(model, 256, 256, 8.0) == 4  # 2048 x 2048 each
+        with pytest.raises(DomainError):
+            inr.batch_limit(model, 1024, 1024, 4.0005)
+
+    def test_mixed_shapes_are_a_shape_error(self, monkeypatch):
+        monkeypatch.setattr(inr, "encode_t", _no_work)
+        model = build_model(_small_cfg("liif", 2, n=2), seed=0)
+        for imgs in ([*self._images(2), *self._images(1, side=12)],
+                     [*self._images(1), *self._images(1, channels=1)], []):
+            with pytest.raises(ShapeError):
+                super_resolve_batch(model, imgs, 2.0)
+
+    @pytest.mark.parametrize("scale", [0.5, float("nan"), 513.0])
+    def test_bad_scale_refused_before_the_encoder(self, monkeypatch, scale):
+        monkeypatch.setattr(inr, "encode_t", _no_work)
+        model = build_model(_small_cfg("liif", 2, n=2), seed=0)
+        with pytest.raises(DomainError):
+            super_resolve_batch(model, self._images(3, side=8), scale)
+
+    def test_channel_mismatch_refused_before_any_convolution(self, monkeypatch):
+        monkeypatch.setattr(diff, "conv2d", _no_work)
+        model = build_model(_small_cfg("liif", 2, n=2), seed=0)
+        with pytest.raises(ShapeError, match="channels"):
+            super_resolve_batch(model, self._images(2, channels=1), 2.0)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a refused request reached the model")
 
 
 class TestParallelAssembly:

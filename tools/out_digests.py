@@ -38,6 +38,12 @@ The outputs are:
   * the gen-data manifest.csv of a file-dir corpus holding one 30x20 PGM and
     one 24x16 PPM (`cli.file-dir.manifest.csv`);
   * every gradcheck case's `max_rel_err`;
+  * the benchmark's equivariance cells, one `metrics.sweep_cells` call each
+    (shapes corpus of size 48, seed 0, default model per variant): p4 quarter
+    turns at eps = 0 and scales 2, 2.7 and 3, and p8 (t = 8 at the same
+    channel budget) at 45 and 135 degrees, scale 2, the default eps, at
+    resolutions 16 and 32, as `sweep.<group>.<variant>.r<res>.s<scale>`
+    over the CSV and every entry's error map;
   * the query chunks `inr.eval_global_batch` cuts for one 64x64 -> 256x256
     `super_resolve` per variant x t in {1, 4, 16} x both evaluation modes,
     as `chunks.<variant>.t<t>.<mode> <size>x<count> ...` (each chunk size
@@ -100,6 +106,28 @@ def sr_lines():
                                    ("0", replace(model, cfg=replace(model.cfg, eps=0.0)))):
                     out = super_resolve(run, img, 2.5)
                     yield f"sr.{variant}.t{t}.{mode}.eps{label}", _array_digest(out.data)
+
+
+def sweep_lines():
+    import math
+
+    from equisr import metrics
+    from equisr.data import DatasetSpec
+    from equisr.inr import ModelConfig
+
+    shapes = DatasetSpec(kind="shapes", count=1, size=48)
+    quarter = [math.pi / 2, math.pi, 3 * math.pi / 2]
+    groups = [("p4", quarter, scale, None, 0.0) for scale in (2.0, 2.7, 3.0)]
+    groups.append(("p8", [math.pi / 4, 3 * math.pi / 4], 2.0, [8], None))
+    for group, angles, scale, t_values, eps in groups:
+        for variant in VARIANTS:
+            for res in (16, 32):
+                cells = list(metrics.sweep_cells([(variant, ModelConfig(variant=variant))],
+                                                 angles, [scale], [res], t_values=t_values,
+                                                 seeds=[0], data=shapes, eps=eps))
+                text = metrics.sweep_csv(cells) + "".join(
+                    _array_digest(e.err_map.data) for cell in cells for e in cell[5])
+                yield f"sweep.{group}.{variant}.r{res}.s{scale:g}", _digest(text.encode())
 
 
 def chunk_lines():
@@ -276,7 +304,7 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.abspath(argv[0]))
     with tempfile.TemporaryDirectory() as tmp:
         for lines in (sr_lines(), train_lines(tmp), grads_lines(), params_lines(), cli_lines(tmp),
-                      gradcheck_lines(), chunk_lines()):
+                      gradcheck_lines(), sweep_lines(), chunk_lines()):
             for name, digest in lines:
                 print(name, digest, flush=True)
     return 0

@@ -13,7 +13,9 @@ step of the default model at the benchmark's train-steps shape (stripes of
 size 96, batch 4, patch 24).  A train row also gives the tape's live bytes
 after the forward of that step's batch, which tracemalloc measures after
 the RSS sample, so the sample is the step's alone; it tells what the tape
-holds apart from what the allocator keeps.
+holds apart from what the allocator keeps.  Last, one row per variant for
+one `metrics.sweep` op of the benchmark's equiv-sweep workload: p4 quarter
+turns at eps = 0, resolution 32, scale 3, on its shapes corpus (size 48).
 
     PYTHONPATH=src python tools/rss_probe.py                 # t in {1, 4, 16}
     PYTHONPATH=src python tools/rss_probe.py --t 1 4 --reps 3
@@ -38,18 +40,27 @@ SCALE = 4.0
 
 
 def child(variant: str, t: str) -> None:
-    """One SR request at group order t, or one training step when t is "train"."""
+    """One SR request at group order t, one training step when t is "train",
+    or one p4 sweep op when t is "sweep"."""
+    import math
+
     import numpy as np
 
     from equisr.data import DatasetSpec
     from equisr.image import Image
     from equisr.inr import ModelConfig, build_model, super_resolve
+    from equisr.metrics import sweep
     from equisr.training import train
 
     if t == "train":
         stripes = DatasetSpec(kind="stripes", count=8, size=96, scale_lo=2.0, scale_hi=4.0)
         run = functools.partial(train, ModelConfig(variant=variant), stripes,
                                 steps=1, batch=4, patch=24)
+    elif t == "sweep":
+        shapes = DatasetSpec(kind="shapes", count=1, size=48)
+        run = functools.partial(sweep, [(variant, ModelConfig(variant=variant))],
+                                [math.pi / 2, math.pi, 3 * math.pi / 2], [3.0], [32],
+                                seeds=[0], data=shapes, eps=0.0)
     else:
         model = build_model(ModelConfig(variant=variant, t=int(t)), seed=0)
         img = Image(np.random.default_rng(0).random((SIDE, SIDE, 3)))
@@ -132,6 +143,15 @@ def main(argv=None) -> int:
               f"{statistics.median(rss):18.0f}  {max(rss):15.0f}  "
               f"{statistics.median(r['rss_before_mb'] for r in runs):18.0f}"
               f"  {statistics.median(r['tape_mb'] for r in runs):14.1f}", flush=True)
+    print(f"\none metrics.sweep op (p4 quarter turns at eps = 0, resolution 32, scale 3, "
+          f"shapes corpus of size 48, default model), {args.reps} fresh processes per row")
+    print("variant    op_ms_median  peak_rss_mb_median  peak_rss_mb_max  rss_before_op_mb")
+    for variant in VARIANTS:
+        runs = [measure(variant, "sweep") for _ in range(args.reps)]
+        rss = [r["rss_mb"] for r in runs]
+        print(f"{variant:7s} {statistics.median(r['ms'] for r in runs):15.0f}  "
+              f"{statistics.median(rss):18.0f}  {max(rss):15.0f}  "
+              f"{statistics.median(r['rss_before_mb'] for r in runs):16.0f}", flush=True)
     return 0
 
 
